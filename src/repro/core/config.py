@@ -39,20 +39,19 @@ class StudyConfig:
     #: the paper's single-shot crawl bit-for-bit; > 0 also enables the
     #: per-host circuit breaker and token-bucket rate limiter.
     max_retries: int = 0
-    #: Directory for per-portal crawl journals; None disables
-    #: checkpointing entirely.
+    #: Directory for the per-portal crawl and study journals; None
+    #: disables checkpointing entirely.
     checkpoint_dir: str | None = None
     #: When False, existing crawl journals are discarded and the crawl
     #: starts fresh (every resource is re-fetched); checkpoints are
     #: still written for the new run.
     resume: bool = True
     #: Per-(stage, table) work budget in deterministic ticks (see
-    #: :mod:`repro.resilience.budget`); None disables budgeting and
-    #: reproduces the unguarded analyses bit-for-bit.
+    #: :mod:`repro.resilience.budget`); None (the default) never
+    #: truncates, so the analyses run to completion.
     stage_budget: int | None = None
-    #: Directory where quarantined-table records are written; setting it
-    #: enables the guarded executor even without a budget (crash
-    #: containment only).
+    #: Directory where quarantined-table records are also written; None
+    #: keeps quarantines in memory only.  Never changes a result.
     quarantine_dir: str | None = None
     #: Poison-table injection rate applied to every portal profile
     #: (see :func:`repro.generator.profiles.poison_profile`).  0.0 keeps
@@ -70,13 +69,9 @@ class StudyConfig:
     #: zero overhead, byte-identical study outputs, same contract as
     #: ``trace_out``.
     profile_out: str | None = None
-    #: Profiler flush granularity in WorkMeter ticks.  Attribution is
-    #: exact at any value (see the sampling rule in
-    #: :mod:`repro.obs.profile`); the knob only bounds unflushed state.
-    profile_sample: int = 1_000
     #: Number of analysis worker processes (see
-    #: :mod:`repro.resilience.pool`).  1 (the default) runs everything
-    #: in-process on the pre-PR serial path, byte for byte.
+    #: :mod:`repro.resilience.pool`).  1 (the default) runs the per-table
+    #: units in-process; any count yields byte-identical results.
     workers: int = 1
     #: Times a unit whose worker died mid-flight is re-dispatched before
     #: it is escalated to QUARANTINED as a poison unit.
@@ -104,15 +99,6 @@ class StudyConfig:
     #: writes back on a miss.  None keeps joinability purely in-memory.
     join_index_dir: str | None = None
 
-    @property
-    def analysis_guarded(self) -> bool:
-        """Whether analyses run under the guarded executor."""
-        return (
-            self.stage_budget is not None
-            or self.quarantine_dir is not None
-            or self.workers > 1
-        )
-
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
@@ -138,10 +124,6 @@ class StudyConfig:
             raise ValueError(
                 f"chaos_kill_rate must be in [0, 1], got "
                 f"{self.chaos_kill_rate}"
-            )
-        if self.profile_sample < 1:
-            raise ValueError(
-                f"profile_sample must be >= 1, got {self.profile_sample}"
             )
         if self.straggler_ticks is not None and self.straggler_ticks < 1:
             raise ValueError(

@@ -17,7 +17,6 @@ from ..generator.portal_gen import GeneratedPortal, generate_portal
 from ..generator.profiles import PROFILES_BY_CODE, poison_profile
 from ..ingest.pipeline import IngestedTable, IngestReport, ingest_portal
 from ..obs import Observer, maybe_span
-from ..obs.profile import prof_scope
 from ..portal.ckan import CkanApi
 from ..portal.http import HttpClient
 from ..resilience import (
@@ -30,7 +29,6 @@ from ..resilience import (
     RetryPolicy,
     StageStatus,
     StudyJournal,
-    WorkMeter,
 )
 from .config import StudyConfig
 
@@ -47,18 +45,20 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep imports acyclic
 class PortalStudy:
     """One portal's corpus, ingest report, and cached analyses.
 
-    With a guarded config (``stage_budget`` and/or ``quarantine_dir``
-    set), every cached analysis runs through the portal's
-    :class:`AnalysisExecutor`: per-table stages quarantine their poison
-    tables, portal-wide stages degrade to truncated or empty results,
-    and — when a checkpoint dir is configured — finished per-table
-    units replay from the study journal on resume.
+    Every cached analysis runs through the portal's
+    :class:`AnalysisExecutor`, whatever the config: per-table stages
+    walk the unit plan of :mod:`repro.resilience.units` (the list the
+    worker pool schedules), portal-wide stages run as one unit each.
+    The default executor has no budget, so nothing truncates; a budget
+    quarantines poison tables and degrades portal-wide stages to
+    truncated or empty results, and a checkpoint dir replays finished
+    per-table units from the study journal on resume.
     """
 
     config: StudyConfig
     generated: GeneratedPortal
     report: IngestReport
-    executor: AnalysisExecutor | None = None
+    executor: AnalysisExecutor
     obs: Observer | None = None
     _cache: dict = dataclasses.field(default_factory=dict)
 
@@ -67,60 +67,62 @@ class PortalStudy:
         """Portal code (SG/CA/UK/US)."""
         return self.report.portal_code
 
-    def _stage_meter(self) -> WorkMeter | None:
-        """An unlimited, metrics-fed meter for unguarded traced stages.
+    def _run_units(self, stage: str, cache: dict | None = None) -> dict:
+        """Run *stage*'s planned per-table units; results by table id.
 
-        Unlimited meters never raise, so metering an unguarded stage
-        changes nothing about its result — it only attributes the
-        operation count to the enclosing stage span (and, when the
-        observer profiles, to the active frame path).
+        Walks :func:`~repro.resilience.units.plan_portal_units` — the
+        list the worker pool schedules — and skips every unit whose
+        ``depends_on`` screen did not end OK, so serial and pooled runs
+        execute one unit set; callers of dependent stages run
+        :meth:`screened_tables` first.  Units without a result
+        (quarantined or failed, with no fallback) are absent from the
+        map.
         """
-        if self.obs is None:
-            return None
-        return WorkMeter(
-            None, metrics=self.obs.metrics, profiler=self.obs.profiler
-        )
+        from ..resilience.units import plan_portal_units, unit_request
+
+        tables = {t.resource_id: t.clean for t in self.report.clean_tables}
+        results: dict = {}
+        for planned in plan_portal_units(self.code, self.report, (stage,)):
+            if planned.depends_on is not None:
+                _, dependency, table_id = planned.depends_on
+                status = self.executor.status_of(dependency, table_id)
+                if status is not StageStatus.OK:
+                    continue
+            result, _ = self.executor.guard_unit(
+                unit_request(
+                    planned, tables[planned.table_id], self.config, cache
+                ),
+                stage,
+                planned.table_id,
+            )
+            if result is not None:
+                results[planned.table_id] = result
+        return results
 
     # ------------------------------------------------------------------
-    # guarded screening
+    # screening
     # ------------------------------------------------------------------
     def screened_tables(self) -> list[IngestedTable]:
-        """The analysis corpus, minus quarantined tables.
+        """The analysis corpus: clean tables whose screen unit ended OK.
 
-        Unguarded studies return ``report.clean_tables`` untouched.
-        Guarded ones first run every table through the per-cell screen
-        (the cheapest stage at which data-volume poison can blow its
-        budget) and exclude everything quarantined there.
+        Every table first runs through the per-cell screen (the
+        cheapest stage at which data-volume poison can blow its
+        budget); tables it quarantines or fails are excluded from every
+        later stage.
         """
-        if "screened-tables" not in self._cache:
-            tables = self.report.clean_tables
-            if self.executor is not None:
-                from ..resilience.units import (
-                    SCREEN_STAGE,
-                    PlannedUnit,
-                    unit_request,
-                )
+        from ..resilience.units import SCREEN_STAGE
 
-                with maybe_span(
-                    self.obs, "screen", kind="stage", portal=self.code
-                ):
-                    for ingested in tables:
-                        planned = PlannedUnit(
-                            self.code, SCREEN_STAGE, ingested.resource_id
-                        )
-                        self.executor.guard_unit(
-                            unit_request(
-                                planned, ingested.clean, self.config
-                            ),
-                            SCREEN_STAGE,
-                            ingested.resource_id,
-                        )
-                tables = [
-                    t
-                    for t in tables
-                    if not self.executor.is_quarantined(t.resource_id)
-                ]
-            self._cache["screened-tables"] = tables
+        if "screened-tables" not in self._cache:
+            with maybe_span(
+                self.obs, "screen", kind="stage", portal=self.code
+            ):
+                self._run_units(SCREEN_STAGE)
+            self._cache["screened-tables"] = [
+                t
+                for t in self.report.clean_tables
+                if self.executor.status_of(SCREEN_STAGE, t.resource_id)
+                is StageStatus.OK
+            ]
         return self._cache["screened-tables"]
 
     # ------------------------------------------------------------------
@@ -131,67 +133,28 @@ class PortalStudy:
 
         Keyed by position in :meth:`screened_tables` — the table-index
         space the joinability profiles use.  Cached once and shared by
-        every threshold.  Guarded studies run one journaled ``joinsig``
-        unit per table (pooled runs adopt the worker-computed results
-        here); a unit truncated by its budget degrades to the empty
-        signature set, which the pair search treats as "skip the band
-        filter for this table" — slower, never wrong.
+        every threshold.  One journaled ``joinsig`` unit runs per table
+        (pooled runs adopt the worker-computed results here), sharing
+        one per-portal memo of value hash vectors in process; a unit
+        truncated by its budget degrades to the empty signature set,
+        which the pair search treats as "skip the band filter for this
+        table" — slower, never wrong.
         """
-        from ..joinability.lshindex import (
-            DEFAULT_LSH_PARAMS,
-            compute_table_signatures,
-        )
-        from ..joinability.minhash import MinHasher
+        from ..resilience.units import JOINSIG_STAGE
 
         if "join-signatures" not in self._cache:
             with maybe_span(
                 self.obs, "joinsig", kind="stage", portal=self.code
-            ) as span:
-                tables = self.screened_tables()
-                signatures: dict = {}
-                if self.executor is None:
-                    meter = self._stage_meter()
-                    hasher = MinHasher.create(
-                        num_perm=DEFAULT_LSH_PARAMS.num_perm,
-                        seed=self.config.seed,
-                    )
-                    cache: dict = {}
-                    with prof_scope(meter, self.code, "joinsig"):
-                        for table_index, ingested in enumerate(tables):
-                            signatures[table_index] = (
-                                compute_table_signatures(
-                                    ingested.clean,
-                                    ingested.resource_id,
-                                    min_unique=self.config.min_unique_values,
-                                    seed=self.config.seed,
-                                    meter=meter,
-                                    hasher=hasher,
-                                    cache=cache,
-                                )
-                            )
-                    if span is not None and meter is not None:
-                        span.add_ops(meter.spent)
-                else:
-                    from ..resilience.units import (
-                        JOINSIG_STAGE,
-                        PlannedUnit,
-                        unit_request,
-                    )
-
-                    for table_index, ingested in enumerate(tables):
-                        planned = PlannedUnit(
-                            self.code, JOINSIG_STAGE, ingested.resource_id
-                        )
-                        result, _ = self.executor.guard_unit(
-                            unit_request(
-                                planned, ingested.clean, self.config
-                            ),
-                            JOINSIG_STAGE,
-                            ingested.resource_id,
-                        )
-                        if result is not None:
-                            signatures[table_index] = result
-            self._cache["join-signatures"] = signatures
+            ):
+                positions = {
+                    t.resource_id: index
+                    for index, t in enumerate(self.screened_tables())
+                }
+                by_table = self._run_units(JOINSIG_STAGE, cache={})
+            self._cache["join-signatures"] = {
+                positions[table_id]: signatures
+                for table_id, signatures in by_table.items()
+            }
         return self._cache["join-signatures"]
 
     def joinability(
@@ -221,7 +184,7 @@ class PortalStudy:
                 f"pairs@{threshold}",
                 kind="stage",
                 portal=self.code,
-            ) as span:
+            ):
                 tables = self.screened_tables()
                 if self.config.join_index == "lsh":
                     table_signatures = self.join_signatures()
@@ -248,28 +211,21 @@ class PortalStudy:
                             meter=meter,
                         )
 
-                if self.executor is None:
-                    meter = self._stage_meter()
-                    with prof_scope(meter, self.code, f"pairs@{threshold}"):
-                        self._cache[key] = analyze(meter)
-                    if span is not None and meter is not None:
-                        span.add_ops(meter.spent)
-                else:
-                    analysis, _ = self.executor.guard(
-                        f"pairs@{threshold}",
-                        PORTAL_WIDE,
-                        analyze,
-                        classify=lambda a: (
-                            StageStatus.TRUNCATED
-                            if a.truncated
-                            else StageStatus.OK
-                        ),
-                        on_budget=StageStatus.TRUNCATED,
-                        fallback=lambda: empty_joinability_analysis(
-                            self.code, tables
-                        ),
-                    )
-                    self._cache[key] = analysis
+                analysis, _ = self.executor.guard(
+                    f"pairs@{threshold}",
+                    PORTAL_WIDE,
+                    analyze,
+                    classify=lambda a: (
+                        StageStatus.TRUNCATED
+                        if a.truncated
+                        else StageStatus.OK
+                    ),
+                    on_budget=StageStatus.TRUNCATED,
+                    fallback=lambda: empty_joinability_analysis(
+                        self.code, tables
+                    ),
+                )
+                self._cache[key] = analysis
         return self._cache[key]
 
     def peek_joinability(
@@ -349,29 +305,20 @@ class PortalStudy:
         if "unionability" not in self._cache:
             with maybe_span(
                 self.obs, "union", kind="stage", portal=self.code
-            ) as span:
+            ):
                 tables = self.screened_tables()
-                if self.executor is None:
-                    meter = self._stage_meter()
-                    with prof_scope(meter, self.code, "union"):
-                        self._cache["unionability"] = analyze_unionability(
-                            self.code, tables, meter=meter
-                        )
-                    if span is not None:
-                        span.add_ops(meter.spent)
-                else:
-                    analysis, _ = self.executor.guard(
-                        "union",
-                        PORTAL_WIDE,
-                        lambda meter: analyze_unionability(
-                            self.code, tables, meter=meter
-                        ),
-                        on_budget=StageStatus.TRUNCATED,
-                        fallback=lambda: empty_unionability_analysis(
-                            self.code, tables
-                        ),
-                    )
-                    self._cache["unionability"] = analysis
+                analysis, _ = self.executor.guard(
+                    "union",
+                    PORTAL_WIDE,
+                    lambda meter: analyze_unionability(
+                        self.code, tables, meter=meter
+                    ),
+                    on_budget=StageStatus.TRUNCATED,
+                    fallback=lambda: empty_unionability_analysis(
+                        self.code, tables
+                    ),
+                )
+                self._cache["unionability"] = analysis
         return self._cache["unionability"]
 
     def labeled_union_sample(self) -> list["LabeledUnionPair"]:
@@ -410,58 +357,26 @@ class PortalStudy:
     def normalization(self) -> "NormalizationStats":
         """Cached FD/BCNF statistics over the filtered tables.
 
-        The unguarded path walks all tables with one shared BCNF RNG
-        stream (the seed study's exact numbers).  The guarded path runs
-        one journaled ``fd`` unit per table with a *per-table* seeded
-        RNG instead, so results do not depend on which tables were
-        replayed, quarantined, or recomputed in which order.
+        One journaled ``fd`` unit runs per filtered table, each drawing
+        its BCNF splits from its own RNG seeded by ``(seed, portal,
+        table)`` — the study's only BCNF stream — so results do not
+        depend on which tables were replayed, quarantined, recomputed,
+        or pooled.
         """
+        from ..normalize.analysis import aggregate_normalization
+        from ..resilience.units import FD_STAGE
+
         if "normalization" not in self._cache:
-            with maybe_span(
-                self.obs, "fd", kind="stage", portal=self.code
-            ) as span:
-                self._compute_normalization(span)
-        return self._cache["normalization"]
-
-    def _compute_normalization(self, span) -> None:
-        """Populate the normalization cache (see :meth:`normalization`)."""
-        from ..normalize.analysis import (
-            TableNormalization,
-            aggregate_normalization,
-            normalization_stats,
-        )
-
-        if self.executor is None:
-            meter = self._stage_meter()
-            with prof_scope(meter, self.code, "fd"):
-                self._cache["normalization"] = normalization_stats(
-                    self.code,
-                    self.filtered_tables(),
-                    seed=self.config.seed,
-                    max_lhs=self.config.max_lhs,
-                    meter=meter,
-                )
-            if span is not None:
-                span.add_ops(meter.spent)
-            return
-        from ..resilience.units import FD_STAGE, PlannedUnit, unit_request
-
-        kept_tables: list[Table] = []
-        contributions: list[TableNormalization] = []
-        for ingested in self._filtered_ingested():
-            clean = ingested.clean
-            planned = PlannedUnit(self.code, FD_STAGE, ingested.resource_id)
-            contribution, _ = self.executor.guard_unit(
-                unit_request(planned, clean, self.config),
-                FD_STAGE,
-                ingested.resource_id,
+            with maybe_span(self.obs, "fd", kind="stage", portal=self.code):
+                filtered = self._filtered_ingested()
+                contributions = self._run_units(FD_STAGE)
+            kept = [t for t in filtered if t.resource_id in contributions]
+            self._cache["normalization"] = aggregate_normalization(
+                self.code,
+                [t.clean for t in kept],
+                [contributions[t.resource_id] for t in kept],
             )
-            if contribution is not None:
-                kept_tables.append(clean)
-                contributions.append(contribution)
-        self._cache["normalization"] = aggregate_normalization(
-            self.code, kept_tables, contributions
-        )
+        return self._cache["normalization"]
 
     def key_distribution(self):
         """Cached minimum-key-size distribution (Figure 6)."""
@@ -595,8 +510,7 @@ class Study:
     def close(self) -> None:
         """Close study journals, then finish and flush the trace."""
         for portal in self.portals.values():
-            if portal.executor is not None:
-                portal.executor.close()
+            portal.executor.close()
         if self.obs is not None:
             self.obs.close()
 
@@ -638,15 +552,14 @@ def _open_journal(config: StudyConfig, code: str) -> CrawlJournal | None:
 
 def _build_executor(
     config: StudyConfig, code: str, obs: Observer | None = None
-) -> AnalysisExecutor | None:
-    """The portal's guarded analysis executor, when the config asks.
+) -> AnalysisExecutor:
+    """The portal's analysis executor.
 
-    The study journal only attaches when *both* the guard and a
-    checkpoint dir are configured; a checkpoint dir alone keeps its
-    PR 1 meaning (crawl journaling) without touching the analyses.
+    Unbudgeted unless ``stage_budget`` is set; quarantines stay in
+    memory unless ``quarantine_dir`` is set, which adds the on-disk
+    records.  The study journal attaches whenever a checkpoint dir is
+    configured.
     """
-    if not config.analysis_guarded:
-        return None
     journal = None
     if config.checkpoint_dir is not None:
         path = pathlib.Path(config.checkpoint_dir) / f"study-{code}.jsonl"

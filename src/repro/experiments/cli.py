@@ -155,9 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--quarantine-dir",
         default=None,
         help=(
-            "directory for quarantined-table records; also enables the "
-            "guarded executor on its own (crash containment without a "
-            "budget)"
+            "also write one JSON record per quarantined table to this "
+            "directory (quarantines are always applied in memory)"
         ),
     )
     run_parser.add_argument(
@@ -183,15 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "write the deterministic tick-attribution profile (JSON) "
             "to this file; inspect it with 'ogdp-repro profile-report'"
-        ),
-    )
-    run_parser.add_argument(
-        "--profile-sample",
-        type=_positive_int,
-        default=1_000,
-        help=(
-            "flush pending ticks to the profile at least every N ticks "
-            "(default 1000; attribution is exact at any value)"
         ),
     )
     run_parser.add_argument(
@@ -634,7 +624,6 @@ def config_from_args(args: argparse.Namespace) -> StudyConfig:
         poison_rate=args.poison_rate,
         trace_out=args.trace_out,
         profile_out=args.profile_out,
-        profile_sample=args.profile_sample,
         wall_clock=args.wall_clock,
         workers=args.workers,
         unit_retries=args.unit_retries,
@@ -647,13 +636,13 @@ def config_from_args(args: argparse.Namespace) -> StudyConfig:
 
 
 def log_outcome_summary(study) -> None:
-    """Log each guarded portal's per-stage outcome tallies (stderr)."""
+    """Log each portal's per-stage outcome tallies (stderr)."""
     from ..resilience.executor import StageStatus
 
     log = get_log()
     for portal in study:
         executor = portal.executor
-        if executor is None or not executor.outcomes:
+        if not executor.outcomes:
             continue
         counts = executor.status_counts()
         fields = {
@@ -669,7 +658,7 @@ def log_outcome_summary(study) -> None:
         )
 
 
-def _print_guarded_footer(study) -> None:
+def _print_outcome_footer(study) -> None:
     """Per-stage outcome diagnostics plus the degradation appendix.
 
     The appendix is part of the rendered product, so it stays on
@@ -1219,8 +1208,7 @@ def main(argv: list[str] | None = None) -> int:
             for result in run_all(study):
                 print(result.text)
                 print()
-            if config.analysis_guarded:
-                _print_guarded_footer(study)
+            _print_outcome_footer(study)
             return 0
         try:
             result = run_experiment(args.experiment, study)
@@ -1228,8 +1216,7 @@ def main(argv: list[str] | None = None) -> int:
             get_log().error("unknown-experiment", message=exc.args[0])
             return 2
         print(result.text)
-        if config.analysis_guarded:
-            _print_guarded_footer(study)
+        _print_outcome_footer(study)
         return 0
     finally:
         study.close()

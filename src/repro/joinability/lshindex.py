@@ -199,7 +199,6 @@ def compute_table_signatures(
     params: LshParams = DEFAULT_LSH_PARAMS,
     seed: int = 1,
     meter: WorkMeter | None = None,
-    hasher: MinHasher | None = None,
     cache: dict[str, tuple[int, ...]] | None = None,
 ) -> TableJoinSignatures:
     """The ``joinsig`` unit computation over one cleaned table.
@@ -211,8 +210,7 @@ def compute_table_signatures(
     data-volume poison table budgets out here like it would in any
     other per-table stage.
     """
-    if hasher is None:
-        hasher = MinHasher.create(num_perm=params.num_perm, seed=seed)
+    hasher = MinHasher.create(num_perm=params.num_perm, seed=seed)
     columns: list[ColumnSignature] = []
     with prof_scope(meter, "minhash", "signature"):
         for column in table.columns:

@@ -45,8 +45,7 @@ class MinHasher:
         ``sha256("minhash:<seed>:<i>")`` — 16 digest bytes for the
         multiplier (nonzero mod the Mersenne prime), 16 for the offset —
         which keeps on-disk signatures stable across interpreter
-        upgrades.  The pre-fix ``random.Random`` draw survives as
-        :meth:`create_legacy` for old artifacts and the compat test.
+        upgrades.
         """
         coefficients = []
         for i in range(num_perm):
@@ -57,22 +56,6 @@ class MinHasher:
             b = int.from_bytes(digest[16:], "big") % _MERSENNE
             coefficients.append((a, b))
         return cls(num_perm=num_perm, coefficients=tuple(coefficients))
-
-    @classmethod
-    def create_legacy(cls, num_perm: int = 128, seed: int = 1) -> "MinHasher":
-        """The pre-sha256 hasher, coefficients drawn from ``random.Random``.
-
-        Kept so signatures written by older runs remain reproducible;
-        new code should always use :meth:`create`.
-        """
-        import random
-
-        rng = random.Random(seed)
-        coefficients = tuple(
-            (rng.randrange(1, _MERSENNE), rng.randrange(0, _MERSENNE))
-            for _ in range(num_perm)
-        )
-        return cls(num_perm=num_perm, coefficients=coefficients)
 
     def signature(self, values: Iterable[str]) -> tuple[int, ...]:
         """MinHash signature of a value set."""

@@ -6,7 +6,6 @@ from .analysis import (
     MIN_COLS,
     MIN_ROWS,
     NormalizationStats,
-    normalization_stats,
     passes_size_filter,
 )
 from .bcnf import MAX_FRAGMENTS, DecompositionResult, bcnf_decompose
@@ -23,6 +22,5 @@ __all__ = [
     "attribute_closure",
     "bcnf_decompose",
     "is_superkey",
-    "normalization_stats",
     "passes_size_filter",
 ]

@@ -59,7 +59,7 @@ class NormalizationStats:
 class TableNormalization:
     """One table's contribution to :class:`NormalizationStats`.
 
-    The guarded executor computes, journals, and replays these
+    The analysis executor computes, journals, and replays these
     per-table records; :func:`aggregate_normalization` folds them back
     into the portal-level stats.  The payload round-trips through JSON
     exactly (ints, bools, and repr-round-tripping floats only).
@@ -161,26 +161,6 @@ def aggregate_normalization(
         avg_uniqueness_gain=_winsorized_mean(gains),
         fragment_histogram=fragment_histogram,
     )
-
-
-def normalization_stats(
-    portal_code: str,
-    tables: list[Table],
-    seed: int = 0,
-    max_lhs: int = DEFAULT_MAX_LHS,
-    meter: WorkMeter | None = None,
-) -> NormalizationStats:
-    """Run the full §4.2/§4.3 analysis over already-filtered *tables*.
-
-    The optional *meter* is shared across all tables; an unlimited one
-    (telemetry-only) leaves every number bit-for-bit unchanged.
-    """
-    rng = random.Random(f"{seed}:{portal_code}:bcnf")
-    contributions = [
-        table_normalization(table, rng, max_lhs=max_lhs, meter=meter)
-        for table in tables
-    ]
-    return aggregate_normalization(portal_code, tables, contributions)
 
 
 #: Cap applied to individual uniqueness-gain ratios before averaging: a

@@ -33,7 +33,7 @@ import contextlib
 
 from .log import Logger, configure_log, get_log
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profile import DEFAULT_SAMPLE_EVERY, Profiler, write_profile
+from .profile import Profiler, write_profile
 from .trace import Span, TraceWriter, Tracer, read_trace
 
 #: Trace file format version, written in the header record.
@@ -55,7 +55,6 @@ class Observer:
         wall_clock: bool = False,
         meta: dict | None = None,
         profile_path=None,
-        profile_sample: int = DEFAULT_SAMPLE_EVERY,
         profile: bool = False,
     ):
         self.metrics = MetricsRegistry()
@@ -70,9 +69,7 @@ class Observer:
         # harness snapshots them per experiment).
         self.profile_path = profile_path
         self.profiler = (
-            Profiler(sample_every=profile_sample)
-            if profile or profile_path is not None
-            else None
+            Profiler() if profile or profile_path is not None else None
         )
         self._profile_meta = {
             k: v for k, v in (meta or {}).items() if k != "workers"
@@ -102,8 +99,6 @@ class Observer:
             wall_clock=config.wall_clock,
             meta=meta,
             profile_path=profile_out,
-            profile_sample=getattr(config, "profile_sample", None)
-            or DEFAULT_SAMPLE_EVERY,
         )
 
     def span(self, name: str, kind: str = "span", **attrs):

@@ -9,20 +9,18 @@ when it was charged, e.g. ``study;SG;fd;fun;level2;fd.refine``.  Frames
 are pushed and popped explicitly (:func:`prof_scope`), never inferred
 from the Python stack, which keeps two equal-seed runs byte-identical.
 
-Sampling rule
--------------
+Flush rule
+----------
 Ticks accumulate in a pending counter and are flushed to the current
 frame path whenever
 
 * the op name changes,
 * a frame is pushed or popped, or
-* the pending count reaches ``sample_every`` ticks.
+* a snapshot is taken.
 
-Because every flush lands on the path that accrued the ticks, the
-attribution is *exact* regardless of ``sample_every`` — the knob only
-bounds how much unflushed state exists at any instant (and therefore
-what a crash could lose), it never changes the finished profile.  The
-total over all frames always reconciles exactly with the meters' spend.
+Every flush lands on the path that accrued the ticks, so attribution
+is exact, and the total over all frames always reconciles exactly with
+the meters' spend.
 
 Shard merge
 -----------
@@ -53,9 +51,6 @@ from .quantiles import percentile_nearest_rank
 #: Profile artifact format version.
 PROFILE_VERSION = 1
 
-#: Default flush granularity in ticks (see the sampling rule above).
-DEFAULT_SAMPLE_EVERY = 1_000
-
 #: Frame-path separator (flamegraph.pl collapsed-stack convention).
 SEP = ";"
 
@@ -65,16 +60,11 @@ class Profiler:
 
     ``counts`` maps frame paths (tuples of frame names, the charged op
     appended as the leaf) to tick totals.  All methods are O(1) per
-    call; the per-tick hook (:meth:`add`) is an equality check and two
-    integer adds on the fast path.
+    call; the per-tick hook (:meth:`add`) is an equality check and one
+    integer add on the fast path.
     """
 
-    def __init__(self, sample_every: int = DEFAULT_SAMPLE_EVERY):
-        if sample_every < 1:
-            raise ValueError(
-                f"sample_every must be >= 1, got {sample_every}"
-            )
-        self.sample_every = sample_every
+    def __init__(self):
         self.counts: dict[tuple[str, ...], int] = {}
         self._stack: list[str] = []
         self._pending = 0
@@ -87,8 +77,6 @@ class Profiler:
             self.flush()
             self._pending_op = op
         self._pending += cost
-        if self._pending >= self.sample_every:
-            self.flush()
 
     def flush(self) -> None:
         """Commit pending ticks to the current frame path."""
@@ -162,7 +150,6 @@ def profile_doc(
     """The JSON document a profiler serializes to."""
     doc = {
         "version": PROFILE_VERSION,
-        "sample_every": profiler.sample_every,
         "frames": profiler.snapshot(),
     }
     doc["total_ticks"] = sum(doc["frames"].values())
@@ -228,7 +215,6 @@ def frames_from_trace(path: str | pathlib.Path) -> dict:
     frames = dict(sorted(frames.items()))
     return {
         "version": PROFILE_VERSION,
-        "sample_every": None,
         "frames": frames,
         "total_ticks": sum(frames.values()),
         "meta": {"source": "trace"},
@@ -297,7 +283,6 @@ def profile_report_json(doc: dict, top: int = 20) -> dict:
     counts = sorted(frames.values())
     return {
         "version": doc.get("version"),
-        "sample_every": doc.get("sample_every"),
         "total_ticks": total,
         "frame_count": len(frames),
         "frame_ticks_p50": percentile_nearest_rank(counts, 50),
@@ -499,7 +484,6 @@ def render_profile_diff(diff: dict, top: int = 20) -> str:
 __all__ = [
     "DEFAULT_DIFF_THRESHOLD",
     "DEFAULT_MIN_TICKS",
-    "DEFAULT_SAMPLE_EVERY",
     "PROFILE_VERSION",
     "Profiler",
     "collapsed_lines",

@@ -82,21 +82,18 @@ def render_bar_chart(
 
 
 def render_degradation_appendix(study) -> str | None:
-    """Appendix listing every degraded guarded stage of a *study*.
+    """Appendix listing every degraded analysis stage of a *study*.
 
-    Returns ``None`` when no portal ran under the guarded executor or
-    every stage completed OK — the tables above then stand unqualified.
-    Quarantined and failed tables are excluded from every reproduced
-    statistic, so the appendix is the only place they surface.
+    Returns ``None`` when every stage completed OK — the tables above
+    then stand unqualified.  Quarantined and failed tables are excluded
+    from every reproduced statistic, so the appendix is the only place
+    they surface.
     """
     from ..resilience.executor import StageStatus
 
     rows = []
     for portal in study:
-        executor = portal.executor
-        if executor is None:
-            continue
-        for outcome in executor.outcomes:
+        for outcome in portal.executor.outcomes:
             if outcome.status is StageStatus.OK:
                 continue
             rows.append(

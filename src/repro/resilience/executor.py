@@ -122,8 +122,9 @@ class AnalysisExecutor:
 
     One executor guards one portal's analyses.  It owns the per-study
     bookkeeping: the append-ordered outcome log (for the degradation
-    appendix), the set of quarantined table ids (consulted by every
-    downstream stage), and the optional journal / quarantine directory.
+    appendix), each unit's terminal status (consulted by dependent
+    units), the in-memory set of quarantined table ids, and the
+    optional journal / quarantine directory.
 
     With an :class:`~repro.obs.Observer` attached, every unit —
     computed or replayed — additionally emits exactly one trace span
@@ -151,12 +152,14 @@ class AnalysisExecutor:
         self.outcomes: list[StageOutcome] = []
         #: Table ids quarantined by any stage so far.
         self.quarantined: set[str] = set()
+        #: Latest terminal status per ``(stage, table_id)`` unit.
+        self._statuses: dict[tuple[str, str], StageStatus] = {}
         #: Units computed elsewhere (pool workers), adopted on demand:
         #: ``(stage, table_id) -> CompletedUnit``.  Adoption is the
         #: parallel path's identity trick — an adopted unit emits the
         #: same span, counters, journal record, and quarantine side
         #: effects the in-process computation would have, so a sharded
-        #: run's artifacts diff empty against a serial guarded run.
+        #: run's artifacts diff empty against a serial run.
         self.precomputed: dict[tuple[str, str], CompletedUnit] = {}
 
     # ------------------------------------------------------------------
@@ -400,6 +403,7 @@ class AnalysisExecutor:
     def _note(self, outcome: StageOutcome) -> None:
         """Log one outcome and apply its quarantine side effects."""
         self.outcomes.append(outcome)
+        self._statuses[(outcome.stage, outcome.table_id)] = outcome.status
         if outcome.status is StageStatus.QUARANTINED:
             self.quarantined.add(outcome.table_id)
             self._write_quarantine_file(outcome)
@@ -445,6 +449,10 @@ class AnalysisExecutor:
     def is_quarantined(self, table_id: str) -> bool:
         """Whether *table_id* has been set aside by any stage."""
         return table_id in self.quarantined
+
+    def status_of(self, stage: str, table_id: str) -> StageStatus | None:
+        """The terminal status of unit ``(stage, table_id)``, if it ran."""
+        return self._statuses.get((stage, table_id))
 
     def status_counts(self) -> dict[StageStatus, int]:
         """Outcome counts by status, for the degradation appendix."""

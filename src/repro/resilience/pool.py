@@ -36,7 +36,7 @@ completed unit is handed to the portal's
 — span, counters, canonical-journal record, and quarantine side
 effects are emitted only when (and exactly when) the serial guard
 would have computed the unit.  A pooled run's trace therefore diffs
-empty against a serial guarded run; the scheduling nondeterminism that
+empty against a serial run; the scheduling nondeterminism that
 remains (who computed what, steals, restarts) is confined to ``pool.*``
 metrics and zero-op lane spans, both excluded from drift comparison.
 
@@ -359,7 +359,7 @@ def _worker_main(slot, config, task_conn, result_conn, shard_dir):
             # and the stage.  The unit's engine frames nest under these
             # so the merged pooled profile is path-for-path identical
             # to the serial one.
-            profiler = Profiler(sample_every=config.profile_sample)
+            profiler = Profiler()
             for frame in ("study", unit.portal, unit.stage):
                 profiler.push(frame)
         meter = SupervisedMeter(
@@ -779,9 +779,7 @@ def plan_study_units(
     plan: list[PlannedUnit] = []
     external: dict[tuple, str] = {}
     for portal in portals.values():
-        journal = (
-            portal.executor.journal if portal.executor is not None else None
-        )
+        journal = portal.executor.journal
         for unit in plan_portal_units(portal.code, portal.report, stages):
             record = (
                 journal.get(*unit.journal_key)

@@ -1,16 +1,14 @@
 """The catalog of per-table analysis units: enumerable, computable anywhere.
 
-The guarded executor (PR 2) runs per-table stages as closures built
-inline by :class:`~repro.core.study.PortalStudy`, which works for a
-sequential study but leaves the unit set implicit — nothing can ask
-"which units will this portal run?" without running them.  This module
-makes the unit set a first-class, *enumerable* plan:
+Every study runs its per-table stages as units of one *enumerable*
+plan:
 
 * :func:`plan_portal_units` lists every per-table ``(portal, stage,
   table)`` unit a portal's analysis will execute, before executing any
-  of them — the input the sharded worker pool schedules over;
+  of them — the list :class:`~repro.core.study.PortalStudy` walks in
+  process and the sharded worker pool schedules over;
 * :func:`unit_request` builds, for any planned unit, the exact compute
-  closure (plus classify/encode/decode hooks) the serial guarded path
+  closure (plus classify/encode/decode hooks) the in-process executor
   uses, so a unit computed in a worker process is **definitionally**
   the same computation the in-process executor would have run.
 
@@ -115,8 +113,8 @@ def plan_portal_units(
 ) -> list[PlannedUnit]:
     """Every per-table unit *report*'s analyses will run, in order.
 
-    Mirrors the serial guarded path exactly: one ``screen`` unit per
-    cleaned table, one ``fd`` unit per cleaned table passing the
+    The one plan of every run, serial or pooled: one ``screen`` unit
+    per cleaned table, one ``fd`` unit per cleaned table passing the
     paper's §4.2 size filter, and one ``joinsig`` unit per cleaned
     table (join eligibility is per *column*, so every table may
     contribute signatures).  Whether a dependent unit actually executes
@@ -147,7 +145,9 @@ def plan_portal_units(
     return units
 
 
-def unit_request(planned: PlannedUnit, table, config) -> UnitRequest:
+def unit_request(
+    planned: PlannedUnit, table, config, cache: dict | None = None
+) -> UnitRequest:
     """The canonical compute request for *planned* over *table*.
 
     *config* supplies the seed and FD knobs; the closure is pure in
@@ -155,6 +155,9 @@ def unit_request(planned: PlannedUnit, table, config) -> UnitRequest:
     meter) yields bit-for-bit the record the serial path journals.
     The per-table BCNF RNG is derived from ``(seed, portal, table)``
     inside the closure, so retried executions never share RNG state.
+    *cache* is an optional memo of per-value MinHash vectors shared by
+    one portal's in-process ``joinsig`` units; it saves rehashing
+    values repeated across tables and never changes a result.
     """
     if planned.stage == SCREEN_STAGE:
         return UnitRequest(
@@ -183,6 +186,7 @@ def unit_request(planned: PlannedUnit, table, config) -> UnitRequest:
                 min_unique=config.min_unique_values,
                 seed=config.seed,
                 meter=meter,
+                cache=cache,
             ),
             encode=lambda s: s.to_payload(),
             decode=TableJoinSignatures.from_payload,

@@ -137,16 +137,13 @@ class DataLake:
     def _servable_tables(self, portal: PortalStudy) -> list[IngestedTable]:
         """The portal's clean tables minus quarantined/FAILED ones.
 
-        Unguarded studies serve every clean table.  Guarded ones first
-        run the screen stage (so data-volume poison is quarantined at
-        the cheapest point), then drop anything the executor has
-        quarantined or recorded as FAILED — each skip logged and
-        counted instead of raised, so a degraded study still serves
-        its healthy remainder.
+        Runs the screen stage first (so data-volume poison is
+        quarantined at the cheapest point), then drops anything the
+        executor has quarantined or recorded as FAILED — each skip
+        logged and counted instead of raised, so a degraded study still
+        serves its healthy remainder.
         """
         executor = portal.executor
-        if executor is None:
-            return portal.report.clean_tables
         try:
             portal.screened_tables()
         except Exception as exc:  # noqa: BLE001 — serving must survive

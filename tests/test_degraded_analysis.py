@@ -17,7 +17,10 @@ from repro.dataframe import Column, Table
 from repro.fd import discover_fds
 from repro.ingest.pipeline import IngestedTable
 from repro.joinability import analyze_joinability
-from repro.normalize.analysis import normalization_stats, table_normalization
+from repro.normalize.analysis import (
+    aggregate_normalization,
+    table_normalization,
+)
 from repro.profiling import screen_table
 from repro.resilience import WorkMeter
 from repro.unionability import analyze_unionability
@@ -96,8 +99,14 @@ def test_unionability_survives(tables):
 
 
 def test_normalization_survives(tables):
-    stats = normalization_stats(
-        "XX", [t.clean for t in tables], seed=7, max_lhs=4
+    cleaned = [t.clean for t in tables]
+    stats = aggregate_normalization(
+        "XX",
+        cleaned,
+        [
+            table_normalization(table, random.Random(7), max_lhs=4)
+            for table in cleaned
+        ],
     )
     assert stats.total_tables == 3
 

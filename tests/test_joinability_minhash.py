@@ -65,23 +65,6 @@ class TestMinHash:
             assert a == int.from_bytes(digest[:16], "big") % (_MERSENNE - 1) + 1
             assert b == int.from_bytes(digest[16:], "big") % _MERSENNE
 
-    def test_legacy_hasher_matches_random_module(self):
-        """The compat shim reproduces the pre-sha256 coefficient draw."""
-        import random
-
-        from repro.joinability.minhash import _MERSENNE
-
-        rng = random.Random(5)
-        expected = tuple(
-            (rng.randrange(1, _MERSENNE), rng.randrange(0, _MERSENNE))
-            for _ in range(8)
-        )
-        legacy = MinHasher.create_legacy(num_perm=8, seed=5)
-        assert legacy.coefficients == expected
-        assert legacy.coefficients != MinHasher.create(
-            num_perm=8, seed=5
-        ).coefficients
-
 
 class TestLshIndex:
     def test_near_duplicates_bucketed_together(self):

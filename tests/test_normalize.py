@@ -10,9 +10,9 @@ from repro.normalize import (
     attribute_closure,
     bcnf_decompose,
     is_superkey,
-    normalization_stats,
     passes_size_filter,
 )
+from repro.normalize.analysis import aggregate_normalization
 
 
 class TestClosure:
@@ -165,6 +165,6 @@ class TestNormalizationStats:
             assert stats.avg_uniqueness_gain >= 1.0
 
     def test_empty_input(self):
-        stats = normalization_stats("XX", [], seed=0)
+        stats = aggregate_normalization("XX", [], [])
         assert stats.total_tables == 0
         assert stats.frac_with_fd == 0.0

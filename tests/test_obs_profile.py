@@ -46,35 +46,17 @@ class TestProfiler:
         assert prof.total_ticks == 13
 
     def test_op_change_flushes(self):
-        prof = Profiler(sample_every=10**9)
+        prof = Profiler()
         prof.push("a")
         prof.add(5, "op1")
         prof.add(5, "op2")
         assert prof.counts[("a", "op1")] == 5
 
     def test_total_ticks_includes_pending(self):
-        prof = Profiler(sample_every=10**9)
+        prof = Profiler()
         prof.add(5, "op")
         assert prof.counts == {}
         assert prof.total_ticks == 5
-
-    def test_sample_every_never_changes_the_final_profile(self):
-        def drive(prof):
-            with prof.frame("study", "CA"):
-                for _ in range(137):
-                    prof.add(3, "screen.cell")
-                with prof.frame("fd"):
-                    for _ in range(41):
-                        prof.add(11, "fd.refine")
-            return prof.snapshot()
-
-        base = drive(Profiler(sample_every=1))
-        for sample_every in (2, 7, 100, 10**9):
-            assert drive(Profiler(sample_every=sample_every)) == base
-
-    def test_sample_every_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Profiler(sample_every=0)
 
     def test_prof_scope_without_profiler_is_a_noop(self):
         class Meter:
@@ -132,18 +114,15 @@ class TestShardMergeProperty:
         events=_EVENTS,
         n_workers=st.integers(1, 4),
         assignment=st.randoms(use_true_random=False),
-        sample_every=st.sampled_from([1, 3, 1000]),
     )
     def test_merged_worker_shards_equal_serial_profile(
-        self, events, n_workers, assignment, sample_every
+        self, events, n_workers, assignment
     ):
-        serial = Profiler(sample_every=1)
+        serial = Profiler()
         for stack, op, cost in events:
             with serial.frame(*stack):
                 serial.add(cost, op)
-        workers = [
-            Profiler(sample_every=sample_every) for _ in range(n_workers)
-        ]
+        workers = [Profiler() for _ in range(n_workers)]
         for stack, op, cost in events:
             worker = workers[assignment.randrange(n_workers)]
             with worker.frame(*stack):
@@ -185,7 +164,7 @@ class TestAggregation:
 
 class TestArtifactIO:
     def test_write_read_roundtrip(self, tmp_path):
-        prof = Profiler(sample_every=100)
+        prof = Profiler()
         with prof.frame("study", "SG"):
             prof.add(42, "fd.refine")
         path = tmp_path / "profile.json"

@@ -47,11 +47,7 @@ def _drive(config: StudyConfig) -> int:
             portal.joinability()
             portal.unionability()
             portal.normalization()
-        return sum(
-            portal.executor.ticks_spent
-            for portal in study
-            if portal.executor is not None
-        )
+        return sum(portal.executor.ticks_spent for portal in study)
 
 
 @pytest.fixture(scope="module")

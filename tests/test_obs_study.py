@@ -41,18 +41,11 @@ def _run_study(config):
     study = Study.build(config)
     texts = [run_experiment(e, study).text for e in EXPERIMENTS]
     outcomes = [
-        outcome
-        for portal in study
-        if portal.executor is not None
-        for outcome in portal.executor.outcomes
+        outcome for portal in study for outcome in portal.executor.outcomes
     ]
-    ticks = sum(
-        p.executor.ticks_spent for p in study if p.executor is not None
-    )
+    ticks = sum(p.executor.ticks_spent for p in study)
     counts = {}
     for portal in study:
-        if portal.executor is None:
-            continue
         for status, n in portal.executor.status_counts().items():
             counts[status.value] = counts.get(status.value, 0) + n
     study.close()

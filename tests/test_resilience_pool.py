@@ -655,10 +655,16 @@ class TestCliAndConfig:
         assert config.workers == 1
         assert config.chaos_kill_rate == 0.0
         assert config.straggler_ticks is None
-        assert not config.analysis_guarded
 
-    def test_workers_alone_arm_the_guard(self):
-        assert StudyConfig(workers=2).analysis_guarded
+    def test_pooled_executor_is_unbudgeted_by_default(self):
+        """A pool needs no guard flag: workers alone keep the default
+        executor, unbudgeted and without a journal or quarantine dir."""
+        from repro.core.study import _build_executor
+
+        executor = _build_executor(StudyConfig(workers=2), "SG")
+        assert executor.stage_budget is None
+        assert executor.journal is None
+        assert executor.quarantine_dir is None
 
     @pytest.mark.parametrize(
         "overrides",

@@ -123,17 +123,24 @@ class TestGuardedWithoutBudget:
             run_experiment("table05", study)
             run_experiment("table06", study)
             for portal in study:
-                assert portal.executor is not None
                 counts = portal.executor.status_counts()
                 assert counts[StageStatus.OK] == sum(counts.values())
             assert render_degradation_appendix(study) is None
         finally:
             study.close()
 
-    def test_unguarded_study_has_no_executor(self, tmp_path):
+    def test_default_study_has_unbudgeted_executor(self, tmp_path):
+        """No guard flag needed: every portal runs its units through an
+        executor with no budget, whose quarantines stay in memory."""
         study = build(tmp_path)
         try:
+            run_experiment("table05", study)
             for portal in study:
-                assert portal.executor is None
+                assert portal.executor.stage_budget is None
+                assert portal.executor.quarantine_dir is None
+                assert portal.executor.journal is None
+                counts = portal.executor.status_counts()
+                assert counts[StageStatus.OK] == sum(counts.values()) > 0
+            assert render_degradation_appendix(study) is None
         finally:
             study.close()
