@@ -49,7 +49,7 @@ def main() -> None:
         print(f"  {fd}")
     print()
 
-    result = bcnf_decompose(best_table, random.Random(1))
+    result = bcnf_decompose(best_table, best_fds, random.Random(1))
     print(f"BCNF decomposition -> {result.num_fragments} sub-tables "
           f"({result.steps} splits):")
     for fragment in result.fragments:

@@ -14,10 +14,10 @@ from .quality import (
 )
 from .partitions import (
     cardinality,
+    determines,
     encode_columns,
     partition_of,
     refine,
-    refined_cardinality,
 )
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "FDScore",
     "FDSet",
     "cardinality",
+    "determines",
     "discover_fds",
     "discover_fds_naive",
     "discover_fds_tane",
@@ -37,5 +38,4 @@ __all__ = [
     "score_fd",
     "partition_of",
     "refine",
-    "refined_cardinality",
 ]

@@ -23,7 +23,7 @@ from ..dataframe import Table
 from ..obs.profile import prof_scope
 from ..resilience.budget import BudgetExceeded, WorkMeter
 from .model import FD, FDSet
-from .partitions import Labels, cardinality, encode_columns, refine, refined_cardinality
+from .partitions import Labels, cardinality, determines, encode_columns, refine
 
 #: The paper's cap on left-hand-side size.
 DEFAULT_MAX_LHS = 4
@@ -90,8 +90,9 @@ def _discover_fun(
 
     Profiler frames follow the lattice structure — one ``levelN`` frame
     per level, the partition-kernel work nested under ``dataframe``
-    frames naming the engine primitive (the ROADMAP item-5 target
-    list), e.g. ``fun;level2;dataframe;refined_cardinality``.
+    frames naming the partition primitive that does it
+    (``cardinality``, ``refine`` or ``determines``), e.g.
+    ``fun;level2;dataframe;determines``.
     """
     pending: list[FD] = []
     n_attrs = len(names)
@@ -133,7 +134,7 @@ def _discover_fun(
             meter.event("fd.level1.nodes", len(free_level))
 
         # Check level-1 FDs: X={a} -> b.
-        with prof_scope(meter, "dataframe", "refined_cardinality"):
+        with prof_scope(meter, "dataframe", "determines"):
             for single in free_level:
                 (attr,) = tuple(single)
                 closure = closures[single]
@@ -142,7 +143,7 @@ def _discover_fun(
                         continue
                     if meter is not None:
                         meter.tick(n_rows, op="fd.refine")
-                    if refined_cardinality(labels[single], encoded[rhs]) == cards[single]:
+                    if determines(labels[single], encoded[rhs]):
                         closure.add(rhs)
                         pending.append(FD(frozenset((names[attr],)), names[rhs]))
     _commit(fds, pending)
@@ -181,13 +182,13 @@ def _discover_fun(
                     continue  # candidate key: trivial FDs only, prune supersets
                 closure = set(candidate) | inherited
                 closures[candidate] = closure
-                with prof_scope(meter, "dataframe", "refined_cardinality"):
+                with prof_scope(meter, "dataframe", "determines"):
                     for rhs in range(n_attrs):
                         if rhs in closure or rhs in constant_attrs:
                             continue
                         if meter is not None:
                             meter.tick(n_rows, op="fd.refine")
-                        if refined_cardinality(candidate_labels, encoded[rhs]) == card:
+                        if determines(candidate_labels, encoded[rhs]):
                             closure.add(rhs)
                             pending.append(
                                 FD(frozenset(names[a] for a in candidate), names[rhs])

@@ -5,6 +5,8 @@ comparisons over attribute-set partitions: ``X -> A`` holds iff
 ``|pi_{X ∪ A}| == |pi_X|``.  A partition is represented as a dense label
 vector: row *i* carries the integer id of its equivalence class, which
 makes refinement (adding one more column) a single dictionary pass.
+FUN asks the same question through :func:`determines`, which answers
+it without building ``pi_{X ∪ A}`` and stops at the first conflict.
 
 Nulls participate as ordinary (per-column distinct) values, the common
 convention in FD profilers.
@@ -61,9 +63,23 @@ def cardinality(labels: Labels) -> int:
     return len(set(labels)) if labels else 0
 
 
-def refined_cardinality(labels: Labels, column: Labels) -> int:
-    """``cardinality(refine(labels, column))`` without building the vector."""
-    return len({(label, value) for label, value in zip(labels, column)})
+def determines(labels: Labels, column: Labels) -> bool:
+    """Whether *column* is constant within every class of *labels*.
+
+    The same answer as ``cardinality(refine(labels, column)) ==
+    cardinality(labels)``, i.e. whether ``X -> A`` holds for the
+    partition ``pi_X`` and column ``A``, but it stops at the first row
+    whose value differs from its class's first value.  Most candidate
+    FDs fail, usually long before the last row.
+    """
+    first: dict[int, int] = {}
+    for label, value in zip(labels, column):
+        seen = first.get(label)
+        if seen is None:
+            first[label] = value
+        elif seen != value:
+            return False
+    return True
 
 
 def partition_of(columns: Sequence[Labels], positions: Sequence[int]) -> Labels:

@@ -114,7 +114,7 @@ def table_normalization(
             fragment_columns=(),
             gains=(),
         )
-    result = bcnf_decompose(table, rng, max_lhs=max_lhs, meter=meter)
+    result = bcnf_decompose(table, fds, rng, max_lhs=max_lhs, meter=meter)
     return TableNormalization(
         truncated=fds.truncated or (meter is not None and meter.exhausted),
         has_fd=True,

@@ -19,6 +19,7 @@ from collections import Counter
 
 from ..dataframe import Table
 from ..fd.fun import DEFAULT_MAX_LHS, discover_fds
+from ..fd.model import FDSet
 from ..resilience.budget import WorkMeter
 
 #: Safety valve: decomposition of a k-column table can produce at most
@@ -66,6 +67,7 @@ class DecompositionResult:
 
 def bcnf_decompose(
     table: Table,
+    fds: FDSet,
     rng: random.Random,
     max_lhs: int = DEFAULT_MAX_LHS,
     max_fragments: int = MAX_FRAGMENTS,
@@ -73,23 +75,30 @@ def bcnf_decompose(
 ) -> DecompositionResult:
     """Decompose *table* into bounded-BCNF fragments.
 
-    FDs are re-discovered from the data of every fragment: projections
-    can both lose FDs (columns gone) and expose none, so re-running the
-    profiler is the faithful data-driven equivalent of projecting the
-    dependency set.
+    *fds* is *table*'s own :func:`discover_fds` result for the same
+    *max_lhs*, which the caller already holds.  FDs are re-discovered
+    from the data of every fragment: projections can both lose FDs
+    (columns gone) and expose none, so re-running the profiler is the
+    faithful data-driven equivalent of projecting the dependency set.
 
     The *meter* is shared with those internal re-discoveries: once it
     is exhausted they return empty truncated FD sets, so every fragment
     still in the worklist finishes immediately and the decomposition
-    terminates with whatever splits it had already committed.
+    terminates with whatever splits it had already committed.  A
+    truncated *fds* means the meter ran out during the caller's
+    discovery, so *table* stays whole.
     """
     worklist = [table]
     finished: list[Table] = []
     steps = 0
     while worklist:
         current = worklist.pop()
-        fds = discover_fds(current, max_lhs=max_lhs, meter=meter)
-        candidates = list(fds)
+        if current is table:
+            candidates = [] if fds.truncated else list(fds)
+        else:
+            candidates = list(
+                discover_fds(current, max_lhs=max_lhs, meter=meter)
+            )
         if not candidates or len(finished) + len(worklist) + 2 > max_fragments:
             finished.append(current)
             continue

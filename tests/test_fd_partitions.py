@@ -1,13 +1,40 @@
 """Unit tests for repro.fd.partitions."""
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from repro.dataframe import Column, Table
 from repro.fd.partitions import (
     cardinality,
+    determines,
     encode_columns,
     partition_of,
     refine,
-    refined_cardinality,
 )
+
+
+@st.composite
+def labels_and_column(draw):
+    """A label vector and an equally long value column.
+
+    Either the column is derived from the labels (so ``X -> A`` holds)
+    and then maybe has one row overwritten, which plants a conflict
+    anywhere, the last row included, or it is drawn freely.
+    """
+    labels = draw(st.lists(st.integers(0, 5), max_size=40))
+    if draw(st.booleans()):
+        mapping = draw(st.lists(st.integers(0, 3), min_size=6, max_size=6))
+        column = [mapping[label] for label in labels]
+        if labels and draw(st.booleans()):
+            row = draw(st.integers(0, len(labels) - 1))
+            column[row] = draw(st.integers(0, 4))
+    else:
+        column = draw(
+            st.lists(
+                st.integers(0, 3), min_size=len(labels), max_size=len(labels)
+            )
+        )
+    return labels, column
 
 
 class TestEncode:
@@ -39,11 +66,16 @@ class TestRefine:
         assert cardinality(refined) == 3
         assert refined[2] == refined[3]
 
-    def test_refined_cardinality_matches(self):
-        labels = [0, 0, 1, 1, 2]
-        column = [5, 6, 5, 5, 5]
-        assert refined_cardinality(labels, column) == cardinality(
-            refine(labels, column)
+    @given(labels_and_column())
+    @example(([], []))
+    @example(([0], [7]))
+    @example(([0, 1, 2, 3], [5, 5, 6, 6]))  # all-distinct labels
+    @example(([0, 0, 1, 1], [3, 3, 4, 5]))  # conflict only in the last row
+    @example(([0, 0, 1, 1, 2], [5, 6, 5, 5, 5]))
+    def test_determines_matches_refinement(self, vectors):
+        labels, column = vectors
+        assert determines(labels, column) == (
+            cardinality(refine(labels, column)) == cardinality(labels)
         )
 
     def test_refinement_never_coarsens(self):

@@ -7,12 +7,15 @@ import pytest
 from repro.dataframe import Column, Table, inner_join
 from repro.fd import FD, discover_fds
 from repro.normalize import (
+    analysis,
     attribute_closure,
+    bcnf,
     bcnf_decompose,
     is_superkey,
     passes_size_filter,
 )
-from repro.normalize.analysis import aggregate_normalization
+from repro.normalize.analysis import aggregate_normalization, table_normalization
+from repro.resilience import WorkMeter
 
 
 class TestClosure:
@@ -62,12 +65,12 @@ class TestDecomposition:
             "t", [Column("a", [1, 2, 3]), Column("b", [4, 5, 4])]
         )
         # b has repeats but no FD a->b (a is a key: trivial) — check.
-        result = bcnf_decompose(table, random.Random(0))
+        result = bcnf_decompose(table, discover_fds(table), random.Random(0))
         assert result.was_in_bcnf
         assert result.num_fragments == 1
 
     def test_splits_on_planted_fd(self, fish_table):
-        result = bcnf_decompose(fish_table, random.Random(0))
+        result = bcnf_decompose(fish_table, discover_fds(fish_table), random.Random(0))
         assert result.num_fragments >= 2
         # Some fragment holds exactly the species -> group mapping.
         mapping_fragment = next(
@@ -82,7 +85,7 @@ class TestDecomposition:
         assert mapping_fragment.num_rows == 4  # one row per species
 
     def test_fragments_are_bcnf(self, fish_table):
-        result = bcnf_decompose(fish_table, random.Random(1))
+        result = bcnf_decompose(fish_table, discover_fds(fish_table), random.Random(1))
         for fragment in result.fragments:
             assert not discover_fds(fragment).has_nontrivial or all(
                 not fd.lhs for fd in discover_fds(fragment)
@@ -90,7 +93,7 @@ class TestDecomposition:
 
     def test_all_columns_covered(self, fish_table, cities_table):
         for table in (fish_table, cities_table):
-            result = bcnf_decompose(table, random.Random(2))
+            result = bcnf_decompose(table, discover_fds(table), random.Random(2))
             covered = {
                 name for f in result.fragments for name in f.column_names
             }
@@ -99,7 +102,7 @@ class TestDecomposition:
     def test_lossless_join(self, fish_table):
         """Re-joining the two fragments of one split must reproduce the
         original rows exactly (BCNF splits are lossless)."""
-        result = bcnf_decompose(fish_table, random.Random(3))
+        result = bcnf_decompose(fish_table, discover_fds(fish_table), random.Random(3))
         rebuilt = result.fragments[0]
         for fragment in result.fragments[1:]:
             shared = [
@@ -126,7 +129,7 @@ class TestDecomposition:
         assert original_rows <= rebuilt_rows
 
     def test_unrepeated_columns(self, fish_table):
-        result = bcnf_decompose(fish_table, random.Random(4))
+        result = bcnf_decompose(fish_table, discover_fds(fish_table), random.Random(4))
         unrepeated = result.unrepeated_columns()
         for name in unrepeated:
             holders = [
@@ -135,11 +138,59 @@ class TestDecomposition:
             assert len(holders) == 1
 
     def test_deterministic_given_rng(self, fish_table):
-        a = bcnf_decompose(fish_table, random.Random(5))
-        b = bcnf_decompose(fish_table, random.Random(5))
+        fds = discover_fds(fish_table)
+        a = bcnf_decompose(fish_table, fds, random.Random(5))
+        b = bcnf_decompose(fish_table, fds, random.Random(5))
         assert [f.column_names for f in a.fragments] == [
             f.column_names for f in b.fragments
         ]
+
+
+def _recording(discover, tables):
+    """*discover*, appending every table it is called with to *tables*."""
+
+    def recording(table, *args, **kwargs):
+        tables.append(table)
+        return discover(table, *args, **kwargs)
+
+    return recording
+
+
+class TestTableNormalization:
+    def test_discovers_the_unsplit_table_once(self, monkeypatch, fish_table):
+        discovered = []
+        for module in (analysis, bcnf):
+            monkeypatch.setattr(
+                module,
+                "discover_fds",
+                _recording(module.discover_fds, discovered),
+            )
+        contribution = table_normalization(fish_table, random.Random(0))
+        assert contribution.fragments >= 2
+        assert sum(table is fish_table for table in discovered) == 1
+
+    def test_truncated_discovery_keeps_the_table_whole(self, fish_table):
+        """A budget that cuts the table's own discovery after it found an
+        FD leaves the table unsplit: the meter is spent, so there is no
+        work left to decompose with."""
+        cut_budgets = []
+        for budget in range(1, 600):
+            fds = discover_fds(fish_table, meter=WorkMeter(budget))
+            if fds.truncated and fds.has_nontrivial:
+                cut_budgets.append(budget)
+        assert cut_budgets
+        for budget in cut_budgets:
+            contribution = table_normalization(
+                fish_table, random.Random(0), meter=WorkMeter(budget)
+            )
+            assert contribution.to_payload() == {
+                "truncated": True,
+                "has_fd": True,
+                "has_single": True,
+                "fragments": 1,
+                "fragment_columns": [fish_table.num_columns],
+                "gains": [1.0] * fish_table.num_columns,
+            }
 
 
 class TestNormalizationStats:
