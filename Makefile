@@ -36,12 +36,12 @@ fidelity:
 
 # A small guarded run with tracing enabled, then the attribution
 # report over the resulting trace — exercises run --trace-out and
-# stats end to end.
+# profile-report on a trace end to end.
 smoke-trace:
 	$(PYTHON) -m repro.experiments.cli run table05 \
 		--scale 0.08 --seed 2 --stage-budget 40000 --poison-rate 0.1 \
 		--quarantine-dir smoke-quarantine --trace-out smoke-trace.jsonl
-	$(PYTHON) -m repro.experiments.cli stats smoke-trace.jsonl
+	$(PYTHON) -m repro.experiments.cli profile-report smoke-trace.jsonl
 
 # The sharded-execution equivalence check CI's shard-gate job runs:
 # the same guarded run serially, pooled (4 workers), and pooled under

@@ -61,9 +61,6 @@ class StudyConfig:
     #: disables tracing entirely — zero overhead, byte-identical study
     #: outputs.
     trace_out: str | None = None
-    #: Attach wall-clock milliseconds to trace spans.  Off by default so
-    #: that equal-seed runs produce byte-identical trace files.
-    wall_clock: bool = False
     #: Path of the deterministic profile artifact (see
     #: :mod:`repro.obs.profile`); None disables profiling entirely —
     #: zero overhead, byte-identical study outputs, same contract as
@@ -86,13 +83,6 @@ class StudyConfig:
     #: Directory for per-worker shard journals; None keeps them in a
     #: temporary directory that is discarded after the merge.
     shard_dir: str | None = None
-    #: Join candidate-generation strategy (see
-    #: :mod:`repro.joinability.lshindex`): ``"lsh"`` (the default)
-    #: prefix-filters and LSH-band-filters candidates before the exact
-    #: Jaccard verify — identical pair sets, far fewer candidates —
-    #: while ``"allpairs"`` keeps the original all-pairs walk (the
-    #: ablation baseline).
-    join_index: str = "lsh"
     #: Directory of persisted join indexes (see
     #: :mod:`repro.search.indexstore`); when set, ``DataLake`` loads
     #: each portal's pair set from disk instead of recomputing it, and
@@ -137,11 +127,6 @@ class StudyConfig:
             )
         if self.max_lhs < 1:
             raise ValueError(f"max_lhs must be >= 1, got {self.max_lhs}")
-        if self.join_index not in ("lsh", "allpairs"):
-            raise ValueError(
-                f"join_index must be 'lsh' or 'allpairs', got "
-                f"{self.join_index!r}"
-            )
         unknown = set(self.portal_codes) - set(DEFAULT_PORTALS)
         if unknown:
             raise ValueError(f"unknown portal codes: {sorted(unknown)}")

@@ -129,7 +129,7 @@ class PortalStudy:
     # joinability
     # ------------------------------------------------------------------
     def join_signatures(self) -> dict:
-        """Cached MinHash signatures per screened table (LSH path).
+        """Cached MinHash signatures per screened table.
 
         Keyed by position in :meth:`screened_tables` — the table-index
         space the joinability profiles use.  Cached once and shared by
@@ -162,17 +162,16 @@ class PortalStudy:
     ) -> "JoinabilityAnalysis":
         """Cached joinability analysis at the given threshold.
 
-        ``config.join_index`` picks the candidate generator: ``"lsh"``
-        (the default) consumes the cached per-table signatures and
-        prefix-filters candidates before the exact Jaccard verify;
-        ``"allpairs"`` runs the original quadratic walk.  Both emit
-        byte-identical pair sets — only the op counts differ.
+        Consumes the cached per-table signatures and prefix-filters
+        candidates before the exact Jaccard verify; the pair set is
+        byte-identical to the all-pairs walk
+        (:func:`~repro.joinability.pairs.analyze_joinability`, kept as
+        the oracle), only the op counts differ.
         """
+        # Looked up at call time so a wrapper installed on the module
+        # attribute sees every call.
         from ..joinability.lshindex import analyze_joinability_lsh
-        from ..joinability.pairs import (
-            analyze_joinability,
-            empty_joinability_analysis,
-        )
+        from ..joinability.pairs import empty_joinability_analysis
 
         threshold = (
             self.config.jaccard_threshold if threshold is None else threshold
@@ -186,30 +185,18 @@ class PortalStudy:
                 portal=self.code,
             ):
                 tables = self.screened_tables()
-                if self.config.join_index == "lsh":
-                    table_signatures = self.join_signatures()
+                table_signatures = self.join_signatures()
 
-                    def analyze(meter):
-                        return analyze_joinability_lsh(
-                            self.code,
-                            tables,
-                            threshold=threshold,
-                            min_unique=self.config.min_unique_values,
-                            meter=meter,
-                            table_signatures=table_signatures,
-                            seed=self.config.seed,
-                        )
-
-                else:
-
-                    def analyze(meter):
-                        return analyze_joinability(
-                            self.code,
-                            tables,
-                            threshold=threshold,
-                            min_unique=self.config.min_unique_values,
-                            meter=meter,
-                        )
+                def analyze(meter):
+                    return analyze_joinability_lsh(
+                        self.code,
+                        tables,
+                        threshold=threshold,
+                        min_unique=self.config.min_unique_values,
+                        meter=meter,
+                        table_signatures=table_signatures,
+                        seed=self.config.seed,
+                    )
 
                 analysis, _ = self.executor.guard(
                     f"pairs@{threshold}",

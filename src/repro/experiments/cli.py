@@ -6,7 +6,7 @@ Examples::
     ogdp-repro run table05
     ogdp-repro run all --scale 0.5 --seed 11
     ogdp-repro run table03 --trace-out trace.jsonl
-    ogdp-repro stats trace.jsonl --top 5
+    ogdp-repro profile-report trace.jsonl --top 5
     ogdp-repro run all --profile-out profile.json
     ogdp-repro profile-report profile.json --top 15
     ogdp-repro profile-diff baseline.json candidate.json
@@ -17,7 +17,7 @@ Examples::
     ogdp-repro loadtest --mix smoke --report load.json
 
 Output discipline: rendered experiment results, the degradation
-appendix, and ``stats`` reports go to **stdout** (they are the product);
+appendix, and reports go to **stdout** (they are the product);
 diagnostics go through :mod:`repro.obs.log` to **stderr**, gated by
 ``--quiet`` / ``-v``.
 """
@@ -25,9 +25,22 @@ diagnostics go through :mod:`repro.obs.log` to **stderr**, gated by
 from __future__ import annotations
 
 import argparse
+import json
+import pathlib
 
 from ..core.config import StudyConfig
+from ..obs import baseline
 from ..obs.log import QUIET, configure_log, get_log
+from ..obs.profile import (
+    DEFAULT_DIFF_THRESHOLD,
+    DEFAULT_MIN_TICKS,
+    collapsed_lines,
+    diff_profiles,
+    load_any_profile,
+    profile_report_json,
+    render_profile_diff,
+    render_profile_report,
+)
 from .corpus import get_study
 from .registry import experiment_ids, run_all, run_experiment
 
@@ -59,18 +72,68 @@ def _rate(text: str) -> float:
     return value
 
 
-def _add_join_index_flags(parser: argparse.ArgumentParser) -> None:
-    """The join candidate-path knobs shared by run/serve/loadtest."""
+def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
+    """The corpus identity every study-building command takes."""
+    defaults = StudyConfig()
     parser.add_argument(
-        "--join-index",
-        choices=("lsh", "allpairs"),
-        default="lsh",
+        "--scale",
+        type=float,
+        default=defaults.scale,
+        help=f"corpus scale (default {defaults.scale})",
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=defaults.seed,
+        help=f"master seed (default {defaults.seed})",
+    )
+
+
+def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
+    """The worker-pool knobs shared by run and build-index."""
+    defaults = StudyConfig()
+    parser.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=defaults.workers,
         help=(
-            "join candidate generator: 'lsh' (default; prefix + band "
-            "filtered, exact-verified) or 'allpairs' (the quadratic "
-            "ablation baseline) — identical pair sets either way"
+            f"worker processes (default {defaults.workers} = in-process); "
+            "> 1 shards the per-table units across a crash-supervised "
+            "pool whose results diff empty against a serial run"
         ),
     )
+    parser.add_argument(
+        "--unit-retries",
+        type=_nonnegative_int,
+        default=defaults.unit_retries,
+        help=(
+            "times a unit whose worker died is re-dispatched before "
+            "being quarantined as a poison unit "
+            f"(default {defaults.unit_retries})"
+        ),
+    )
+    parser.add_argument(
+        "--chaos-kill-rate",
+        type=_rate,
+        default=defaults.chaos_kill_rate,
+        help=(
+            "seeded probability that a worker SIGKILLs itself mid-unit "
+            "(chaos mode exercising the supervisor; "
+            f"default {defaults.chaos_kill_rate})"
+        ),
+    )
+    parser.add_argument(
+        "--shard-dir",
+        default=defaults.shard_dir,
+        help=(
+            "directory for per-worker shard journals (default: a "
+            "temporary directory discarded after the merge)"
+        ),
+    )
+
+
+def _add_join_index_dir_flag(parser: argparse.ArgumentParser) -> None:
+    """The persisted-index directory shared by run/serve/loadtest."""
     parser.add_argument(
         "--join-index-dir",
         default=None,
@@ -78,6 +141,39 @@ def _add_join_index_flags(parser: argparse.ArgumentParser) -> None:
             "directory of persisted join indexes (see 'build-index'); "
             "when set, the lake loads pair sets from disk and writes "
             "back on a miss"
+        ),
+    )
+
+
+def _add_json_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--json",
+        dest="as_json",
+        action="store_true",
+        help="emit the machine-readable JSON document instead of text",
+    )
+
+
+def _add_top_flag(
+    parser: argparse.ArgumentParser, default: int, what: str
+) -> None:
+    parser.add_argument(
+        "--top",
+        type=_positive_int,
+        default=default,
+        help=f"how many {what} to list (default {default})",
+    )
+
+
+def _add_bench_root_flag(
+    parser: argparse.ArgumentParser, bench_file: str
+) -> None:
+    parser.add_argument(
+        "--bench-root",
+        default=None,
+        help=(
+            f"append this run's record to {bench_file} under this "
+            "directory (joins the bench-report regression gate)"
         ),
     )
 
@@ -106,18 +202,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable debug diagnostics on stderr",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    subparsers.add_parser("list", help="list available experiments")
+    list_parser = subparsers.add_parser(
+        "list", help="list available experiments"
+    )
+    list_parser.set_defaults(handler=_run_list)
     run_parser = subparsers.add_parser("run", help="run experiment(s)")
+    run_parser.set_defaults(handler=_run_experiments)
     run_parser.add_argument(
         "experiment",
         help="experiment id (e.g. table05, figure08) or 'all'",
     )
-    run_parser.add_argument(
-        "--scale", type=float, default=1.0, help="corpus scale (default 1.0)"
-    )
-    run_parser.add_argument(
-        "--seed", type=int, default=7, help="master seed (default 7)"
-    )
+    _add_corpus_flags(run_parser)
     run_parser.add_argument(
         "--max-retries",
         type=_nonnegative_int,
@@ -173,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "write a hierarchical span trace (JSONL) of the run to "
-            "this file; inspect it with 'ogdp-repro stats'"
+            "this file; inspect it with 'ogdp-repro profile-report'"
         ),
     )
     run_parser.add_argument(
@@ -184,42 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
             "to this file; inspect it with 'ogdp-repro profile-report'"
         ),
     )
-    run_parser.add_argument(
-        "--wall-clock",
-        action="store_true",
-        help=(
-            "attach wall-clock millisecond timings to trace spans "
-            "(makes the trace non-reproducible across runs)"
-        ),
-    )
-    run_parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help=(
-            "analysis worker processes (default 1 = the serial path); "
-            "> 1 shards per-table units across a crash-supervised pool "
-            "whose results diff empty against a serial run"
-        ),
-    )
-    run_parser.add_argument(
-        "--unit-retries",
-        type=_nonnegative_int,
-        default=3,
-        help=(
-            "times a unit whose worker died is re-dispatched before "
-            "being quarantined as a poison unit (default 3)"
-        ),
-    )
-    run_parser.add_argument(
-        "--chaos-kill-rate",
-        type=_rate,
-        default=0.0,
-        help=(
-            "seeded probability that a worker SIGKILLs itself mid-unit "
-            "(chaos mode exercising the supervisor; default 0.0)"
-        ),
-    )
+    _add_pool_flags(run_parser)
     run_parser.add_argument(
         "--straggler-ticks",
         type=_positive_int,
@@ -230,15 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
             "default: off)"
         ),
     )
-    run_parser.add_argument(
-        "--shard-dir",
-        default=None,
-        help=(
-            "directory for per-worker shard journals (default: a "
-            "temporary directory discarded after the merge)"
-        ),
-    )
-    _add_join_index_flags(run_parser)
+    _add_join_index_dir_flag(run_parser)
     index_parser = subparsers.add_parser(
         "build-index",
         help=(
@@ -246,17 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
             "to disk for later runs to load"
         ),
     )
+    index_parser.set_defaults(handler=_run_build_index)
     index_parser.add_argument(
         "--out",
         required=True,
         help="directory the per-(portal, threshold) index files go to",
     )
-    index_parser.add_argument(
-        "--scale", type=float, default=1.0, help="corpus scale (default 1.0)"
-    )
-    index_parser.add_argument(
-        "--seed", type=int, default=7, help="master seed (default 7)"
-    )
+    _add_corpus_flags(index_parser)
     index_parser.add_argument(
         "--thresholds",
         default="0.9,0.7",
@@ -265,42 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(default '0.9,0.7')"
         ),
     )
-    index_parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help=(
-            "signature-building worker processes (default 1); > 1 "
-            "shards the per-table joinsig units across the "
-            "crash-supervised pool"
-        ),
-    )
-    index_parser.add_argument(
-        "--unit-retries",
-        type=_nonnegative_int,
-        default=3,
-        help=(
-            "times a unit whose worker died is re-dispatched before "
-            "being quarantined as a poison unit (default 3)"
-        ),
-    )
-    index_parser.add_argument(
-        "--chaos-kill-rate",
-        type=_rate,
-        default=0.0,
-        help=(
-            "seeded probability that a worker SIGKILLs itself mid-unit "
-            "(chaos mode exercising the supervisor; default 0.0)"
-        ),
-    )
-    index_parser.add_argument(
-        "--shard-dir",
-        default=None,
-        help=(
-            "directory for per-worker shard journals (default: a "
-            "temporary directory discarded after the merge)"
-        ),
-    )
+    _add_pool_flags(index_parser)
     index_parser.add_argument(
         "--verify",
         action="store_true",
@@ -309,55 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
             "and fail (exit 1) on any mismatch"
         ),
     )
-    index_parser.add_argument(
-        "--json",
-        dest="as_json",
-        action="store_true",
-        help="emit the machine-readable JSON summary instead of text",
-    )
-    index_parser.add_argument(
-        "--bench-root",
-        default=None,
-        help=(
-            "append a join-index record to BENCH_join.json under this "
-            "directory (joins the bench-report regression gate)"
-        ),
-    )
-    stats_parser = subparsers.add_parser(
-        "stats",
-        help="work-budget attribution report from a run trace",
-    )
-    stats_parser.add_argument(
-        "trace", help="trace file written by 'run --trace-out'"
-    )
-    stats_parser.add_argument(
-        "--json",
-        dest="as_json",
-        action="store_true",
-        help="emit the machine-readable JSON document instead of text",
-    )
-    stats_parser.add_argument(
-        "--top",
-        type=_positive_int,
-        default=10,
-        help="how many of the most expensive tables to list (default 10)",
-    )
+    _add_json_flag(index_parser)
+    _add_bench_root_flag(index_parser, "BENCH_join.json")
     fidelity_parser = subparsers.add_parser(
         "fidelity",
         help="PASS/NEAR/DIVERGENT scoreboard of paper fidelity",
     )
-    fidelity_parser.add_argument(
-        "--scale", type=float, default=1.0, help="corpus scale (default 1.0)"
-    )
-    fidelity_parser.add_argument(
-        "--seed", type=int, default=7, help="master seed (default 7)"
-    )
-    fidelity_parser.add_argument(
-        "--json",
-        dest="as_json",
-        action="store_true",
-        help="emit the machine-readable JSON document instead of text",
-    )
+    fidelity_parser.set_defaults(handler=_run_fidelity)
+    _add_corpus_flags(fidelity_parser)
+    _add_json_flag(fidelity_parser)
     fidelity_parser.add_argument(
         "--out",
         default=None,
@@ -367,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diff",
         help="compare two runs' traces/metrics/fidelity for drift",
     )
+    diff_parser.set_defaults(handler=_run_diff)
     diff_parser.add_argument(
         "run_a", help="first run: a trace file or a run directory"
     )
@@ -382,12 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(default 0.0 = exact; equal seeds must diff empty)"
         ),
     )
-    diff_parser.add_argument(
-        "--json",
-        dest="as_json",
-        action="store_true",
-        help="emit the machine-readable JSON document instead of text",
-    )
+    _add_json_flag(diff_parser)
     diff_parser.add_argument(
         "--out",
         default=None,
@@ -397,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench-report",
         help="summarize BENCH_*.json histories against rolling baselines",
     )
+    bench_parser.set_defaults(handler=_run_bench_report)
     bench_parser.add_argument(
         "--root",
         default=".",
@@ -405,15 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--threshold",
         type=float,
-        default=None,
-        help="relative op-count regression threshold (default 0.25)",
+        default=baseline.DEFAULT_THRESHOLD,
+        help="relative op-count regression threshold (default %(default)s)",
     )
-    bench_parser.add_argument(
-        "--json",
-        dest="as_json",
-        action="store_true",
-        help="emit the machine-readable JSON document instead of text",
-    )
+    _add_json_flag(bench_parser)
     bench_parser.add_argument(
         "--fail-on-regression",
         action="store_true",
@@ -423,12 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve the built study's data lake over HTTP (CKAN-shaped)",
     )
-    serve_parser.add_argument(
-        "--scale", type=float, default=1.0, help="corpus scale (default 1.0)"
-    )
-    serve_parser.add_argument(
-        "--seed", type=int, default=7, help="master seed (default 7)"
-    )
+    serve_parser.set_defaults(handler=_run_serve)
+    _add_corpus_flags(serve_parser)
     serve_parser.add_argument(
         "--host", default=None, help="bind address (default 127.0.0.1)"
     )
@@ -446,17 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: the library defaults; /statz shows the verdict)"
         ),
     )
-    _add_join_index_flags(serve_parser)
+    _add_join_index_dir_flag(serve_parser)
     load_parser = subparsers.add_parser(
         "loadtest",
         help="run the deterministic load harness against the served lake",
     )
-    load_parser.add_argument(
-        "--scale", type=float, default=1.0, help="corpus scale (default 1.0)"
-    )
-    load_parser.add_argument(
-        "--seed", type=int, default=7, help="master seed (default 7)"
-    )
+    load_parser.set_defaults(handler=_run_loadtest)
+    _add_corpus_flags(load_parser)
     load_parser.add_argument(
         "--mix",
         default="smoke",
@@ -489,25 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the canonical JSON load report to this file",
     )
-    load_parser.add_argument(
-        "--json",
-        dest="as_json",
-        action="store_true",
-        help="emit the machine-readable JSON report instead of text",
-    )
-    load_parser.add_argument(
-        "--bench-root",
-        default=None,
-        help=(
-            "append a serving record to BENCH_serve.json under this "
-            "directory (joins the bench-report regression gate)"
-        ),
-    )
-    _add_join_index_flags(load_parser)
+    _add_json_flag(load_parser)
+    _add_bench_root_flag(load_parser, "BENCH_serve.json")
+    _add_join_index_dir_flag(load_parser)
     serve_report_parser = subparsers.add_parser(
         "serve-report",
         help="RED tables, SLO verdict, and exemplars from a serve trace",
     )
+    serve_report_parser.set_defaults(handler=_run_serve_report)
     serve_report_parser.add_argument(
         "trace", help="trace file written by 'loadtest --trace-out'"
     )
@@ -519,18 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
             "the one recorded in the trace header"
         ),
     )
-    serve_report_parser.add_argument(
-        "--json",
-        dest="as_json",
-        action="store_true",
-        help="emit the machine-readable JSON document instead of text",
-    )
-    serve_report_parser.add_argument(
-        "--top",
-        type=_positive_int,
-        default=10,
-        help="how many exemplar span trees to show (default 10)",
-    )
+    _add_json_flag(serve_report_parser)
+    _add_top_flag(serve_report_parser, 10, "exemplar span trees")
     serve_report_parser.add_argument(
         "--fail-on-exhausted",
         action="store_true",
@@ -540,25 +476,21 @@ def build_parser() -> argparse.ArgumentParser:
         "profile-report",
         help="flame-attribution hotspot report from a profile or trace",
     )
+    profile_report_parser.set_defaults(handler=_run_profile_report)
     profile_report_parser.add_argument(
         "source",
         help=(
             "a profile written by 'run --profile-out' or a trace "
-            "written by 'run --trace-out' (span ops are folded into "
-            "coarse frames)"
+            "written by 'run --trace-out' (span ops fold into "
+            "'study;<portal>;<stage>' frames, and the report adds the "
+            "unit outcomes, top tables, and degradation ledger)"
         ),
     )
-    profile_report_parser.add_argument(
-        "--json",
-        dest="as_json",
-        action="store_true",
-        help="emit the machine-readable JSON document instead of text",
-    )
-    profile_report_parser.add_argument(
-        "--top",
-        type=_positive_int,
-        default=20,
-        help="how many of the hottest frame paths to list (default 20)",
+    _add_json_flag(profile_report_parser)
+    _add_top_flag(
+        profile_report_parser,
+        20,
+        "of the hottest frame paths (and, for a trace, tables)",
     )
     profile_report_parser.add_argument(
         "--collapsed",
@@ -572,6 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile-diff",
         help="per-frame tick deltas between two profiles (regression gate)",
     )
+    profile_diff_parser.set_defaults(handler=_run_profile_diff)
     profile_diff_parser.add_argument(
         "run_a", help="baseline: a profile artifact or a trace file"
     )
@@ -581,33 +514,23 @@ def build_parser() -> argparse.ArgumentParser:
     profile_diff_parser.add_argument(
         "--threshold",
         type=float,
-        default=None,
+        default=DEFAULT_DIFF_THRESHOLD,
         help=(
             "relative per-frame tick growth that counts as a "
-            "regression (default 0.25)"
+            "regression (default %(default)s)"
         ),
     )
     profile_diff_parser.add_argument(
         "--min-ticks",
         type=_positive_int,
-        default=None,
+        default=DEFAULT_MIN_TICKS,
         help=(
             "frames below this many ticks on both sides never trip "
-            "the gate (default 1000)"
+            "the gate (default %(default)s)"
         ),
     )
-    profile_diff_parser.add_argument(
-        "--json",
-        dest="as_json",
-        action="store_true",
-        help="emit the machine-readable JSON document instead of text",
-    )
-    profile_diff_parser.add_argument(
-        "--top",
-        type=_positive_int,
-        default=20,
-        help="how many of the largest deltas to list (default 20)",
-    )
+    _add_json_flag(profile_diff_parser)
+    _add_top_flag(profile_diff_parser, 20, "of the largest deltas")
     return parser
 
 
@@ -624,13 +547,11 @@ def config_from_args(args: argparse.Namespace) -> StudyConfig:
         poison_rate=args.poison_rate,
         trace_out=args.trace_out,
         profile_out=args.profile_out,
-        wall_clock=args.wall_clock,
         workers=args.workers,
         unit_retries=args.unit_retries,
         chaos_kill_rate=args.chaos_kill_rate,
         straggler_ticks=args.straggler_ticks,
         shard_dir=args.shard_dir,
-        join_index=args.join_index,
         join_index_dir=args.join_index_dir,
     )
 
@@ -673,30 +594,69 @@ def _print_outcome_footer(study) -> None:
         print(appendix)
 
 
-def _run_stats(args: argparse.Namespace) -> int:
-    """The ``stats`` subcommand: attribution report from a trace file."""
-    import json
-    import pathlib
+def _load_input(source: str, loader, kind: str):
+    """``loader(path)`` for a command's input file, or None on failure.
 
-    from ..obs.stats import load_trace, render_stats, stats_json
-
-    path = pathlib.Path(args.trace)
+    A missing file logs ``<kind>-missing`` and an unreadable one
+    ``<kind>-unreadable``; either way the command exits 2.
+    """
+    path = pathlib.Path(source)
     if not path.exists():
-        get_log().error("trace-missing", path=str(path))
-        return 2
-    trace = load_trace(path)
-    if args.as_json:
-        print(json.dumps(stats_json(trace, top=args.top), sort_keys=True))
-    else:
-        print(render_stats(trace, top=args.top))
+        get_log().error(f"{kind}-missing", path=str(path))
+        return None
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        get_log().error(
+            f"{kind}-unreadable", path=str(path), message=str(exc)
+        )
+        return None
+
+
+def _write_json(path: str, doc, event: str) -> None:
+    """Write *doc* as indented, key-sorted JSON and log *event*."""
+    pathlib.Path(path).write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    get_log().info(event, path=path)
+
+
+def _run_list(args: argparse.Namespace) -> int:
+    """The ``list`` subcommand: every experiment id, one per line."""
+    for experiment_id in experiment_ids():
+        print(experiment_id)
     return 0
+
+
+def _run_experiments(args: argparse.Namespace) -> int:
+    """The ``run`` subcommand: render one experiment or all of them."""
+    config = config_from_args(args)
+    study = get_study(config=config)
+    try:
+        if args.experiment == "all":
+            for result in run_all(study):
+                print(result.text)
+                print()
+            _print_outcome_footer(study)
+            return 0
+        try:
+            result = run_experiment(args.experiment, study)
+        except KeyError as exc:
+            get_log().error("unknown-experiment", message=exc.args[0])
+            return 2
+        print(result.text)
+        _print_outcome_footer(study)
+        return 0
+    finally:
+        study.close()
+        if config.trace_out is not None:
+            get_log().info("trace-written", path=config.trace_out)
+        if config.profile_out is not None:
+            get_log().info("profile-written", path=config.profile_out)
 
 
 def _run_fidelity(args: argparse.Namespace) -> int:
     """The ``fidelity`` subcommand: paper-fidelity scoreboard."""
-    import json
-    import pathlib
-
     from ..obs import fidelity
     from .registry import fidelity_checks
 
@@ -711,11 +671,7 @@ def _run_fidelity(args: argparse.Namespace) -> int:
     meta = {"scale": args.scale, "seed": args.seed}
     doc = fidelity.scoreboard_json(board, meta=meta)
     if args.out is not None:
-        pathlib.Path(args.out).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        get_log().info("fidelity-written", path=args.out)
+        _write_json(args.out, doc, "fidelity-written")
     if args.as_json:
         print(json.dumps(doc, sort_keys=True))
     else:
@@ -725,9 +681,6 @@ def _run_fidelity(args: argparse.Namespace) -> int:
 
 def _run_diff(args: argparse.Namespace) -> int:
     """The ``diff`` subcommand: 0 = no drift, 1 = drift, 2 = unreadable."""
-    import json
-    import pathlib
-
     from ..obs.diff import RunLoadError, diff_runs, load_run, render_diff
 
     try:
@@ -738,11 +691,7 @@ def _run_diff(args: argparse.Namespace) -> int:
         return 2
     report = diff_runs(run_a, run_b, rel_tol=args.rel_tol)
     if args.out is not None:
-        pathlib.Path(args.out).write_text(
-            json.dumps(report.as_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        get_log().info("diff-written", path=args.out)
+        _write_json(args.out, report.as_json(), "diff-written")
     if args.as_json:
         print(json.dumps(report.as_json(), sort_keys=True))
     else:
@@ -752,16 +701,7 @@ def _run_diff(args: argparse.Namespace) -> int:
 
 def _run_bench_report(args: argparse.Namespace) -> int:
     """The ``bench-report`` subcommand: gate BENCH_*.json histories."""
-    import json
-
-    from ..obs import baseline
-
-    threshold = (
-        baseline.DEFAULT_THRESHOLD
-        if args.threshold is None
-        else args.threshold
-    )
-    verdicts = baseline.gate_all(args.root, threshold=threshold)
+    verdicts = baseline.gate_all(args.root, threshold=args.threshold)
     if args.as_json:
         print(
             json.dumps(
@@ -783,12 +723,11 @@ def _run_build_index(args: argparse.Namespace) -> int:
     with the quadratic all-pairs walk and exits 1 on any mismatch —
     the fidelity contract, checked end to end.
     """
-    import json
     import time
 
     from ..core.study import Study
     from ..joinability.pairs import analyze_joinability
-    from ..obs import Observer, baseline
+    from ..obs import Observer
     from ..obs.metrics import MetricsRegistry
     from ..resilience.budget import WorkMeter
     from ..resilience.units import JOINSIG_STAGE, SCREEN_STAGE
@@ -806,8 +745,7 @@ def _run_build_index(args: argparse.Namespace) -> int:
             if part.strip()
         ]
     except ValueError:
-        log.error("bad-thresholds", value=args.thresholds)
-        return 2
+        thresholds = []
     if not thresholds or not all(0.0 < t <= 1.0 for t in thresholds):
         log.error("bad-thresholds", value=args.thresholds)
         return 2
@@ -818,7 +756,6 @@ def _run_build_index(args: argparse.Namespace) -> int:
         unit_retries=args.unit_retries,
         chaos_kill_rate=args.chaos_kill_rate,
         shard_dir=args.shard_dir,
-        join_index="lsh",
         join_index_dir=args.out,
     )
     obs = Observer(None)
@@ -891,18 +828,8 @@ def _run_build_index(args: argparse.Namespace) -> int:
     finally:
         study.close()
     seconds = time.perf_counter() - started
-
-    def _counter(snapshot: dict, name: str) -> float:
-        snap = snapshot.get(name)
-        if isinstance(snap, dict) and "value" in snap:
-            return float(snap["value"])
-        return 0.0
-
-    snapshot = obs.metrics.snapshot()
-    lsh_candidates = _counter(snapshot, "join.candidate_pairs")
-    exact_candidates = _counter(
-        exact_metrics.snapshot(), "join.candidate_pairs"
-    )
+    lsh_candidates = float(obs.metrics.value("join.candidate_pairs"))
+    exact_candidates = float(exact_metrics.value("join.candidate_pairs"))
     doc = {
         "out": args.out,
         "scale": args.scale,
@@ -924,13 +851,13 @@ def _run_build_index(args: argparse.Namespace) -> int:
             "seconds": seconds,
             "total_ops": sum(
                 snap["value"]
-                for name, snap in snapshot.items()
+                for name, snap in obs.metrics.snapshot().items()
                 if name.startswith("ops.")
                 and isinstance(snap, dict)
                 and "value" in snap
             ),
             "join_candidates": lsh_candidates,
-            "join_verify_ops": _counter(snapshot, "ops.join.jaccard"),
+            "join_verify_ops": float(obs.metrics.value("ops.join.jaccard")),
         }
         path = baseline.append_record("join", record, root=args.bench_root)
         log.info("bench-recorded", path=str(path))
@@ -982,7 +909,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     config = StudyConfig(
         scale=args.scale,
         seed=args.seed,
-        join_index=args.join_index,
         join_index_dir=args.join_index_dir,
     )
     study = get_study(config=config)
@@ -998,20 +924,12 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 def _run_serve_report(args: argparse.Namespace) -> int:
     """The ``serve-report`` subcommand: judge one serve trace."""
-    import json
-    import pathlib
+    from ..obs.servereport import render_serve_report, serve_report_json
+    from ..obs.trace import load_trace
 
-    from ..obs.servereport import (
-        load_trace,
-        render_serve_report,
-        serve_report_json,
-    )
-
-    path = pathlib.Path(args.trace)
-    if not path.exists():
-        get_log().error("trace-missing", path=str(path))
+    trace = _load_input(args.trace, load_trace, "trace")
+    if trace is None:
         return 2
-    trace = load_trace(path)
     try:
         doc = serve_report_json(trace, slo_path=args.slo, top=args.top)
     except (OSError, ValueError) as exc:
@@ -1024,34 +942,17 @@ def _run_serve_report(args: argparse.Namespace) -> int:
     else:
         print(render_serve_report(trace, slo_path=args.slo, top=args.top))
     if args.fail_on_exhausted and doc["slo"]["verdict"] == "EXHAUSTED":
-        get_log().error("slo-exhausted", trace=str(path))
+        get_log().error("slo-exhausted", trace=args.trace)
         return 1
     return 0
 
 
 def _run_profile_report(args: argparse.Namespace) -> int:
-    """The ``profile-report`` subcommand: hotspot tables from a profile."""
-    import json
-    import pathlib
-
-    from ..obs.profile import (
-        collapsed_lines,
-        load_any_profile,
-        profile_report_json,
-        render_profile_report,
-    )
-
-    path = pathlib.Path(args.source)
-    if not path.exists():
-        get_log().error("profile-missing", path=str(path))
+    """The ``profile-report`` subcommand: hotspots from a profile or trace."""
+    loaded = _load_input(args.source, load_any_profile, "profile")
+    if loaded is None:
         return 2
-    try:
-        doc = load_any_profile(path)
-    except (OSError, ValueError) as exc:
-        get_log().error(
-            "profile-unreadable", path=str(path), message=str(exc)
-        )
-        return 2
+    doc, trace = loaded
     if args.collapsed is not None:
         pathlib.Path(args.collapsed).write_text(
             "\n".join(collapsed_lines(doc["frames"])) + "\n",
@@ -1059,50 +960,23 @@ def _run_profile_report(args: argparse.Namespace) -> int:
         )
         get_log().info("collapsed-written", path=args.collapsed)
     if args.as_json:
-        print(json.dumps(profile_report_json(doc, top=args.top),
+        print(json.dumps(profile_report_json(doc, top=args.top, trace=trace),
                          sort_keys=True))
     else:
-        print(render_profile_report(doc, top=args.top))
+        print(render_profile_report(doc, top=args.top, trace=trace))
     return 0
 
 
 def _run_profile_diff(args: argparse.Namespace) -> int:
     """The ``profile-diff`` subcommand: 0 = clean, 1 = regressed, 2 = bad."""
-    import json
-    import pathlib
-
-    from ..obs.profile import (
-        DEFAULT_DIFF_THRESHOLD,
-        DEFAULT_MIN_TICKS,
-        diff_profiles,
-        load_any_profile,
-        render_profile_diff,
-    )
-
     docs = []
     for source in (args.run_a, args.run_b):
-        path = pathlib.Path(source)
-        if not path.exists():
-            get_log().error("profile-missing", path=str(path))
+        loaded = _load_input(source, load_any_profile, "profile")
+        if loaded is None:
             return 2
-        try:
-            docs.append(load_any_profile(path))
-        except (OSError, ValueError) as exc:
-            get_log().error(
-                "profile-unreadable", path=str(path), message=str(exc)
-            )
-            return 2
+        docs.append(loaded[0])
     diff = diff_profiles(
-        docs[0],
-        docs[1],
-        threshold=(
-            DEFAULT_DIFF_THRESHOLD
-            if args.threshold is None
-            else args.threshold
-        ),
-        min_ticks=(
-            DEFAULT_MIN_TICKS if args.min_ticks is None else args.min_ticks
-        ),
+        docs[0], docs[1], threshold=args.threshold, min_ticks=args.min_ticks
     )
     if args.as_json:
         print(json.dumps(diff, sort_keys=True))
@@ -1114,11 +988,8 @@ def _run_profile_diff(args: argparse.Namespace) -> int:
 def _run_loadtest(args: argparse.Namespace) -> int:
     """The ``loadtest`` subcommand: 0 = invariants hold, 1 = violated."""
     import dataclasses
-    import json
-    import pathlib
     import time
 
-    from ..obs import baseline
     from ..serve import loadgen
 
     mix_factory = loadgen.MIXES.get(args.mix)
@@ -1134,7 +1005,6 @@ def _run_loadtest(args: argparse.Namespace) -> int:
         config=StudyConfig(
             scale=args.scale,
             seed=args.seed,
-            join_index=args.join_index,
             join_index_dir=args.join_index_dir,
         )
     )
@@ -1177,53 +1047,7 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point: parse arguments, run, print, return exit code."""
     args = build_parser().parse_args(argv)
     configure_log(QUIET if args.quiet else args.verbose)
-    if args.command == "list":
-        for experiment_id in experiment_ids():
-            print(experiment_id)
-        return 0
-    if args.command == "stats":
-        return _run_stats(args)
-    if args.command == "fidelity":
-        return _run_fidelity(args)
-    if args.command == "diff":
-        return _run_diff(args)
-    if args.command == "bench-report":
-        return _run_bench_report(args)
-    if args.command == "build-index":
-        return _run_build_index(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "loadtest":
-        return _run_loadtest(args)
-    if args.command == "serve-report":
-        return _run_serve_report(args)
-    if args.command == "profile-report":
-        return _run_profile_report(args)
-    if args.command == "profile-diff":
-        return _run_profile_diff(args)
-    config = config_from_args(args)
-    study = get_study(config=config)
-    try:
-        if args.experiment == "all":
-            for result in run_all(study):
-                print(result.text)
-                print()
-            _print_outcome_footer(study)
-            return 0
-        try:
-            result = run_experiment(args.experiment, study)
-        except KeyError as exc:
-            get_log().error("unknown-experiment", message=exc.args[0])
-            return 2
-        print(result.text)
-        _print_outcome_footer(study)
-        return 0
-    finally:
-        study.close()
-        if config.trace_out is not None:
-            get_log().info("trace-written", path=config.trace_out)
-        if config.profile_out is not None:
-            get_log().info("profile-written", path=config.profile_out)
+    return args.handler(args)
 
 
 def _entry() -> int:

@@ -7,10 +7,11 @@ the work went.  This package is the measurement of the measurement
 process itself:
 
 * :mod:`repro.obs.trace` — hierarchical spans (``study → portal →
-  stage → table unit``) written to a torn-line-tolerant JSONL trace
-  file.  Span "durations" are deterministic :class:`WorkMeter`
-  operation counts, so two equal-seed runs produce *byte-identical*
-  traces; wall-clock timings attach only on request.
+  stage → table unit``) written to a JSONL trace file, and
+  :func:`~repro.obs.trace.load_trace`, the one torn-line-tolerant
+  reader every trace consumer uses.  Span "durations" are
+  deterministic :class:`WorkMeter` operation counts, so two
+  equal-seed runs produce *byte-identical* traces.
 * :mod:`repro.obs.metrics` — a registry of counters, gauges, and
   fixed-bucket histograms fed by the resilience layer (retries,
   breaker transitions, journal resume hits, truncations, quarantines)
@@ -18,9 +19,11 @@ process itself:
   candidates pruned vs. verified, cells screened).
 * :mod:`repro.obs.log` — a small structured logger replacing bare
   ``print`` diagnostics, honoring ``--quiet`` / ``-v``.
-* :mod:`repro.obs.stats` — the work-budget attribution report behind
-  ``ogdp-repro stats``: per-portal/per-stage breakdowns, top-N most
-  expensive tables, and the degradation ledger.
+* :mod:`repro.obs.profile` — the deterministic tick profiler and the
+  report behind ``ogdp-repro profile-report``.  Given a trace, it folds
+  every span's ops into the profiler's ``study;<portal>;<stage>`` base
+  frames and adds the unit-outcome tally, the top-N most expensive
+  tables, and the degradation ledger.
 
 Everything is opt-in: with no :class:`Observer` configured the hooks
 collapse to ``is None`` checks and study outputs are byte-identical to
@@ -34,7 +37,7 @@ import contextlib
 from .log import Logger, configure_log, get_log
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import Profiler, write_profile
-from .trace import Span, TraceWriter, Tracer, read_trace
+from .trace import Span, TraceWriter, Tracer
 
 #: Trace file format version, written in the header record.
 TRACE_VERSION = 1
@@ -52,7 +55,6 @@ class Observer:
         self,
         trace_path=None,
         *,
-        wall_clock: bool = False,
         meta: dict | None = None,
         profile_path=None,
         profile: bool = False,
@@ -60,10 +62,10 @@ class Observer:
         self.metrics = MetricsRegistry()
         writer = None
         if trace_path is not None:
-            header = {"version": TRACE_VERSION, "wall_clock": wall_clock}
+            header = {"version": TRACE_VERSION}
             header.update(meta or {})
             writer = TraceWriter(trace_path, header=header)
-        self.tracer = Tracer(writer, wall_clock=wall_clock)
+        self.tracer = Tracer(writer)
         # The profiler attaches with a path (artifact written on close)
         # or bare ``profile=True`` (in-memory frames only — the bench
         # harness snapshots them per experiment).
@@ -94,12 +96,7 @@ class Observer:
             # profile artifact's meta never records workers at all —
             # pooled and serial profiles must compare with `cmp`.
             meta["workers"] = config.workers
-        return cls(
-            config.trace_out,
-            wall_clock=config.wall_clock,
-            meta=meta,
-            profile_path=profile_out,
-        )
+        return cls(config.trace_out, meta=meta, profile_path=profile_out)
 
     def span(self, name: str, kind: str = "span", **attrs):
         """Context manager for one traced span (delegates to the tracer)."""
@@ -154,5 +151,4 @@ __all__ = [
     "configure_log",
     "get_log",
     "maybe_span",
-    "read_trace",
 ]

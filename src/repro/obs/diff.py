@@ -12,7 +12,8 @@ directory holding ``trace.jsonl`` and (optionally) ``fidelity.json``.
 The comparison covers:
 
 * **operation deltas** — per-portal, per-stage self-op totals from the
-  trace's span tree (the same attribution ``ogdp-repro stats`` prints);
+  trace's span tree (the ``study;<portal>;<stage>`` frames
+  ``ogdp-repro profile-report`` prints for a trace);
 * **outcome transitions** — per ``(portal, stage, table)`` executor
   unit, the terminal status in A vs. B (``ok → truncated``,
   ``ok → quarantined``, appearing/disappearing units, …);
@@ -25,10 +26,10 @@ The comparison covers:
 * **fidelity changes** — per-experiment and per-check verdict moves,
   when both runs carry a fidelity file.
 
-Wall-clock values never participate: ``wall_ms`` span fields and any
-timing are ignored, so a ``--wall-clock`` trace still diffs clean
-against an equal-seed run.  Exit codes (see the CLI): 0 = no drift,
-1 = drift, 2 = artifacts unreadable.
+Wall-clock values never participate: any timing field a span carries
+is ignored, so an old trace with timings still diffs clean against an
+equal-seed run.  Exit codes (see the CLI): 0 = no drift, 1 = drift,
+2 = artifacts unreadable.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import dataclasses
 import json
 import pathlib
 
-from .stats import TraceData, attribution, load_trace
+from .profile import SEP, span_portal, span_stage, trace_frames
+from .trace import TraceData, load_trace
 
 #: Conventional artifact names inside a run directory.
 TRACE_NAME = "trace.jsonl"
@@ -121,18 +123,7 @@ class DiffReport:
         return self.drift_count > 0
 
     def as_json(self) -> dict:
-        return {
-            "run_a": self.run_a,
-            "run_b": self.run_b,
-            "drift_count": self.drift_count,
-            "header_changes": self.header_changes,
-            "op_deltas": self.op_deltas,
-            "outcome_transitions": self.outcome_transitions,
-            "quarantine_added": self.quarantine_added,
-            "quarantine_removed": self.quarantine_removed,
-            "metric_drift": self.metric_drift,
-            "fidelity_changes": self.fidelity_changes,
-        }
+        return {**dataclasses.asdict(self), "drift_count": self.drift_count}
 
 
 def _beyond(a: float, b: float, rel_tol: float) -> bool:
@@ -155,42 +146,38 @@ def _header_changes(a: TraceData, b: TraceData) -> list[dict]:
 
 
 def _op_deltas(a: TraceData, b: TraceData, rel_tol: float) -> list[dict]:
-    attr_a, attr_b = attribution(a), attribution(b)
+    frames_a, frames_b = trace_frames(a), trace_frames(b)
     deltas = []
-    for portal in sorted(set(attr_a) | set(attr_b)):
-        stages_a = attr_a.get(portal, {}).get("stages", {})
-        stages_b = attr_b.get(portal, {}).get("stages", {})
-        for stage in sorted(set(stages_a) | set(stages_b)):
-            ops_a = stages_a.get(stage, {}).get("ops", 0)
-            ops_b = stages_b.get(stage, {}).get("ops", 0)
-            if _beyond(ops_a, ops_b, rel_tol):
-                deltas.append(
-                    {
-                        "portal": portal,
-                        "stage": stage,
-                        "ops_a": ops_a,
-                        "ops_b": ops_b,
-                        "delta": ops_b - ops_a,
-                    }
-                )
+    for path in sorted(
+        set(frames_a) | set(frames_b), key=lambda p: p.split(SEP)
+    ):
+        ops_a, ops_b = frames_a.get(path, 0), frames_b.get(path, 0)
+        if _beyond(ops_a, ops_b, rel_tol):
+            _, portal, stage = path.split(SEP, 2)
+            deltas.append(
+                {
+                    "portal": portal,
+                    "stage": stage,
+                    "ops_a": ops_a,
+                    "ops_b": ops_b,
+                    "delta": ops_b - ops_a,
+                }
+            )
     return deltas
 
 
-def _units(trace: TraceData) -> dict[tuple[str, str, str], dict]:
-    """Per-(portal, stage, table) terminal statuses and op totals."""
-    units: dict[tuple[str, str, str], dict] = {}
+def _units(trace: TraceData) -> dict[tuple[str, str, str], list[str]]:
+    """Per-(portal, stage, table) sorted terminal statuses."""
+    units: dict[tuple[str, str, str], list[str]] = {}
     for span in trace.unit_spans:
-        attrs = span.get("attrs", {})
         key = (
-            attrs.get("portal", "-"),
-            attrs.get("stage", span.get("name", "?")),
-            attrs.get("table", "-"),
+            span_portal(span),
+            span_stage(span),
+            span.get("attrs", {}).get("table", "-"),
         )
-        entry = units.setdefault(key, {"statuses": [], "ops": 0})
-        entry["statuses"].append(span.get("status", "?"))
-        entry["ops"] += span.get("self_ops", 0)
-    for entry in units.values():
-        entry["statuses"].sort()
+        units.setdefault(key, []).append(span.get("status", "?"))
+    for statuses in units.values():
+        statuses.sort()
     return units
 
 
@@ -198,8 +185,8 @@ def _outcome_transitions(a: TraceData, b: TraceData) -> list[dict]:
     units_a, units_b = _units(a), _units(b)
     transitions = []
     for key in sorted(set(units_a) | set(units_b)):
-        statuses_a = units_a.get(key, {}).get("statuses", [])
-        statuses_b = units_b.get(key, {}).get("statuses", [])
+        statuses_a = units_a.get(key, [])
+        statuses_b = units_b.get(key, [])
         if statuses_a != statuses_b:
             portal, stage, table = key
             transitions.append(
@@ -217,10 +204,7 @@ def _outcome_transitions(a: TraceData, b: TraceData) -> list[dict]:
 def _quarantined(trace: TraceData) -> set[tuple[str, str]]:
     """(portal, table) pairs with at least one quarantined unit."""
     return {
-        (
-            span.get("attrs", {}).get("portal", "-"),
-            span.get("attrs", {}).get("table", "-"),
-        )
+        (span_portal(span), span.get("attrs", {}).get("table", "-"))
         for span in trace.unit_spans
         if span.get("status") == "quarantined"
     }

@@ -44,9 +44,10 @@ import contextlib
 import json
 import os
 import pathlib
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .quantiles import percentile_nearest_rank
+from .trace import TraceData, load_trace
 
 #: Profile artifact format version.
 PROFILE_VERSION = 1
@@ -188,59 +189,141 @@ def read_profile(path: str | pathlib.Path) -> dict:
     return doc
 
 
-def frames_from_trace(path: str | pathlib.Path) -> dict:
-    """A coarse profile document derived from a trace's span tree.
+def load_any_profile(
+    path: str | pathlib.Path,
+) -> tuple[dict, TraceData | None]:
+    """Load *path* as a profile artifact or, failing that, as a trace.
 
-    Pre-profiler traces still know where the ops went at span
-    granularity: every span's *self* ops are attributed to the path of
-    span names from the root down.  The result loads anywhere a real
-    profile artifact does, so ``profile-report`` accepts either.
+    Returns the profile document and, for a trace, the parsed trace
+    it was folded from (None for a profile artifact).
     """
-    from .trace import read_trace
-
-    spans = [r for r in read_trace(path) if r.get("type") == "span"]
-    by_id = {r.get("id"): r for r in spans}
-    frames: dict[str, int] = {}
-    for record in spans:
-        self_ops = int(record.get("self_ops", 0))
-        if self_ops <= 0:
-            continue
-        names: list[str] = []
-        cursor: dict | None = record
-        while cursor is not None:
-            names.append(str(cursor.get("name", "?")))
-            cursor = by_id.get(cursor.get("parent"))
-        path_str = SEP.join(reversed(names))
-        frames[path_str] = frames.get(path_str, 0) + self_ops
-    frames = dict(sorted(frames.items()))
-    return {
-        "version": PROFILE_VERSION,
-        "frames": frames,
-        "total_ticks": sum(frames.values()),
-        "meta": {"source": "trace"},
-    }
-
-
-def load_any_profile(path: str | pathlib.Path) -> dict:
-    """Load *path* as a profile artifact or, failing that, as a trace."""
     try:
-        return read_profile(path)
+        return read_profile(path), None
     except ValueError:
         # Not a profile document (JSONDecodeError included): a trace's
         # first line parses but has no 'frames', a JSONL body fails
-        # json.load outright.  Either way, derive from the spans.
-        return frames_from_trace(path)
+        # json.load outright.  Either way, fold the spans.
+        trace = load_trace(path)
+        folded = Profiler()
+        folded.absorb(trace_frames(trace))
+        return profile_doc(folded, {"source": "trace"}), trace
 
 
-def merge_frame_counts(
-    snapshots: Iterable[Mapping[str, int]],
-) -> dict[str, int]:
-    """Sum several path-string count snapshots (shard merge)."""
-    merged: dict[str, int] = {}
-    for snapshot in snapshots:
-        for path_str, ticks in snapshot.items():
-            merged[path_str] = merged.get(path_str, 0) + int(ticks)
-    return dict(sorted(merged.items()))
+# ----------------------------------------------------------------------
+# trace attribution
+# ----------------------------------------------------------------------
+def span_portal(span: dict) -> str:
+    """The portal a span ran for; ``-`` for spans outside a portal."""
+    return span.get("attrs", {}).get("portal", "-")
+
+
+def span_stage(span: dict) -> str:
+    """A unit span's ``attrs.stage``, else the span name."""
+    if span.get("kind") == "unit":
+        return span.get("attrs", {}).get("stage", span.get("name", "?"))
+    return span.get("name", "?")
+
+
+def trace_frames(trace: TraceData) -> dict[str, int]:
+    """Every span's self ops, charged to ``study;<portal>;<stage>``.
+
+    The one attribution fold over a trace.  Its paths are the base
+    frames the profiler pushes around every unit (the ``study`` root,
+    then the executor's portal and stage), so for every analysis stage
+    a trace-derived frame equals the sum of a real profile's frames
+    beneath it.  Self ops never double count: the frames sum to the
+    trace's total ops.
+    """
+    frames: dict[str, int] = {}
+    for span in trace.spans:
+        ops = span.get("self_ops", 0)
+        if ops:
+            path = SEP.join(("study", span_portal(span), span_stage(span)))
+            frames[path] = frames.get(path, 0) + ops
+    return dict(sorted(frames.items()))
+
+
+def outcome_counts(trace: TraceData) -> dict[str, int]:
+    """Unit spans per terminal status (replayed units included)."""
+    counts: dict[str, int] = {}
+    for span in trace.unit_spans:
+        status = span.get("status", "?")
+        counts[status] = counts.get(status, 0) + 1
+    return counts
+
+
+def top_tables(trace: TraceData, limit: int = 10) -> list[dict]:
+    """The most expensive per-table units, by operations spent."""
+    per_table: dict[tuple[str, str], dict] = {}
+    for span in trace.unit_spans:
+        attrs = span.get("attrs", {})
+        table = attrs.get("table", "?")
+        if table == "*":
+            continue
+        key = (span_portal(span), table)
+        entry = per_table.setdefault(
+            key,
+            {
+                "portal": key[0],
+                "table": table,
+                "ops": 0,
+                "stages": [],
+                "worst_status": "ok",
+            },
+        )
+        entry["ops"] += span.get("self_ops", 0)
+        stage = span_stage(span)
+        if stage not in entry["stages"]:
+            entry["stages"].append(stage)
+        if span.get("status", "ok") != "ok":
+            entry["worst_status"] = span["status"]
+    ranked = sorted(
+        per_table.values(),
+        key=lambda e: (-e["ops"], e["portal"], e["table"]),
+    )
+    return ranked[:limit]
+
+
+def degradation_ledger(trace: TraceData) -> list[dict]:
+    """Every non-OK span, in execution (close) order."""
+    degraded = [
+        span
+        for span in trace.spans
+        if span.get("status", "ok") != "ok"
+    ]
+    degraded.sort(key=lambda s: s.get("close", 0))
+    return [
+        {
+            "portal": span_portal(span),
+            "stage": span_stage(span),
+            "table": span.get("attrs", {}).get("table", "-"),
+            "status": span.get("status"),
+            "ops": span.get("self_ops", 0),
+            "replayed": bool(span.get("attrs", {}).get("replayed", False)),
+            "detail": span.get("attrs", {}).get("detail", ""),
+        }
+        for span in degraded
+    ]
+
+
+def trace_report_json(trace: TraceData, top: int = 10) -> dict:
+    """What a trace knows beyond its frames: the ``trace`` section."""
+    return {
+        "trace": trace.path,
+        "header": {
+            k: v for k, v in trace.header.items() if k != "type"
+        },
+        "valid": trace.valid,
+        "problems": trace.problems,
+        "torn_lines": trace.torn,
+        "span_count": len(trace.spans),
+        "total_ops": trace.total_ops,
+        "unit_ops": trace.unit_ops,
+        "outcomes": outcome_counts(trace),
+        "top_tables": top_tables(trace, top),
+        "degraded": degradation_ledger(trace),
+        "metrics": trace.metrics,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -276,81 +359,174 @@ def inclusive_frames(frames: Mapping[str, int]) -> dict[str, int]:
     return dict(sorted(inclusive.items()))
 
 
-def profile_report_json(doc: dict, top: int = 20) -> dict:
-    """The machine-readable form of the hotspot report."""
+def profile_report_json(
+    doc: dict, top: int = 20, trace: TraceData | None = None
+) -> dict:
+    """The machine-readable form of the hotspot report.
+
+    A report on a trace adds the trace's own answers under ``trace``
+    (see :func:`trace_report_json`); *top* bounds its table list too.
+    """
     frames = doc["frames"]
     total = sum(frames.values())
     counts = sorted(frames.values())
-    return {
+
+    def ranked(by_frame: Mapping[str, int]) -> list[dict]:
+        return [
+            {
+                "frame": frame,
+                "ticks": ticks,
+                "share": round(ticks / total, 6) if total else 0.0,
+            }
+            for frame, ticks in hotspots(by_frame, top)
+        ]
+
+    report = {
         "version": doc.get("version"),
         "total_ticks": total,
         "frame_count": len(frames),
         "frame_ticks_p50": percentile_nearest_rank(counts, 50),
         "frame_ticks_p99": percentile_nearest_rank(counts, 99),
-        "hotspots": [
-            {
-                "frame": path,
-                "ticks": ticks,
-                "share": round(ticks / total, 6) if total else 0.0,
-            }
-            for path, ticks in hotspots(frames, top)
-        ],
-        "inclusive": [
-            {
-                "frame": name,
-                "ticks": ticks,
-                "share": round(ticks / total, 6) if total else 0.0,
-            }
-            for name, ticks in hotspots(inclusive_frames(frames), top)
-        ],
+        "hotspots": ranked(frames),
+        "inclusive": ranked(inclusive_frames(frames)),
     }
+    if trace is not None:
+        report["trace"] = trace_report_json(trace, top)
+    return report
 
 
-def render_profile_report(doc: dict, top: int = 20) -> str:
-    """The human-readable hotspot table."""
+def _trace_head_lines(section: dict) -> list[str]:
+    """The trace's identity, damage, and op totals (or 'no spans')."""
+    header = section["header"]
+    meta = " ".join(
+        f"{key}={header[key]}"
+        for key in ("seed", "scale", "stage_budget")
+        if header.get(key) is not None
+    )
+    problems = section["problems"]
+    nesting = f"BROKEN ({len(problems)})" if problems else "OK"
+    lines = [
+        f"trace {section['trace']}: {section['span_count']} spans, "
+        f"nesting {nesting}" + (f", {meta}" if meta else "")
+    ]
+    if section["torn_lines"]:
+        lines.append(
+            f"  note: {section['torn_lines']} torn line(s) skipped "
+            "(file cut off mid-write?)"
+        )
+    lines.extend(f"  problem: {problem}" for problem in problems)
+    if not section["span_count"]:
+        lines.append("")
+        lines.append(
+            "no spans: the trace holds no completed spans "
+            "(empty, torn, or killed before any unit finished)"
+        )
+    else:
+        lines.append(
+            f"work-budget attribution: {section['total_ops']} ops total, "
+            f"{section['unit_ops']} in executor units"
+        )
+    return lines
+
+
+def _trace_tail_lines(section: dict) -> list[str]:
+    """Unit outcomes, the top tables, and the degradation ledger."""
     from ..report.render import render_table
 
-    summary = profile_report_json(doc, top=top)
-    lines = [
+    lines: list[str] = []
+    outcomes = section["outcomes"]
+    if outcomes:
+        tally = ", ".join(
+            f"{outcomes[status]} {status}" for status in sorted(outcomes)
+        )
+        lines.extend(["", f"unit outcomes: {tally}"])
+    expensive = section["top_tables"]
+    if expensive:
+        lines.append("")
+        lines.append(
+            render_table(
+                f"Top {len(expensive)} tables by operations",
+                ["portal", "table", "ops", "stages", "status"],
+                [
+                    [
+                        entry["portal"],
+                        entry["table"],
+                        entry["ops"],
+                        "+".join(entry["stages"]),
+                        entry["worst_status"],
+                    ]
+                    for entry in expensive
+                ],
+            )
+        )
+    ledger = section["degraded"]
+    if ledger:
+        lines.append("")
+        lines.append(
+            render_table(
+                "Degradation ledger",
+                ["portal", "stage", "table", "status", "ops", "detail"],
+                [
+                    [
+                        row["portal"],
+                        row["stage"],
+                        row["table"],
+                        row["status"] + (" (replayed)" if row["replayed"] else ""),
+                        row["ops"],
+                        row["detail"][:60],
+                    ]
+                    for row in ledger
+                ],
+            )
+        )
+    return lines
+
+
+def render_profile_report(
+    doc: dict, top: int = 20, trace: TraceData | None = None
+) -> str:
+    """The human-readable hotspot table, framed by a trace's sections."""
+    from ..report.render import render_table
+
+    summary = profile_report_json(doc, top=top, trace=trace)
+    section = summary.get("trace")
+    lines: list[str] = []
+    if section is not None:
+        lines.extend(_trace_head_lines(section))
+        if not section["span_count"]:
+            return "\n".join(lines)
+        lines.append("")
+    lines.extend([
         "PROFILE HOTSPOTS",
         f"  total ticks: {summary['total_ticks']}   "
         f"frames: {summary['frame_count']}   "
         f"frame p50/p99 ticks: {summary['frame_ticks_p50']}"
         f"/{summary['frame_ticks_p99']}",
         "",
-    ]
-    rows = [
-        [
-            entry["frame"],
-            str(entry["ticks"]),
-            f"{entry['share']:.1%}",
-        ]
-        for entry in summary["hotspots"]
-    ]
+    ])
+
+    def share_table(title: str, entries: list[dict]) -> str:
+        return render_table(
+            title,
+            ["frame", "ticks", "share"],
+            [
+                [entry["frame"], str(entry["ticks"]), f"{entry['share']:.1%}"]
+                for entry in entries
+            ],
+        )
+
     lines.append(
-        render_table("hottest frame paths", ["frame", "ticks", "share"], rows)
-        if rows
+        share_table("hottest frame paths", summary["hotspots"])
+        if summary["hotspots"]
         else "  (no frames recorded)"
     )
-    inclusive_rows = [
-        [
-            entry["frame"],
-            str(entry["ticks"]),
-            f"{entry['share']:.1%}",
-        ]
-        for entry in summary["inclusive"]
-    ]
-    if inclusive_rows:
-        lines.extend(
-            [
-                "",
-                render_table(
-                    "inclusive ticks by frame name",
-                    ["frame", "ticks", "share"],
-                    inclusive_rows,
-                ),
-            ]
-        )
+    if summary["inclusive"]:
+        lines.extend([
+            "",
+            share_table("inclusive ticks by frame name", summary["inclusive"]),
+        ])
+    if section is not None:
+        lines.extend(_trace_tail_lines(section))
     return "\n".join(lines)
 
 
@@ -487,17 +663,22 @@ __all__ = [
     "PROFILE_VERSION",
     "Profiler",
     "collapsed_lines",
+    "degradation_ledger",
     "diff_profiles",
-    "frames_from_trace",
     "hotspots",
     "inclusive_frames",
     "load_any_profile",
-    "merge_frame_counts",
+    "outcome_counts",
     "prof_scope",
     "profile_doc",
     "profile_report_json",
     "read_profile",
     "render_profile_diff",
     "render_profile_report",
+    "span_portal",
+    "span_stage",
+    "top_tables",
+    "trace_frames",
+    "trace_report_json",
     "write_profile",
 ]

@@ -33,7 +33,7 @@ from .slo import (
     replay,
     spec_from_json,
 )
-from .stats import TraceData, load_trace
+from .trace import TraceData
 
 #: Width of the burn-rate bars in the text timeline.
 BURN_BAR_WIDTH = 20
@@ -316,7 +316,6 @@ def render_serve_report(
 
 __all__ = [
     "exemplar_trees",
-    "load_trace",
     "red_tables",
     "render_serve_report",
     "request_spans",

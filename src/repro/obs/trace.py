@@ -7,14 +7,12 @@ recorded as monotonically increasing *sequence numbers* — ``open`` and
 ``close`` — rather than timestamps.  Span cost is an operation count
 taken from the :class:`~repro.resilience.budget.WorkMeter` that metered
 the work, so a trace of a fixed-seed run is **byte-identical** across
-machines and reruns.  Wall-clock milliseconds attach only when the
-tracer is built with ``wall_clock=True`` (the CLI's ``--wall-clock``),
-which intentionally forfeits that reproducibility.
+machines and reruns.
 
 Crash tolerance mirrors the crawl/study journals: records are written
-line-by-line as spans finish, and :func:`read_trace` skips any torn or
-malformed line, so a trace cut off mid-write still yields every span
-that completed.
+line-by-line as spans finish, and :func:`load_trace` — the one trace
+reader — skips any torn or malformed line, so a trace cut off
+mid-write still yields every span that completed.
 """
 
 from __future__ import annotations
@@ -22,9 +20,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-import time
 from contextlib import contextmanager
-from typing import IO, Iterator
+from typing import IO
 
 
 @dataclasses.dataclass
@@ -43,7 +40,6 @@ class Span:
     #: Operations accumulated from finished children.
     child_ops: int = 0
     seq_close: int | None = None
-    wall_start: float | None = None
 
     @property
     def total_ops(self) -> int:
@@ -86,10 +82,8 @@ class Tracer:
     callers that only want metrics pay nothing for the missing sink.
     """
 
-    def __init__(self, writer: TraceWriter | None = None, *,
-                 wall_clock: bool = False):
+    def __init__(self, writer: TraceWriter | None = None):
         self.writer = writer
-        self.wall_clock = wall_clock
         self.open_spans: list[Span] = []
         self.spans_finished = 0
         self._next_id = 1
@@ -114,7 +108,6 @@ class Tracer:
             kind=kind,
             attrs=dict(attrs),
             seq_open=self._tick_seq(),
-            wall_start=time.perf_counter() if self.wall_clock else None,
         )
         self._next_id += 1
         self.open_spans.append(span)
@@ -139,7 +132,7 @@ class Tracer:
             parent.child_ops += span.total_ops
         self.spans_finished += 1
         if self.writer is not None:
-            record = {
+            self.writer.write({
                 "type": "span",
                 "id": span.span_id,
                 "parent": span.parent_id,
@@ -151,12 +144,7 @@ class Tracer:
                 "open": span.seq_open,
                 "close": span.seq_close,
                 "attrs": span.attrs,
-            }
-            if span.wall_start is not None:
-                record["wall_ms"] = round(
-                    (time.perf_counter() - span.wall_start) * 1000.0, 3
-                )
-            self.writer.write(record)
+            })
 
     @contextmanager
     def span(self, name: str, kind: str = "span", **attrs):
@@ -175,8 +163,55 @@ class Tracer:
         self.finish(opened)
 
 
-def read_trace(path: str | pathlib.Path) -> Iterator[dict]:
-    """Yield every intact record of a trace file, skipping torn lines."""
+@dataclasses.dataclass
+class TraceData:
+    """One parsed trace file."""
+
+    path: str
+    header: dict
+    spans: list[dict]
+    metrics: dict[str, dict]
+    footer: dict | None
+    #: Structural problems found by validation; empty = trace is sound.
+    problems: list[str]
+    #: Torn/malformed lines skipped while reading (expected after a
+    #: mid-write kill; not a validity problem on their own).
+    torn: int = 0
+
+    @property
+    def valid(self) -> bool:
+        return not self.problems
+
+    @property
+    def unit_spans(self) -> list[dict]:
+        """Spans of executor ``(stage, table)`` units."""
+        return [s for s in self.spans if s.get("kind") == "unit"]
+
+    @property
+    def total_ops(self) -> int:
+        """Every operation attributed anywhere in the trace."""
+        return sum(s.get("self_ops", 0) for s in self.spans)
+
+    @property
+    def unit_ops(self) -> int:
+        """Operations spent inside executor units (replays charge 0)."""
+        return sum(s.get("self_ops", 0) for s in self.unit_spans)
+
+
+def load_trace(path: str | pathlib.Path) -> TraceData:
+    """Parse and validate one trace file: the only trace reader.
+
+    Tolerates an empty file, a torn-only file, torn or non-object
+    lines (a mid-write kill) and a missing footer, and reports the
+    damage (``torn`` count, ``problems``) instead of raising, so
+    ``profile-report``, ``serve-report`` and ``diff`` can describe a
+    broken trace rather than crash on it.
+    """
+    header: dict = {}
+    spans: list[dict] = []
+    metrics: dict[str, dict] = {}
+    footer: dict | None = None
+    torn = 0
     with pathlib.Path(path).open("r", encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
@@ -185,8 +220,98 @@ def read_trace(path: str | pathlib.Path) -> Iterator[dict]:
             try:
                 record = json.loads(line)
             except ValueError:
-                # Torn trailing line from a mid-write kill — every
-                # complete record before it is still usable.
+                torn += 1
                 continue
-            if isinstance(record, dict):
-                yield record
+            if not isinstance(record, dict):
+                torn += 1
+                continue
+            rtype = record.get("type")
+            if rtype == "header":
+                header = record
+            elif rtype == "span":
+                spans.append(record)
+            elif rtype == "metric":
+                name = record.get("name")
+                if name is not None:
+                    metrics[name] = {
+                        k: v
+                        for k, v in record.items()
+                        if k not in ("type", "name")
+                    }
+            elif rtype == "footer":
+                footer = record
+    problems = validate_spans(spans)
+    if footer is not None and footer.get("spans") != len(spans):
+        problems.append(
+            f"footer declares {footer.get('spans')} spans, "
+            f"file holds {len(spans)}"
+        )
+    return TraceData(
+        path=str(path),
+        header=header,
+        spans=spans,
+        metrics=metrics,
+        footer=footer,
+        problems=problems,
+        torn=torn,
+    )
+
+
+def validate_spans(spans: list[dict]) -> list[str]:
+    """Structural check: spans form a strictly nested tree.
+
+    Verifies unique ids, unique open/close sequence numbers, each
+    span's interval strictly inside its parent's, and sibling
+    intervals pairwise disjoint.
+    """
+    problems: list[str] = []
+    by_id: dict[int, dict] = {}
+    for span in spans:
+        span_id = span.get("id")
+        if span_id in by_id:
+            problems.append(f"duplicate span id {span_id}")
+        by_id[span_id] = span
+
+    seqs: list[int] = []
+    for span in spans:
+        open_seq, close_seq = span.get("open"), span.get("close")
+        if not isinstance(open_seq, int) or not isinstance(close_seq, int):
+            problems.append(f"span {span.get('id')} missing open/close")
+            continue
+        if open_seq >= close_seq:
+            problems.append(
+                f"span {span.get('id')} closes before it opens "
+                f"({open_seq} >= {close_seq})"
+            )
+        seqs.extend((open_seq, close_seq))
+        parent_id = span.get("parent")
+        if parent_id is not None:
+            parent = by_id.get(parent_id)
+            if parent is None:
+                problems.append(
+                    f"span {span.get('id')} references missing "
+                    f"parent {parent_id}"
+                )
+            elif not (
+                parent.get("open", 0) < open_seq
+                and close_seq < parent.get("close", 0)
+            ):
+                problems.append(
+                    f"span {span.get('id')} not nested inside "
+                    f"parent {parent_id}"
+                )
+    if len(set(seqs)) != len(seqs):
+        problems.append("duplicate open/close sequence numbers")
+
+    siblings: dict[int | None, list[dict]] = {}
+    for span in spans:
+        siblings.setdefault(span.get("parent"), []).append(span)
+    for group in siblings.values():
+        ordered = sorted(group, key=lambda s: s.get("open", 0))
+        for before, after in zip(ordered, ordered[1:]):
+            if before.get("close", 0) > after.get("open", 0):
+                problems.append(
+                    f"sibling spans {before.get('id')} and "
+                    f"{after.get('id')} overlap"
+                )
+    return problems

@@ -77,7 +77,6 @@ from .units import (
     PlannedUnit,
     plan_portal_units,
     unit_request,
-    unit_stages_for,
 )
 
 #: Worker heartbeat cadence in meter ticks (coarser than any real unit
@@ -105,7 +104,6 @@ def shard_fingerprint(config) -> dict:
         "stage_budget": config.stage_budget,
         "max_lhs": config.max_lhs,
         "min_unique": config.min_unique_values,
-        "join_index": config.join_index,
         "poison_rate": config.poison_rate,
         "portals": list(config.portal_codes),
     }
@@ -803,13 +801,12 @@ def run_pool(
     return, every resolved unit sits in its executor's ``precomputed``
     map awaiting lazy adoption; cancelled units (fd behind a failed
     screen) are simply absent, matching what the serial path would
-    never have computed.  *stages* defaults to exactly the stages the
-    config's analyses will run (``joinsig`` only on the LSH path);
+    never have computed.  *stages* defaults to every per-table stage;
     precomputed units no analysis asks for are never adopted, so an
     over-planned stage is waste, never drift.
     """
     plan, external = plan_study_units(
-        portals, unit_stages_for(config) if stages is None else stages
+        portals, UNIT_STAGES if stages is None else stages
     )
     counters: dict[str, int] = {}
     lanes: list[WorkerLane] = []

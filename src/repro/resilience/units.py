@@ -52,17 +52,6 @@ JOINSIG_STAGE = "joinsig"
 UNIT_STAGES = (SCREEN_STAGE, FD_STAGE, JOINSIG_STAGE)
 
 
-def unit_stages_for(config) -> tuple[str, ...]:
-    """The per-table stages *config*'s study will actually run.
-
-    The ``joinsig`` stage only exists on the LSH candidate path; an
-    ``allpairs`` study plans exactly the pre-index stage set.
-    """
-    if config.join_index == "lsh":
-        return UNIT_STAGES
-    return (SCREEN_STAGE, FD_STAGE)
-
-
 @dataclasses.dataclass(frozen=True)
 class PlannedUnit:
     """One enumerable ``(portal, stage, table)`` analysis unit."""
@@ -120,8 +109,7 @@ def plan_portal_units(
     contribute signatures).  Whether a dependent unit actually executes
     still depends on its screen outcome (see
     :attr:`PlannedUnit.depends_on`).  *stages* restricts the plan —
-    e.g. an ``allpairs`` study plans no ``joinsig`` units, and
-    ``build-index`` plans no ``fd`` units.
+    e.g. ``build-index`` plans no ``fd`` units.
     """
     units: list[PlannedUnit] = []
     if SCREEN_STAGE in stages:

@@ -100,26 +100,27 @@ class TestParser:
             build_parser().parse_args(["run", "table01"])
         )
         assert config.trace_out is None
-        assert config.wall_clock is False
 
     def test_trace_flags_reach_config(self, tmp_path):
         trace = str(tmp_path / "t.jsonl")
         config = config_from_args(
             build_parser().parse_args(
-                ["run", "table01", "--trace-out", trace, "--wall-clock"]
+                ["run", "table01", "--trace-out", trace]
             )
         )
         assert config.trace_out == trace
-        assert config.wall_clock is True
 
     def test_stats_command_parses(self):
+        # A trace's statistics come from profile-report; there is no 'stats'.
         args = build_parser().parse_args(
-            ["stats", "trace.jsonl", "--json", "--top", "5"]
+            ["profile-report", "trace.jsonl", "--json", "--top", "5"]
         )
-        assert args.command == "stats"
-        assert args.trace == "trace.jsonl"
+        assert args.command == "profile-report"
+        assert args.source == "trace.jsonl"
         assert args.as_json is True
         assert args.top == 5
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["stats", "trace.jsonl"])
 
     @pytest.mark.parametrize(
         "flags",
@@ -196,7 +197,6 @@ class TestParser:
         config = config_from_args(
             build_parser().parse_args(["run", "table01"])
         )
-        assert config.join_index == "lsh"
         assert config.join_index_dir is None
 
     def test_join_index_flags_reach_config(self, tmp_path):
@@ -204,12 +204,10 @@ class TestParser:
             build_parser().parse_args(
                 [
                     "run", "table06",
-                    "--join-index", "allpairs",
                     "--join-index-dir", str(tmp_path),
                 ]
             )
         )
-        assert config.join_index == "allpairs"
         assert config.join_index_dir == str(tmp_path)
 
     def test_build_index_command_parses(self, tmp_path):
@@ -319,14 +317,14 @@ class TestMain:
         assert "degraded analysis stages" not in captured.out
 
     def test_stats_missing_trace_file(self, capsys, tmp_path):
-        code = main(["stats", str(tmp_path / "nope.jsonl")])
+        code = main(["profile-report", str(tmp_path / "nope.jsonl")])
         assert code == 2
-        assert "trace-missing" in capsys.readouterr().err
+        assert "profile-missing" in capsys.readouterr().err
 
     def test_stats_empty_trace_reports_no_spans(self, capsys, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        assert main(["stats", str(empty)]) == 0
+        assert main(["profile-report", str(empty)]) == 0
         assert "no spans" in capsys.readouterr().out
 
 

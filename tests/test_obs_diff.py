@@ -12,7 +12,7 @@ from repro.obs.diff import (
     load_run,
     render_diff,
 )
-from repro.obs.stats import TraceData
+from repro.obs.trace import TraceData
 
 
 def make_trace(spans, metrics=None, header=None):

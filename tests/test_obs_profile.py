@@ -11,11 +11,9 @@ from repro.obs.profile import (
     Profiler,
     collapsed_lines,
     diff_profiles,
-    frames_from_trace,
     hotspots,
     inclusive_frames,
     load_any_profile,
-    merge_frame_counts,
     prof_scope,
     profile_doc,
     profile_report_json,
@@ -83,13 +81,6 @@ class TestProfiler:
             "study;CA;fd.refine": 1,
             "study;SG;screen.cell": 10,
         }
-
-    def test_merge_frame_counts_matches_absorb(self):
-        snaps = [{"a;x": 3, "b;y": 1}, {"a;x": 2, "c;z": 9}]
-        prof = Profiler()
-        for snap in snaps:
-            prof.absorb(snap)
-        assert merge_frame_counts(snaps) == prof.snapshot()
 
 
 # Events: (frame stack, op name, cost).  Partitioned arbitrarily into
@@ -210,11 +201,11 @@ class TestArtifactIO:
             "\n".join(json.dumps(line) for line in lines) + "\n",
             encoding="utf-8",
         )
-        doc = load_any_profile(trace)
-        assert doc["frames"] == {"study": 2, "study;fd": 5}
+        doc, loaded = load_any_profile(trace)
+        assert doc["frames"] == {"study;-;fd": 5, "study;-;study": 2}
         assert doc["total_ticks"] == 7
         assert doc["meta"]["source"] == "trace"
-        assert doc == frames_from_trace(trace)
+        assert [s["name"] for s in loaded.spans] == ["study", "fd"]
 
 
 class TestReport:

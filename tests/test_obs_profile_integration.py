@@ -27,8 +27,8 @@ import pytest
 from repro.core.config import StudyConfig
 from repro.core.study import Study
 from repro.obs.diff import diff_runs, load_run
-from repro.obs.profile import inclusive_frames, read_profile
-from repro.obs.trace import read_trace
+from repro.obs.profile import SEP, inclusive_frames, read_profile, trace_frames
+from repro.obs.trace import load_trace
 
 SCALE = 0.05
 SEED = 7
@@ -40,11 +40,16 @@ STAGE_BUDGET = 200_000
 ANALYSIS_STAGES = ("screen", "joinsig", "union", "fd")
 
 
+def _is_analysis_stage(stage: str) -> bool:
+    return stage in ANALYSIS_STAGES or stage.startswith("pairs@")
+
+
 def _drive(config: StudyConfig) -> int:
     """Build + fully analyze one study; total guarded ticks spent."""
     with Study.build(config) as study:
         for portal in study:
             portal.joinability()
+            portal.joinability(0.7)
             portal.unionability()
             portal.normalization()
         return sum(portal.executor.ticks_spent for portal in study)
@@ -111,15 +116,32 @@ class TestReconciliation:
     def test_profile_total_equals_analysis_span_ops(self, runs):
         doc = read_profile(runs["serial"] / "profile.json")
         span_ops = sum(
-            int(record.get("self_ops", 0))
-            for record in read_trace(runs["serial"] / "trace.jsonl")
-            if record.get("type") == "span"
-            and (
-                record.get("name") in ANALYSIS_STAGES
-                or str(record.get("name", "")).startswith("pairs@")
-            )
+            int(span.get("self_ops", 0))
+            for span in load_trace(runs["serial"] / "trace.jsonl").spans
+            if _is_analysis_stage(str(span.get("name", "")))
         )
         assert doc["total_ticks"] == span_ops
+
+    def test_trace_fold_equals_profile_base_frames(self, runs):
+        # The fold charges each span to study;<portal>;<stage>, the
+        # frames the profiler pushes around every unit: per analysis
+        # stage, the two views must agree to the tick.
+        doc = read_profile(runs["serial"] / "profile.json")
+        under_base: dict[str, int] = {}
+        for path, ticks in doc["frames"].items():
+            base = SEP.join(path.split(SEP)[:3])
+            under_base[base] = under_base.get(base, 0) + ticks
+        folded = trace_frames(load_trace(runs["serial"] / "trace.jsonl"))
+        analysis = {
+            path: ops
+            for path, ops in folded.items()
+            if _is_analysis_stage(path.split(SEP)[2])
+        }
+        stages = {path.split(SEP)[2] for path in analysis}
+        assert {
+            "screen", "fd", "joinsig", "pairs@0.9", "pairs@0.7", "union"
+        } <= stages
+        assert analysis == under_base
 
     def test_every_frame_path_is_rooted_at_study(self, runs):
         doc = read_profile(runs["serial"] / "profile.json")
@@ -169,11 +191,7 @@ class TestZeroContamination:
 
     def test_profile_counters_present_only_when_profiled(self, runs):
         def metric_names(path: pathlib.Path) -> set:
-            return {
-                record["name"]
-                for record in read_trace(path)
-                if record.get("type") == "metric"
-            }
+            return set(load_trace(path).metrics)
 
         profiled = metric_names(runs["serial"] / "trace.jsonl")
         plain = metric_names(runs["plain"] / "trace.jsonl")

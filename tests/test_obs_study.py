@@ -8,8 +8,9 @@ The three guarantees the PR makes:
 2. **Structure** — spans strictly nest, and every ``(stage, table)``
    unit executed by the guarded executor has exactly one span whose
    terminal status matches its :class:`StageOutcome`.
-3. **Reconciliation** — ``stats`` totals line up with the executor's
-   tick ledger and outcome tallies.
+3. **Reconciliation** — the trace statistics ``profile-report`` prints
+   for a trace line up with the executor's tick ledger and outcome
+   tallies.
 """
 
 import json
@@ -20,7 +21,12 @@ from repro.core.config import StudyConfig
 from repro.core.study import Study
 from repro.experiments.cli import main
 from repro.experiments.registry import run_experiment
-from repro.obs.stats import load_trace, outcome_counts, stats_json
+from repro.obs.profile import (
+    load_any_profile,
+    outcome_counts,
+    profile_report_json,
+)
+from repro.obs.trace import load_trace
 from repro.resilience.executor import StageStatus
 
 EXPERIMENTS = ("table05", "table06", "table11")
@@ -35,6 +41,12 @@ def _guarded_config(tmp_path, tag, trace_out):
         quarantine_dir=str(tmp_path / f"quarantine-{tag}"),
         trace_out=trace_out,
     )
+
+
+def _trace_report(path):
+    """``profile-report --json`` on a trace, every frame listed."""
+    doc, trace = load_any_profile(path)
+    return profile_report_json(doc, top=len(doc["frames"]) + 1, trace=trace)
 
 
 def _run_study(config):
@@ -129,7 +141,7 @@ class TestReconciliation:
 
     def test_degradation_has_entries_under_pressure(self, traced_run):
         trace_path, (_, _, _, counts) = traced_run
-        doc = stats_json(load_trace(trace_path))
+        doc = _trace_report(trace_path)["trace"]
         degraded = counts.get(StageStatus.TRUNCATED.value, 0) + counts.get(
             StageStatus.QUARANTINED.value, 0
         ) + counts.get(StageStatus.FAILED.value, 0)
@@ -138,20 +150,30 @@ class TestReconciliation:
 
     def test_portal_attribution_sums_to_total(self, traced_run):
         trace_path, _ = traced_run
-        doc = stats_json(load_trace(trace_path))
-        assert doc["total_ops"] == sum(
-            p["ops"] for p in doc["portals"].values()
+        doc = _trace_report(trace_path)
+        frames = {h["frame"]: h["ticks"] for h in doc["hotspots"]}
+        assert doc["frame_count"] == len(frames)
+        assert doc["trace"]["total_ops"] == doc["total_ticks"] == sum(
+            frames.values()
         )
-        for portal in doc["portals"].values():
-            assert portal["ops"] == sum(
-                s["ops"] for s in portal["stages"].values()
+        # Each portal's inclusive ops are exactly its stages' frames.
+        inclusive = {e["frame"]: e["ticks"] for e in doc["inclusive"]}
+        portals = {path.split(";")[1] for path in frames}
+        assert {"SG", "CA", "UK", "US"} <= portals
+        for portal in portals:
+            assert inclusive[portal] == sum(
+                ticks
+                for path, ticks in frames.items()
+                if path.split(";")[1] == portal
             )
 
 
 class TestStatsCli:
+    """The trace statistics, as ``profile-report`` prints them."""
+
     def test_stats_text_report(self, traced_run, capsys):
         trace_path, _ = traced_run
-        assert main(["stats", str(trace_path)]) == 0
+        assert main(["profile-report", str(trace_path)]) == 0
         out = capsys.readouterr().out
         assert "work-budget attribution" in out
         assert "unit outcomes:" in out
@@ -159,8 +181,10 @@ class TestStatsCli:
 
     def test_stats_json_document(self, traced_run, capsys):
         trace_path, (_, _, ticks, _) = traced_run
-        assert main(["stats", str(trace_path), "--json", "--top", "3"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        assert main(
+            ["profile-report", str(trace_path), "--json", "--top", "3"]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)["trace"]
         assert doc["valid"] is True
         assert doc["unit_ops"] == ticks
         assert len(doc["top_tables"]) <= 3

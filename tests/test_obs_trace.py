@@ -5,8 +5,21 @@ import json
 import pytest
 
 from repro.obs import Observer, maybe_span
-from repro.obs.stats import load_trace, validate_spans
-from repro.obs.trace import TraceWriter, Tracer, read_trace
+from repro.obs.profile import (
+    load_any_profile,
+    profile_report_json,
+    render_profile_report,
+)
+from repro.obs.trace import TraceWriter, Tracer, load_trace, validate_spans
+
+
+def _report(path):
+    """``profile-report``'s text and JSON ``trace`` section for *path*."""
+    doc, trace = load_any_profile(path)
+    return (
+        render_profile_report(doc, trace=trace),
+        profile_report_json(doc, trace=trace)["trace"],
+    )
 
 
 class TestTracer:
@@ -62,38 +75,33 @@ class TestTraceFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.jsonl"
         self._write_small_trace(path)
-        records = list(read_trace(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
         assert records[0]["type"] == "header"
-        assert records[0]["seed"] == 2
-        spans = [r for r in records if r["type"] == "span"]
-        # Children finish (and are written) before their parents.
-        assert [s["name"] for s in spans] == ["portal", "study"]
-        assert spans[0]["ops"] == 3
         assert records[-1] == {"type": "footer", "spans": 2}
+        trace = load_trace(path)
+        assert trace.header["seed"] == 2
+        # Children finish (and are written) before their parents.
+        assert [s["name"] for s in trace.spans] == ["portal", "study"]
+        assert trace.spans[0]["ops"] == 3
+        assert trace.valid and trace.torn == 0
 
-    def test_no_wall_ms_by_default(self, tmp_path):
+    def test_spans_carry_no_timing(self, tmp_path):
         path = tmp_path / "t.jsonl"
         self._write_small_trace(path)
-        assert not any("wall_ms" in r for r in read_trace(path))
-
-    def test_wall_clock_attaches_wall_ms(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        writer = TraceWriter(path)
-        tracer = Tracer(writer, wall_clock=True)
-        with tracer.span("timed"):
-            pass
-        writer.close()
-        spans = [r for r in read_trace(path) if r["type"] == "span"]
-        assert all("wall_ms" in s for s in spans)
+        for span in load_trace(path).spans:
+            assert set(span) == {
+                "type", "id", "parent", "name", "kind", "status",
+                "ops", "self_ops", "open", "close", "attrs",
+            }
 
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         path = tmp_path / "t.jsonl"
         self._write_small_trace(path)
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"type": "span", "id": 99, "nam')
-        records = list(read_trace(path))
-        assert all(r.get("id") != 99 for r in records)
-        assert sum(1 for r in records if r["type"] == "span") == 2
+        trace = load_trace(path)
+        assert all(s.get("id") != 99 for s in trace.spans)
+        assert len(trace.spans) == 2
 
     def test_load_trace_flags_footer_mismatch(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -111,28 +119,23 @@ class TestDegenerateTraces:
     """Empty and torn-only inputs must report, not crash (ISSUE 5)."""
 
     def test_empty_file(self, tmp_path):
-        from repro.obs.stats import render_stats, stats_json
-
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         trace = load_trace(path)
         assert trace.valid
         assert trace.spans == [] and trace.torn == 0
-        report = render_stats(trace)
+        report, doc = _report(path)
         assert "no spans" in report
-        doc = stats_json(trace)
         assert doc["span_count"] == 0
         assert doc["total_ops"] == 0
 
     def test_torn_only_file(self, tmp_path):
-        from repro.obs.stats import render_stats
-
         path = tmp_path / "torn.jsonl"
         path.write_text('{"type": "header", "se\n{"type": "span", "id"\n')
         trace = load_trace(path)
         assert trace.spans == []
         assert trace.torn == 2
-        report = render_stats(trace)
+        report, _ = _report(path)
         assert "no spans" in report
         assert "2 torn line(s)" in report
 
@@ -144,8 +147,6 @@ class TestDegenerateTraces:
         assert trace.torn == 2
 
     def test_orphan_span_is_a_problem_not_a_crash(self, tmp_path):
-        from repro.obs.stats import render_stats
-
         path = tmp_path / "orphan.jsonl"
         span = {
             "type": "span",
@@ -159,7 +160,7 @@ class TestDegenerateTraces:
         trace = load_trace(path)
         assert not trace.valid
         assert any("missing" in p and "parent" in p for p in trace.problems)
-        assert "BROKEN" in render_stats(trace)
+        assert "BROKEN" in _report(path)[0]
 
     def test_orphan_span_through_validate_spans(self):
         spans = [{"id": 7, "parent": 99, "open": 1, "close": 2}]
@@ -227,7 +228,7 @@ class TestObserver:
         obs.tracer.start("portal", kind="portal")
         obs.metrics.inc("crawl.retries", 2)
         obs.close()
-        records = list(read_trace(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
         kinds = [r["type"] for r in records]
         assert kinds[0] == "header" and kinds[-1] == "footer"
         assert kinds.count("span") == 2
@@ -242,4 +243,3 @@ class TestObserver:
         header = json.loads(path.read_text().splitlines()[0])
         assert header["seed"] == 5
         assert header["scale"] == 0.1
-        assert header["wall_clock"] is False

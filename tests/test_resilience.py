@@ -315,7 +315,7 @@ class TestResilientHttpClient:
         # 2 burst tokens, then 1 request per simulated second.
         assert client.clock.now() == pytest.approx(6.0)
 
-    def test_no_wall_clock_or_unseeded_randomness_in_layer(self):
+    def test_no_real_clock_or_unseeded_randomness_in_layer(self):
         # The acceptance criteria forbid time.time()/random.random() in
         # the resilience layer: all timing must run on the simulated
         # clock and all jitter on seeded RNGs.

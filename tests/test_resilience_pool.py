@@ -19,7 +19,7 @@ from repro.experiments.cli import build_parser, config_from_args
 from repro.experiments.registry import run_experiment
 from repro.obs.diff import diff_runs, load_run
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.stats import load_trace
+from repro.obs.trace import load_trace
 from repro.resilience import StageStatus
 from repro.resilience.pool import (
     HEARTBEAT_TICKS,
@@ -149,25 +149,6 @@ class TestPlan:
                     SCREEN_STAGE,
                     unit.table_id,
                 )
-
-    def test_allpairs_config_plans_no_joinsig_units(self, study):
-        from repro.resilience.units import (
-            JOINSIG_STAGE,
-            UNIT_STAGES,
-            unit_stages_for,
-        )
-
-        lsh = StudyConfig(scale=SCALE, seed=SEED)
-        allpairs = StudyConfig(
-            scale=SCALE, seed=SEED, join_index="allpairs"
-        )
-        assert unit_stages_for(lsh) == UNIT_STAGES
-        assert JOINSIG_STAGE not in unit_stages_for(allpairs)
-        portal = next(iter(study))
-        units = plan_portal_units(
-            portal.code, portal.report, unit_stages_for(allpairs)
-        )
-        assert all(u.stage != JOINSIG_STAGE for u in units)
 
 
 class TestEquivalence:

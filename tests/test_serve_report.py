@@ -20,7 +20,7 @@ from repro.obs.servereport import (
     serve_report_json,
 )
 from repro.obs.slo import KIND_AVAILABILITY, Objective, SloSpec, default_slos
-from repro.obs.stats import TraceData, load_trace
+from repro.obs.trace import TraceData, load_trace
 from repro.serve.loadgen import MIXES, run_load
 
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs.log import NORMAL, QUIET, VERBOSE, configure_log
-from repro.obs.stats import load_trace
+from repro.obs.trace import load_trace
 from repro.serve.api import PROBE_ENDPOINTS, Request, canonical_endpoint
 from repro.serve.loadgen import MIXES, check_invariants, run_load
 from repro.serve.service import LakeService
