@@ -35,6 +35,7 @@ from .config import StudyConfig
 if TYPE_CHECKING:  # imported lazily at runtime to keep imports acyclic
     from ..dataframe import Table
     from ..joinability.labeling import LabeledPair
+    from ..joinability.lshindex import SignatureMemo
     from ..joinability.pairs import JoinabilityAnalysis
     from ..normalize.analysis import NormalizationStats
     from ..unionability.labeling import LabeledUnionPair
@@ -67,7 +68,9 @@ class PortalStudy:
         """Portal code (SG/CA/UK/US)."""
         return self.report.portal_code
 
-    def _run_units(self, stage: str, cache: dict | None = None) -> dict:
+    def _run_units(
+        self, stage: str, memo: "SignatureMemo | None" = None
+    ) -> dict:
         """Run *stage*'s planned per-table units; results by table id.
 
         Walks :func:`~repro.resilience.units.plan_portal_units` — the
@@ -90,7 +93,7 @@ class PortalStudy:
                     continue
             result, _ = self.executor.guard_unit(
                 unit_request(
-                    planned, tables[planned.table_id], self.config, cache
+                    planned, tables[planned.table_id], self.config, memo
                 ),
                 stage,
                 planned.table_id,
@@ -135,11 +138,12 @@ class PortalStudy:
         space the joinability profiles use.  Cached once and shared by
         every threshold.  One journaled ``joinsig`` unit runs per table
         (pooled runs adopt the worker-computed results here), sharing
-        one per-portal memo of value hash vectors in process; a unit
-        truncated by its budget degrades to the empty signature set,
-        which the pair search treats as "skip the band filter for this
-        table" — slower, never wrong.
+        one per-portal memo — the hasher and every value's hash vector
+        — in process; a unit truncated by its budget degrades to the
+        empty signature set, which the pair search treats as "skip the
+        band filter for this table" — slower, never wrong.
         """
+        from ..joinability.lshindex import SignatureMemo
         from ..resilience.units import JOINSIG_STAGE
 
         if "join-signatures" not in self._cache:
@@ -150,7 +154,10 @@ class PortalStudy:
                     t.resource_id: index
                     for index, t in enumerate(self.screened_tables())
                 }
-                by_table = self._run_units(JOINSIG_STAGE, cache={})
+                by_table = self._run_units(
+                    JOINSIG_STAGE,
+                    memo=SignatureMemo.create(seed=self.config.seed),
+                )
             self._cache["join-signatures"] = {
                 positions[table_id]: signatures
                 for table_id, signatures in by_table.items()

@@ -16,8 +16,9 @@ import csv
 import io
 from typing import Sequence
 
+from .column import Column
 from .errors import EmptyTableError, ParseError
-from .infer import parse_cell
+from .infer import infer_column_type, parse_cell
 from .table import Table
 
 
@@ -27,12 +28,10 @@ def decode_bytes(payload: bytes) -> str:
     Latin-1 never fails, so this function always returns text; mojibake in
     a government CSV is the publisher's bug, not a reason to drop data.
     """
-    for encoding in ("utf-8-sig", "utf-8"):
-        try:
-            return payload.decode(encoding)
-        except UnicodeDecodeError:
-            continue
-    return payload.decode("latin-1")
+    try:
+        return payload.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return payload.decode("latin-1")
 
 
 def read_raw_rows(text: str, max_rows: int | None = None) -> list[list[str]]:
@@ -79,12 +78,30 @@ def rows_to_table(
     if width == 0:
         raise EmptyTableError(f"{name}: zero-width header")
     header = _normalize_header(header_row, width)
-    body = rows[header_index + 1 :]
-    typed_rows = (
-        [parse_cell(row[i]) if i < len(row) else None for i in range(width)]
-        for row in body
-    )
-    return Table.from_rows(name, header, typed_rows)
+    body = [
+        row if len(row) >= width else list(row) + [""] * (width - len(row))
+        for row in rows[header_index + 1 :]
+    ]
+    if not body:
+        return Table.empty(name, header)
+    columns = []
+    # zip(*body) transposes rows into raw columns; zip with the header
+    # stops at the table width, dropping the cells of overlong rows.
+    for column_name, raws in zip(header, zip(*body)):
+        # OGDP columns repeat heavily (the paper's §4 finding), so each
+        # distinct raw string is parsed once; a padded "" parses to None.
+        parsed = dict.fromkeys(raws)
+        for raw in parsed:
+            parsed[raw] = parse_cell(raw)
+        columns.append(
+            Column(
+                column_name,
+                map(parsed.__getitem__, raws),
+                # The type depends only on which value types occur.
+                infer_column_type(parsed.values()),
+            )
+        )
+    return Table(name, columns)
 
 
 def read_csv(text: str, name: str = "table") -> Table:

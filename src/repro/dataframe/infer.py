@@ -40,16 +40,17 @@ def parse_cell(raw: str) -> Cell:
 
 
 def try_parse_int(text: str) -> int | None:
-    """Parse *text* as a plain (optionally signed) decimal integer.
+    """Parse *text* as a plain (optionally signed) ASCII decimal integer.
 
     Values with leading zeros such as ``007`` are left as text: in open
     data they are almost always identifiers (postal codes, FIPS codes)
-    whose leading zeros are significant.
+    whose leading zeros are significant.  Non-ASCII digits (``١٢٣``)
+    stay text too, although ``int()`` would accept them.
     """
     candidate = text
     if candidate.startswith(("+", "-")):
         candidate = candidate[1:]
-    if not candidate.isdigit():
+    if not (candidate.isascii() and candidate.isdigit()):
         return None
     if len(candidate) > 1 and candidate[0] == "0":
         return None
@@ -60,9 +61,16 @@ def try_parse_int(text: str) -> int | None:
 
 
 def try_parse_float(text: str) -> float | None:
-    """Parse *text* as a float; rejects specials like ``inf`` and ``nan``."""
+    """Parse *text* as a float; rejects specials like ``inf`` and ``nan``.
+
+    Also rejects what ``float()`` accepts but a CSV number never
+    spells: PEP 515 underscores (``2019_20`` is a period code, not
+    201920) and non-ASCII digits.
+    """
     lowered = text.lower()
     if lowered in ("inf", "+inf", "-inf", "infinity", "nan"):
+        return None
+    if "_" in text or not text.isascii():
         return None
     if not any(ch.isdigit() for ch in text):
         return None

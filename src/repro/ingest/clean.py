@@ -39,7 +39,6 @@ def drop_trailing_empty_columns(table: Table) -> tuple[Table, int]:
     removed = table.num_columns - keep
     if removed == 0:
         return table, 0
-    kept_names = [table.column(i).name for i in range(keep)]
     return Table(table.name, [table.column(i) for i in range(keep)]), removed
 
 

@@ -61,7 +61,7 @@ from .index import (
     build_profiles,
     normalize_value,
 )
-from .minhash import _MAX_HASH, _MERSENNE, MinHasher, _stable_hash
+from .minhash import MinHasher, _stable_hash
 from .pairs import (
     JACCARD_THRESHOLD,
     JoinabilityAnalysis,
@@ -160,6 +160,30 @@ def empty_table_signatures(table_id: str) -> TableJoinSignatures:
     return TableJoinSignatures(table_id=table_id, columns=())
 
 
+@dataclasses.dataclass(frozen=True)
+class SignatureMemo:
+    """A hasher plus the permuted hash vector of every value it has hashed.
+
+    One portal's in-process ``joinsig`` units share one memo: the hasher
+    is built once rather than once per table, and a value repeated
+    across tables (the paper's §4 finding: OGDP columns repeat heavily)
+    is hashed once.  The vectors are a pure function of the hasher, so a
+    memo never changes a result.
+    """
+
+    hasher: MinHasher
+    vectors: dict[str, tuple[int, ...]] = dataclasses.field(
+        default_factory=dict
+    )
+
+    @classmethod
+    def create(
+        cls, params: LshParams = DEFAULT_LSH_PARAMS, seed: int = 1
+    ) -> "SignatureMemo":
+        """An empty memo over the hasher of *params* and *seed*."""
+        return cls(MinHasher.create(num_perm=params.num_perm, seed=seed))
+
+
 def signature_of_values(
     values: frozenset[str] | set[str],
     hasher: MinHasher,
@@ -167,28 +191,20 @@ def signature_of_values(
 ) -> tuple[int, ...]:
     """MinHash signature of a normalized value set.
 
-    Identical to :meth:`MinHasher.signature` (min is order-free), but
-    with an optional per-corpus *cache* of each value's permuted hash
-    vector — OGDP columns repeat values heavily across tables (the
-    paper's §4 finding), so caching turns repeated values into a
-    single-min update.
+    Identical to :meth:`MinHasher.signature`, but with an optional
+    per-corpus *cache* of each value's permuted hash vector (a
+    :attr:`SignatureMemo.vectors`), so a repeated value costs one dict
+    lookup.
     """
-    if not values:
-        return tuple([_MAX_HASH] * hasher.num_perm)
-    best: tuple[int, ...] | None = None
+    if cache is None:
+        return hasher.signature(values)
+    vectors = []
     for value in values:
-        vector = cache.get(value) if cache is not None else None
+        vector = cache.get(value)
         if vector is None:
-            h = _stable_hash(value)
-            vector = tuple(
-                ((a * h + b) % _MERSENNE) & _MAX_HASH
-                for a, b in hasher.coefficients
-            )
-            if cache is not None:
-                cache[value] = vector
-        best = vector if best is None else tuple(map(min, best, vector))
-    assert best is not None
-    return best
+            vector = cache[value] = hasher.vector(_stable_hash(value))
+        vectors.append(vector)
+    return hasher.fold(vectors)
 
 
 def compute_table_signatures(
@@ -199,7 +215,7 @@ def compute_table_signatures(
     params: LshParams = DEFAULT_LSH_PARAMS,
     seed: int = 1,
     meter: WorkMeter | None = None,
-    cache: dict[str, tuple[int, ...]] | None = None,
+    memo: SignatureMemo | None = None,
 ) -> TableJoinSignatures:
     """The ``joinsig`` unit computation over one cleaned table.
 
@@ -208,9 +224,12 @@ def compute_table_signatures(
     signatures align one-to-one with the profiles the supervisor
     builds.  Charges one tick per normalized distinct value, so a
     data-volume poison table budgets out here like it would in any
-    other per-table stage.
+    other per-table stage.  A shared *memo* must have been created
+    with the same *params* and *seed*; without one, the table gets
+    its own.
     """
-    hasher = MinHasher.create(num_perm=params.num_perm, seed=seed)
+    if memo is None:
+        memo = SignatureMemo.create(params, seed)
     columns: list[ColumnSignature] = []
     with prof_scope(meter, "minhash", "signature"):
         for column in table.columns:
@@ -225,7 +244,9 @@ def compute_table_signatures(
                 ColumnSignature(
                     column_name=column.name,
                     num_unique=len(values),
-                    signature=signature_of_values(values, hasher, cache),
+                    signature=signature_of_values(
+                        values, memo.hasher, memo.vectors
+                    ),
                 )
             )
     return TableJoinSignatures(table_id=table_id, columns=tuple(columns))
@@ -357,15 +378,14 @@ def lsh_joinable_pairs_flagged(
     sorted candidate list, matching the all-pairs truncation contract.
     """
     if signatures is None:
-        hasher = MinHasher.create(num_perm=params.num_perm, seed=seed)
-        cache: dict[str, tuple[int, ...]] = {}
+        memo = SignatureMemo.create(params, seed)
         signatures = {}
         with prof_scope(meter, "minhash", "signature"):
             for profile in profiles:
                 if meter is not None:
                     meter.tick(profile.num_unique, op="join.signature")
                 signatures[profile.column_id] = signature_of_values(
-                    profile.values, hasher, cache
+                    profile.values, memo.hasher, memo.vectors
                 )
     candidates = generate_candidates(profiles, threshold, meter)
     if meter is not None:

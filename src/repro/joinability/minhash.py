@@ -14,17 +14,28 @@ import dataclasses
 import hashlib
 import struct
 from collections import defaultdict
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .index import ColumnProfile
 
 _MERSENNE = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
 
+#: Width of one permutation's slot in the packed kernel: ``a*h + b``
+#: stays below ``2**126`` (a < 2**61, h < 2**64, b < 2**61).
+_SLOT_BYTES = 16
+
 
 def _stable_hash(value: str) -> int:
     digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
     return struct.unpack("<Q", digest)[0]
+
+
+def _packed(slots: Iterable[int]) -> int:
+    """One int holding each of *slots* (each < 2**128) in its own slot."""
+    return int.from_bytes(
+        b"".join(v.to_bytes(_SLOT_BYTES, "little") for v in slots), "little"
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,6 +44,31 @@ class MinHasher:
 
     num_perm: int
     coefficients: tuple[tuple[int, int], ...]
+    # The packed constants of :meth:`vector`, derived from the fields above.
+    _multipliers: int = dataclasses.field(init=False, repr=False, compare=False)
+    _offsets: int = dataclasses.field(init=False, repr=False, compare=False)
+    _ones: int = dataclasses.field(init=False, repr=False, compare=False)
+    _low: int = dataclasses.field(init=False, repr=False, compare=False)
+    _high: int = dataclasses.field(init=False, repr=False, compare=False)
+    _unpack: Callable = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ones = _packed([1] * self.num_perm)
+        constants = {
+            "_multipliers": _packed(a for a, _ in self.coefficients),
+            "_offsets": _packed(b for _, b in self.coefficients),
+            "_ones": ones,
+            # A slot's low 61 bits, and the 65 bits above them that
+            # ``a*h + b < 2**126`` can occupy.
+            "_low": ones * _MERSENNE,
+            "_high": ones * ((1 << 65) - 1),
+            # The low 32 bits of every slot, in permutation order.
+            "_unpack": struct.Struct(
+                "<" + f"I{_SLOT_BYTES - 4}x" * self.num_perm
+            ).unpack,
+        }
+        for name, value in constants.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def create(cls, num_perm: int = 128, seed: int = 1) -> "MinHasher":
@@ -57,17 +93,35 @@ class MinHasher:
             coefficients.append((a, b))
         return cls(num_perm=num_perm, coefficients=tuple(coefficients))
 
+    def vector(self, h: int) -> tuple[int, ...]:
+        """``((a*h + b) % (2**61 - 1)) & 0xFFFFFFFF`` for every permutation.
+
+        *h* is a value's 64-bit hash.  One big-int multiply computes
+        ``a*h + b`` for all permutations at once, each in its own
+        128-bit slot; two Mersenne folds and a carry-based subtract
+        reduce every slot mod ``2**61 - 1`` without division.  No slot
+        ever carries into or borrows from its neighbour (DESIGN.md §14
+        gives the bounds), so the result is exactly the per-permutation
+        arithmetic.
+        """
+        ones, low, high = self._ones, self._low, self._high
+        x = self._multipliers * h + self._offsets  # < 2**126 per slot
+        x = (x & low) + ((x >> 61) & high)  # < 2**66 per slot
+        x = (x & low) + ((x >> 61) & high)  # <= M + 31 per slot
+        x -= (((x + ones) >> 61) & ones) * _MERSENNE  # < M per slot
+        return self._unpack(x.to_bytes(_SLOT_BYTES * self.num_perm, "little"))
+
+    def fold(self, vectors: list[tuple[int, ...]]) -> tuple[int, ...]:
+        """The signature of a value set: per-permutation minimum of its vectors."""
+        if not vectors:
+            return (_MAX_HASH,) * self.num_perm
+        if len(vectors) == 1:  # min() of a single int is an error
+            return vectors[0]
+        return tuple(map(min, *vectors))
+
     def signature(self, values: Iterable[str]) -> tuple[int, ...]:
         """MinHash signature of a value set."""
-        hashes = [_stable_hash(v) for v in values]
-        if not hashes:
-            return tuple([_MAX_HASH] * self.num_perm)
-        signature = []
-        for a, b in self.coefficients:
-            signature.append(
-                min(((a * h + b) % _MERSENNE) & _MAX_HASH for h in hashes)
-            )
-        return tuple(signature)
+        return self.fold([self.vector(_stable_hash(v)) for v in values])
 
 
 def estimate_jaccard(left: tuple[int, ...], right: tuple[int, ...]) -> float:

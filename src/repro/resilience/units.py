@@ -28,6 +28,7 @@ import random
 from typing import Callable
 
 from ..joinability.lshindex import (
+    SignatureMemo,
     TableJoinSignatures,
     compute_table_signatures,
     empty_table_signatures,
@@ -134,7 +135,10 @@ def plan_portal_units(
 
 
 def unit_request(
-    planned: PlannedUnit, table, config, cache: dict | None = None
+    planned: PlannedUnit,
+    table,
+    config,
+    memo: SignatureMemo | None = None,
 ) -> UnitRequest:
     """The canonical compute request for *planned* over *table*.
 
@@ -143,9 +147,10 @@ def unit_request(
     meter) yields bit-for-bit the record the serial path journals.
     The per-table BCNF RNG is derived from ``(seed, portal, table)``
     inside the closure, so retried executions never share RNG state.
-    *cache* is an optional memo of per-value MinHash vectors shared by
-    one portal's in-process ``joinsig`` units; it saves rehashing
-    values repeated across tables and never changes a result.
+    *memo* is an optional :class:`SignatureMemo` (built with the
+    config's seed) shared by one portal's in-process ``joinsig`` units;
+    it builds the hasher once, saves rehashing values repeated across
+    tables, and never changes a result.
     """
     if planned.stage == SCREEN_STAGE:
         return UnitRequest(
@@ -174,7 +179,7 @@ def unit_request(
                 min_unique=config.min_unique_values,
                 seed=config.seed,
                 meter=meter,
-                cache=cache,
+                memo=memo,
             ),
             encode=lambda s: s.to_payload(),
             decode=TableJoinSignatures.from_payload,

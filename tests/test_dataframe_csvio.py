@@ -1,6 +1,8 @@
 """Unit tests for repro.dataframe.csvio."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataframe import (
     Column,
@@ -13,6 +15,39 @@ from repro.dataframe import (
     rows_to_table,
     write_csv,
 )
+from repro.dataframe.infer import parse_cell
+
+#: Raw cells covering every parse outcome, including values that parse
+#: equal but must keep distinct types (1, True, 1.0).
+RAW_CELLS = (
+    "1", "-7", "+3", "0", "1.0", "3.14", "1e3", "-0.5", "true", "True",
+    "No", "y", "", " ", "n/a", "NULL", "-", "...", "nan", "-nan", "inf",
+    " 42 ", "  Ontario ", "Ontario", "007", "00501", "2019_20", "١٢٣",
+)
+
+
+def reference_table(name, rows, header_index, num_columns=None):
+    """The per-cell path: parse every cell, transpose with from_rows."""
+    header_row = rows[header_index]
+    width = len(header_row) if num_columns is None else num_columns
+    header = [
+        (header_row[i].strip() if i < len(header_row) else "")
+        or f"column_{i + 1}"
+        for i in range(width)
+    ]
+    typed_rows = (
+        [parse_cell(row[i]) if i < len(row) else None for i in range(width)]
+        for row in rows[header_index + 1 :]
+    )
+    return Table.from_rows(name, header, typed_rows)
+
+
+def typed_cells(table):
+    """Names, dtypes and (type, repr) of every cell: 1, True, 1.0 differ."""
+    return [
+        (c.name, c.dtype, [(type(v), repr(v)) for v in c.values])
+        for c in table.columns
+    ]
 
 
 class TestDecodeBytes:
@@ -60,6 +95,45 @@ class TestRowsToTable:
     def test_blank_header_cells_named(self):
         table = rows_to_table("t", [["a", "", "c"], ["1", "2", "3"]], 0)
         assert table.column_names == ("a", "column_2", "c")
+
+    def test_equals_per_cell_reference(self):
+        rows = [
+            ["Quarterly report"],
+            ["id", "mixed", "flag", "code", "empty", "num", ""],
+            ["1", "1", "true", "007", "", " 2 ", "x"],
+            ["2", "1.0", "True", "00501", "n/a"],
+            ["3", "True", "no", "12", "NULL", "2.5", "y", "overflow"],
+            [" 4 ", "one", "Y", "007", "-", "", ""],
+        ]
+        for num_columns in (None, 3, 9):
+            table = rows_to_table("t", rows, 1, num_columns)
+            assert typed_cells(table) == typed_cells(
+                reference_table("t", rows, 1, num_columns)
+            )
+        mixed = rows_to_table("t", rows, 1).column("mixed").values
+        assert [type(v) for v in mixed] == [int, float, bool, str]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(st.sampled_from(RAW_CELLS), st.text(max_size=3)),
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        data=st.data(),
+    )
+    def test_equals_per_cell_reference_on_any_rows(self, rows, data):
+        header_index = data.draw(st.integers(0, len(rows) - 1))
+        num_columns = data.draw(st.one_of(st.none(), st.integers(1, 7)))
+        if num_columns is None and not rows[header_index]:
+            return  # zero-width header: rejected (see test_errors)
+        table = rows_to_table("t", rows, header_index, num_columns)
+        assert typed_cells(table) == typed_cells(
+            reference_table("t", rows, header_index, num_columns)
+        )
 
     def test_errors(self):
         with pytest.raises(EmptyTableError):

@@ -50,6 +50,14 @@ class TestParseCell:
         assert parse_cell("0") == 0
         assert isinstance(parse_cell("0"), int)
 
+    @pytest.mark.parametrize(
+        "raw", ["2019_20", "10_1", "1_000.5", "١٢٣", "١٢٣.٥", "１２"]
+    )
+    def test_text_codes_stay_text(self, raw):
+        # float() accepts PEP 515 underscores and int()/float() accept
+        # non-ASCII digits; a CSV cell spelled that way is a code.
+        assert parse_cell(raw) == raw
+
 
 class TestScalarParsers:
     def test_int_rejects_float_text(self):
@@ -64,6 +72,12 @@ class TestScalarParsers:
     def test_float_requires_a_digit(self):
         assert try_parse_float("e") is None
         assert try_parse_float(".") is None
+
+    def test_numbers_are_plain_ascii(self):
+        assert try_parse_int("١٢٣") is None
+        assert try_parse_int("-١٢") is None
+        assert try_parse_float("2019_20") is None
+        assert try_parse_float("١٢٣") is None
 
     def test_bool_spellings(self):
         assert try_parse_bool("TRUE") is True
