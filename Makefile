@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench smoke-trace smoke-shard smoke-serve smoke-index smoke-profile experiments fidelity
+.PHONY: test lint bench-smoke bench smoke-trace smoke-shard smoke-resume smoke-serve smoke-index smoke-profile experiments fidelity
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -55,6 +55,36 @@ smoke-shard:
 		--workers 4 --chaos-kill-rate 0.2 \
 		--quarantine-dir smoke-shard-q2 --trace-out smoke-chaos.jsonl
 	$(PYTHON) -m repro.experiments.cli diff smoke-serial.jsonl smoke-chaos.jsonl
+
+# The resume gate CI's shard-gate job runs: every run of one guarded
+# command must print what its cold run (a) prints, however its
+# checkpoints were left — (b) rerun into its own checkpoint dir after
+# the last study-journal line was cut in half, as by a kill mid-write;
+# (c) run into a checkpoint dir filled by an unbudgeted seed-3 run;
+# (d) run pooled under chaos kills into a shard dir filled by a seed-3
+# pooled run.
+RESUME_RUN = $(PYTHON) -m repro.experiments.cli -q run table05 \
+	--scale 0.08 --stage-budget 40000 --poison-rate 0.1
+
+smoke-resume:
+	rm -rf smoke-resume
+	mkdir -p smoke-resume
+	$(RESUME_RUN) --seed 2 > smoke-resume/a.txt
+	$(RESUME_RUN) --seed 2 --checkpoint-dir smoke-resume/b > smoke-resume/b1.txt
+	$(PYTHON) -c 'import pathlib, sys; p = pathlib.Path(sys.argv[1]); \
+		d = p.read_bytes(); s = d.rstrip(b"\n").rfind(b"\n") + 1; \
+		p.write_bytes(d[: s + (len(d) - s) // 2])' smoke-resume/b/study-US.jsonl
+	$(RESUME_RUN) --seed 2 --checkpoint-dir smoke-resume/b > smoke-resume/b2.txt
+	$(PYTHON) -m repro.experiments.cli -q run table05 --scale 0.08 \
+		--seed 3 --poison-rate 0.1 --checkpoint-dir smoke-resume/c > /dev/null
+	$(RESUME_RUN) --seed 2 --checkpoint-dir smoke-resume/c > smoke-resume/c.txt
+	$(RESUME_RUN) --seed 3 --workers 4 --shard-dir smoke-resume/d > /dev/null
+	$(RESUME_RUN) --seed 2 --workers 4 --chaos-kill-rate 0.2 \
+		--shard-dir smoke-resume/d > smoke-resume/d.txt
+	cmp smoke-resume/a.txt smoke-resume/b1.txt
+	cmp smoke-resume/a.txt smoke-resume/b2.txt
+	cmp smoke-resume/a.txt smoke-resume/c.txt
+	cmp smoke-resume/a.txt smoke-resume/d.txt
 
 # The serving gate CI runs: the deterministic load harness twice with
 # equal seeds — reports AND request traces must be byte-identical,

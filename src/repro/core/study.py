@@ -29,6 +29,7 @@ from ..resilience import (
     RetryPolicy,
     StageStatus,
     StudyJournal,
+    config_fingerprint,
 )
 from .config import StudyConfig
 
@@ -460,7 +461,9 @@ class Study:
                         profile, seed=config.seed, scale=config.scale
                     )
                 client = _build_client(HttpClient(generated.store), config)
-                journal = _open_journal(config, code)
+                journal = _open_journal(
+                    config, CrawlJournal, f"crawl-{code}.jsonl"
+                )
                 try:
                     report = ingest_portal(
                         CkanApi(generated.portal),
@@ -534,14 +537,20 @@ def _build_client(
     )
 
 
-def _open_journal(config: StudyConfig, code: str) -> CrawlJournal | None:
-    """The portal's crawl journal, honouring the resume flag."""
+def _open_journal(
+    config: StudyConfig, journal_type: type, name: str, metrics=None
+):
+    """The checkpoint dir's journal *name*, or None without a dir.
+
+    ``--no-resume`` discards the file first; a file written under
+    another config is started afresh by the journal itself.
+    """
     if config.checkpoint_dir is None:
         return None
-    path = pathlib.Path(config.checkpoint_dir) / f"crawl-{code}.jsonl"
-    if not config.resume and path.exists():
-        path.unlink()
-    return CrawlJournal(path)
+    path = pathlib.Path(config.checkpoint_dir) / name
+    if not config.resume:
+        path.unlink(missing_ok=True)
+    return journal_type(path, config_fingerprint(config), metrics=metrics)
 
 
 def _build_executor(
@@ -554,18 +563,15 @@ def _build_executor(
     records.  The study journal attaches whenever a checkpoint dir is
     configured.
     """
-    journal = None
-    if config.checkpoint_dir is not None:
-        path = pathlib.Path(config.checkpoint_dir) / f"study-{code}.jsonl"
-        if not config.resume and path.exists():
-            path.unlink()
-        journal = StudyJournal(
-            path, metrics=obs.metrics if obs is not None else None
-        )
     return AnalysisExecutor(
         code,
         stage_budget=config.stage_budget,
-        journal=journal,
+        journal=_open_journal(
+            config,
+            StudyJournal,
+            f"study-{code}.jsonl",
+            metrics=obs.metrics if obs is not None else None,
+        ),
         quarantine_dir=config.quarantine_dir,
         obs=obs,
     )

@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--checkpoint-dir",
         default=None,
-        help="directory for resumable crawl journals (default: off)",
+        help="directory for resumable crawl/study journals (default: off)",
     )
     run_parser.add_argument(
         "--no-resume",

@@ -19,7 +19,7 @@ per-host circuit breaking, and rate limiting; a plain
 :class:`~repro.portal.http.HttpClient` is wrapped with a zero-retry
 policy, reproducing the paper's single-shot crawl exactly.  Per-resource
 retry provenance lands in :attr:`IngestReport.resilience`, and an
-optional :class:`~repro.resilience.checkpoint.CrawlJournal` makes the
+optional :class:`~repro.resilience.journal.CrawlJournal` makes the
 crawl resumable: completed resources are replayed from the journal
 instead of re-fetched.
 """

@@ -20,7 +20,6 @@ recomputation.
 
 from .breaker import BreakerConfig, BreakerEvent, CircuitBreaker, CircuitState
 from .budget import BudgetExceeded, WorkMeter
-from .checkpoint import CrawlJournal, JournalEntry
 from .client import FetchResult, ResilientHttpClient, host_of
 from .clock import SimulatedClock
 from .executor import (
@@ -31,10 +30,17 @@ from .executor import (
     StageStatus,
     compute_unit,
 )
+from .journal import (
+    CrawlJournal,
+    JournalEntry,
+    MergeConflict,
+    StageRecord,
+    StudyJournal,
+    config_fingerprint,
+)
 from .ratelimit import RateLimitConfig, TokenBucket
 from .retry import DEFAULT_RETRYABLE_STATUSES, RetryPolicy
 from .stats import ResilienceStats
-from .study_journal import MergeConflict, StageRecord, StudyJournal
 
 __all__ = [
     "AnalysisExecutor",
@@ -62,5 +68,6 @@ __all__ = [
     "TokenBucket",
     "WorkMeter",
     "compute_unit",
+    "config_fingerprint",
     "host_of",
 ]

@@ -16,7 +16,7 @@ the study:
   quarantine directory is configured) written out for inspection;
 * ``FAILED`` — the unit raised an unexpected exception.
 
-With a :class:`~repro.resilience.study_journal.StudyJournal` attached,
+With a :class:`~repro.resilience.journal.StudyJournal` attached,
 finished units are checkpointed as they complete and replayed on
 resume, so a study killed mid-analysis picks up where it died without
 recomputing anything it already finished.
@@ -33,7 +33,7 @@ from typing import Callable, Mapping
 
 from ..obs.profile import prof_scope
 from .budget import BudgetExceeded, WorkMeter
-from .study_journal import StageRecord, StudyJournal
+from .journal import StageRecord, StudyJournal
 
 #: Table id used for portal-wide stages (join pair search, unionability).
 PORTAL_WIDE = "*"
@@ -193,7 +193,7 @@ class AnalysisExecutor:
         replay them (via *decode*) without recomputation.
         """
         if journal_stage and self.journal is not None:
-            record = self.journal.get(stage, table_id)
+            record = self.journal.get((stage, table_id))
             if record is not None:
                 return self._replay(record, decode, fallback)
 

@@ -10,10 +10,10 @@ events:
 * **scheduling** — units are sharded round-robin across workers; an
   idle worker steals from the tail of the longest remaining shard, so
   one slow table never serializes the fleet;
-* **shard journals** — each worker persists every finished unit
-  (record + the counter metrics its meter charged) to its own JSONL
-  shard via write-to-temp + atomic rename, so a SIGKILL at any
-  instant leaves a readable shard;
+* **shard journals** — each worker appends every finished unit
+  (record + the counter metrics its meter charged) to its own
+  :class:`~repro.resilience.journal.Journal`, so a SIGKILL at any
+  instant loses at most the envelope being written;
 * **supervision** — the parent monitors exit codes for death and
   deterministic op-count heartbeats for progress; with a straggler
   threshold configured, a unit that reports more ticks than the
@@ -27,7 +27,7 @@ events:
   duplicate/conflict detection (a re-dispatched unit whose first
   worker died *after* persisting must have produced the identical
   record; anything else raises
-  :class:`~repro.resilience.study_journal.MergeConflict`).
+  :class:`~repro.resilience.journal.MergeConflict`).
 
 Equivalence with the serial path is structural, not best-effort: a
 completed unit is handed to the portal's
@@ -49,8 +49,8 @@ well under ``PIPE_BUF``, so a kill never tears a message either; and
 when a worker dies, its pipes die with it — the replacement gets fresh
 ones, so a dead incarnation's backlog (stale heartbeats, duplicate
 dones) is discarded instead of being misread as the successor's.
-Results and metrics travel through the atomically renamed shard files,
-never the pipes.
+Results and metrics travel through the shard journals, never the
+pipes.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ import multiprocessing
 import os
 import pathlib
 import random
+import shutil
 import signal
 import tempfile
 from collections import deque
@@ -70,7 +71,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.profile import Profiler
 from .budget import WorkMeter
 from .executor import CompletedUnit, StageStatus, compute_unit
-from .study_journal import MergeConflict, StageRecord
+from .journal import Journal, MergeConflict, StageRecord, config_fingerprint
 from .units import (
     SCREEN_STAGE,
     UNIT_STAGES,
@@ -94,27 +95,6 @@ _JOIN_SECONDS = 5.0
 #: ``fork``); spawn-started workers find it empty and rebuild the
 #: portal deterministically instead.
 _WORKER_TABLES: dict = {}
-
-
-def shard_fingerprint(config) -> dict:
-    """The config identity a shard must match to be reused."""
-    fingerprint = {
-        "seed": config.seed,
-        "scale": config.scale,
-        "stage_budget": config.stage_budget,
-        "max_lhs": config.max_lhs,
-        "min_unique": config.min_unique_values,
-        "poison_rate": config.poison_rate,
-        "portals": list(config.portal_codes),
-    }
-    if getattr(config, "profile_out", None) is not None:
-        # Profiled runs must not resume from unprofiled shards (their
-        # envelopes carry no frame counts, which would silently punch
-        # holes in the merged profile).  Added conditionally so shards
-        # written before this field existed stay valid for unprofiled
-        # runs.
-        fingerprint["profiled"] = True
-    return fingerprint
 
 
 def _kill_self() -> None:
@@ -187,39 +167,29 @@ def _shard_path(shard_dir: pathlib.Path, slot: int) -> pathlib.Path:
     return shard_dir / f"shard-w{slot}.jsonl"
 
 
-def read_shard(
-    path: pathlib.Path, fingerprint: dict
-) -> list[dict]:
-    """The valid unit envelopes of one shard file.
+class ShardJournal(Journal):
+    """One worker slot's finished-unit envelopes, keyed by unit.
 
-    Torn lines are skipped (the shard is rewritten atomically, so in
-    practice only hand-damaged shards have them); a shard whose header
-    fingerprint does not match *fingerprint* is ignored wholesale — it
-    belongs to a different study configuration.
+    An envelope is a JSON object carrying the ``unit`` key, the
+    worker's name, the :class:`StageRecord` fields under ``record``,
+    the counter metrics the unit's meter charged, and (profiled runs)
+    the unit's frame counts under ``profile``.
     """
-    if not path.exists():
-        return []
-    envelopes: list[dict] = []
-    header_seen = False
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise TypeError("shard line is not an object")
-            except (ValueError, TypeError):
-                continue
-            if "fingerprint" in obj:
-                if obj["fingerprint"] != fingerprint:
-                    return []
-                header_seen = True
-                continue
-            if "unit" in obj and "record" in obj:
-                envelopes.append(obj)
-    return envelopes if header_seen else []
+
+    @staticmethod
+    def _key(envelope: dict) -> tuple[str, str, str]:
+        return tuple(envelope["unit"])
+
+    @staticmethod
+    def _encode(envelope: dict) -> str:
+        return json.dumps(envelope, sort_keys=True)
+
+    @staticmethod
+    def _decode(line: bytes) -> dict:
+        envelope = json.loads(line)
+        if "record" not in envelope:
+            raise KeyError("record")
+        return envelope
 
 
 def merge_shards(
@@ -227,16 +197,17 @@ def merge_shards(
 ) -> dict[tuple[str, str, str], dict]:
     """Reconcile shard envelopes into one per-unit map, oldest-path order.
 
-    The envelope-level sibling of :meth:`StudyJournal.merge`: duplicate
-    units (a re-dispatch whose first worker persisted before dying)
-    must carry byte-identical records — the determinism contract makes
-    honest duplicates equal — so a differing duplicate raises
-    :class:`MergeConflict` instead of silently picking a side.
+    Duplicate units (a re-dispatch whose first worker persisted before
+    dying) must carry byte-identical records — the determinism contract
+    makes honest duplicates equal — so a differing duplicate raises
+    :class:`MergeConflict` instead of silently picking a side.  Shards
+    are read through :class:`ShardJournal`, so missing, foreign and
+    torn shards load as (partly) empty.
     """
     merged: dict[tuple[str, str, str], dict] = {}
     origin: dict[tuple[str, str, str], pathlib.Path] = {}
     for path in sorted(shard_paths):
-        for envelope in read_shard(path, fingerprint):
+        for envelope in ShardJournal(path, fingerprint):
             key = tuple(envelope["unit"])
             if key in merged:
                 if merged[key]["record"] != envelope["record"] or merged[
@@ -293,7 +264,7 @@ def _resolve_table(config, portal: str, table_id: str):
 
 
 def _worker_main(slot, config, task_conn, result_conn, shard_dir):
-    """One worker process: compute units, persist shard, report done.
+    """One worker process: compute units, append to its shard, report done.
 
     *task_conn* and *result_conn* are this incarnation's private pipe
     ends: the worker is the sole reader of one and the sole writer of
@@ -301,127 +272,108 @@ def _worker_main(slot, config, task_conn, result_conn, shard_dir):
     process could die holding.
     """
     name = f"w{slot}"
-    shard_path = _shard_path(pathlib.Path(shard_dir), slot)
-    fingerprint = shard_fingerprint(config)
-    envelopes: dict[tuple, dict] = {
-        tuple(env["unit"]): env
-        for env in read_shard(shard_path, fingerprint)
-    }
-
-    def persist() -> None:
-        tmp = shard_path.with_suffix(".jsonl.tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {"shard": name, "fingerprint": fingerprint},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            for envelope in envelopes.values():
-                handle.write(json.dumps(envelope, sort_keys=True) + "\n")
-        os.replace(tmp, shard_path)
-
     heartbeat_every = HEARTBEAT_TICKS
     if config.straggler_ticks is not None:
         heartbeat_every = min(heartbeat_every, config.straggler_ticks)
 
-    while True:
-        try:
-            task = task_conn.recv()
-        except (EOFError, OSError):
-            break
-        if task.get("type") == "stop":
-            break
-        unit = PlannedUnit(*task["unit"])
-        attempt = task["attempt"]
-        if unit.key in envelopes:
-            # Recovered work from a previous incarnation of this slot.
+    with ShardJournal(
+        _shard_path(pathlib.Path(shard_dir), slot), config_fingerprint(config)
+    ) as shard:
+        while True:
+            try:
+                task = task_conn.recv()
+            except (EOFError, OSError):
+                break
+            if task.get("type") == "stop":
+                break
+            unit = PlannedUnit(*task["unit"])
+            attempt = task["attempt"]
+            if unit.key in shard:
+                # Recovered work from a previous incarnation of this slot.
+                result_conn.send(
+                    {
+                        "type": "done",
+                        "worker": slot,
+                        "unit": list(unit.key),
+                        "status": shard.get(unit.key)["record"]["status"],
+                    }
+                )
+                continue
+            table = _resolve_table(config, unit.portal, unit.table_id)
+            request = unit_request(unit, table, config)
+            kill_at = _chaos_kill_tick(config, unit, attempt)
+            registry = MetricsRegistry()
+            profiler = None
+            if config.profile_out is not None:
+                # A fresh per-unit profiler seeded with the frames the
+                # serial guard would be inside: the Study root, the portal,
+                # and the stage.  The unit's engine frames nest under these
+                # so the merged pooled profile is path-for-path identical
+                # to the serial one.
+                profiler = Profiler()
+                for frame in ("study", unit.portal, unit.stage):
+                    profiler.push(frame)
+            meter = SupervisedMeter(
+                config.stage_budget,
+                metrics=registry,
+                profiler=profiler,
+                heartbeat=lambda ops, key=unit.key: result_conn.send(
+                    {
+                        "type": "heartbeat",
+                        "worker": slot,
+                        "unit": list(key),
+                        "ops": ops,
+                    }
+                ),
+                heartbeat_every=heartbeat_every,
+                kill_at=kill_at,
+            )
+            result, status, detail = compute_unit(
+                request.compute,
+                meter,
+                classify=request.classify,
+                on_budget=request.on_budget,
+            )
+            if kill_at is not None:
+                # The unit finished (or budgeted out) before reaching the
+                # planted tick: the kill still owes a death mid-unit, i.e.
+                # before the result is persisted anywhere.
+                _kill_self()
+            payload = (
+                request.encode(result)
+                if request.encode is not None and result is not None
+                else None
+            )
+            record = StageRecord(
+                stage=unit.stage,
+                table_id=unit.table_id,
+                status=status.name,
+                ticks=meter.spent,
+                budget=config.stage_budget,
+                detail=detail,
+                payload=payload,
+            )
+            envelope = {
+                "unit": list(unit.key),
+                "worker": name,
+                "record": dataclasses.asdict(record),
+                "metrics": {
+                    metric: {"value": snap["value"]}
+                    for metric, snap in registry.snapshot().items()
+                    if snap.get("kind") == "counter"
+                },
+            }
+            if profiler is not None:
+                envelope["profile"] = profiler.snapshot()
+            shard.record(envelope)
             result_conn.send(
                 {
                     "type": "done",
                     "worker": slot,
                     "unit": list(unit.key),
-                    "status": envelopes[unit.key]["record"]["status"],
+                    "status": status.name,
                 }
             )
-            continue
-        table = _resolve_table(config, unit.portal, unit.table_id)
-        request = unit_request(unit, table, config)
-        kill_at = _chaos_kill_tick(config, unit, attempt)
-        registry = MetricsRegistry()
-        profiler = None
-        if config.profile_out is not None:
-            # A fresh per-unit profiler seeded with the frames the
-            # serial guard would be inside: the Study root, the portal,
-            # and the stage.  The unit's engine frames nest under these
-            # so the merged pooled profile is path-for-path identical
-            # to the serial one.
-            profiler = Profiler()
-            for frame in ("study", unit.portal, unit.stage):
-                profiler.push(frame)
-        meter = SupervisedMeter(
-            config.stage_budget,
-            metrics=registry,
-            profiler=profiler,
-            heartbeat=lambda ops, key=unit.key: result_conn.send(
-                {
-                    "type": "heartbeat",
-                    "worker": slot,
-                    "unit": list(key),
-                    "ops": ops,
-                }
-            ),
-            heartbeat_every=heartbeat_every,
-            kill_at=kill_at,
-        )
-        result, status, detail = compute_unit(
-            request.compute,
-            meter,
-            classify=request.classify,
-            on_budget=request.on_budget,
-        )
-        if kill_at is not None:
-            # The unit finished (or budgeted out) before reaching the
-            # planted tick: the kill still owes a death mid-unit, i.e.
-            # before the result is persisted anywhere.
-            _kill_self()
-        payload = (
-            request.encode(result)
-            if request.encode is not None and result is not None
-            else None
-        )
-        record = StageRecord(
-            stage=unit.stage,
-            table_id=unit.table_id,
-            status=status.name,
-            ticks=meter.spent,
-            budget=config.stage_budget,
-            detail=detail,
-            payload=payload,
-        )
-        envelope = {
-            "unit": list(unit.key),
-            "worker": name,
-            "record": dataclasses.asdict(record),
-            "metrics": {
-                metric: {"value": snap["value"]}
-                for metric, snap in registry.snapshot().items()
-                if snap.get("kind") == "counter"
-            },
-        }
-        if profiler is not None:
-            envelope["profile"] = profiler.snapshot()
-        envelopes[unit.key] = envelope
-        persist()
-        result_conn.send(
-            {
-                "type": "done",
-                "worker": slot,
-                "unit": list(unit.key),
-                "status": status.name,
-            }
-        )
 
 
 # ----------------------------------------------------------------------
@@ -470,7 +422,7 @@ class _Supervisor:
         self.config = config
         self.ctx = ctx
         self.shard_dir = shard_dir
-        self.fingerprint = shard_fingerprint(config)
+        self.fingerprint = config_fingerprint(config)
         self.slots = max(1, min(config.workers, max(1, len(units))))
         self.counters: dict[str, int] = {}
         self.lanes = [WorkerLane(slot) for slot in range(self.slots)]
@@ -495,10 +447,7 @@ class _Supervisor:
         self.unit_count = len(units)
         self._fruitless_deaths = 0
 
-        preloaded = merge_shards(
-            [_shard_path(shard_dir, s) for s in range(self.slots)],
-            self.fingerprint,
-        )
+        preloaded = self.merged()
         plan_keys = {unit.key for unit in units}
         next_slot = 0
         for unit in units:
@@ -532,6 +481,13 @@ class _Supervisor:
             next_slot += 1
 
     # -- helpers -------------------------------------------------------
+    def merged(self) -> dict[tuple[str, str, str], dict]:
+        """Every envelope the slots' shards hold, reconciled."""
+        return merge_shards(
+            [_shard_path(self.shard_dir, s) for s in range(self.slots)],
+            self.fingerprint,
+        )
+
     def _count(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
 
@@ -780,7 +736,7 @@ def plan_study_units(
         journal = portal.executor.journal
         for unit in plan_portal_units(portal.code, portal.report, stages):
             record = (
-                journal.get(*unit.journal_key)
+                journal.get(unit.journal_key)
                 if journal is not None
                 else None
             )
@@ -840,13 +796,7 @@ def run_pool(
             lanes = supervisor.lanes
             cancelled = set(supervisor.cancelled)
             poisoned = set(supervisor.poisoned)
-            merged = merge_shards(
-                [
-                    _shard_path(shard_dir, slot)
-                    for slot in range(supervisor.slots)
-                ],
-                supervisor.fingerprint,
-            )
+            merged = supervisor.merged()
             by_name = {lane.name: lane for lane in lanes}
             for unit in plan:
                 if unit.key in poisoned:
@@ -868,7 +818,7 @@ def run_pool(
         finally:
             _WORKER_TABLES.clear()
             if not keep_shards:
-                _cleanup_dir(shard_dir)
+                shutil.rmtree(shard_dir, ignore_errors=True)
 
     for key, unit in completed.items():
         portal, stage, table_id = key
@@ -944,12 +894,3 @@ def _mp_context():
         return multiprocessing.get_context("fork")
     except ValueError:
         return multiprocessing.get_context("spawn")
-
-
-def _cleanup_dir(path: pathlib.Path) -> None:
-    try:
-        for child in path.iterdir():
-            child.unlink()
-        path.rmdir()
-    except OSError:
-        pass

@@ -336,6 +336,11 @@ class TestResilientHttpClient:
 
 
 class TestCrawlJournal:
+    FINGERPRINT = {"seed": 7, "max_retries": 3}
+
+    def journal(self, path):
+        return CrawlJournal(path, self.FINGERPRINT)
+
     def entry(self, resource_id="r1", payload=b"a,b\n1,2\n"):
         return JournalEntry(
             resource_id=resource_id,
@@ -359,10 +364,10 @@ class TestCrawlJournal:
 
     def test_record_and_reload(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        with CrawlJournal(path) as journal:
+        with self.journal(path) as journal:
             journal.record(self.entry("r1"))
             journal.record(self.entry("r2", payload=None))
-        reloaded = CrawlJournal(path)
+        reloaded = self.journal(path)
         assert len(reloaded) == 2
         assert "r1" in reloaded and "r2" in reloaded
         assert reloaded.get("r1").payload == b"a,b\n1,2\n"
@@ -373,10 +378,15 @@ class TestCrawlJournal:
         # journal still loads every complete entry before it, and the
         # torn resource is simply re-fetched on resume.
         path = tmp_path / "journal.jsonl"
-        with CrawlJournal(path) as journal:
+        with self.journal(path) as journal:
             journal.record(self.entry("r1"))
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"resource_id": "r2", "trunc')
-        reloaded = CrawlJournal(path)
-        assert len(reloaded) == 1
-        assert "r1" in reloaded and "r2" not in reloaded
+        with self.journal(path) as reloaded:
+            assert len(reloaded) == 1
+            assert "r1" in reloaded and "r2" not in reloaded
+            # The re-fetched resource is appended after the torn tail
+            # and must survive the next resume.
+            reloaded.record(self.entry("r2"))
+        resumed = self.journal(path)
+        assert set(entry.resource_id for entry in resumed) == {"r1", "r2"}

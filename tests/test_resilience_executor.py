@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience import (
     PORTAL_WIDE,
     AnalysisExecutor,
@@ -12,6 +13,10 @@ from repro.resilience import (
     StudyJournal,
     WorkMeter,
 )
+
+
+#: The config identity the study journals below are written under.
+FINGERPRINT = {"seed": 7, "stage_budget": 100}
 
 
 def spend(ticks):
@@ -103,7 +108,7 @@ class TestGuard:
 class TestJournalReplay:
     def test_replay_skips_recomputation(self, tmp_path):
         path = tmp_path / "study-SG.jsonl"
-        with StudyJournal(path) as journal:
+        with StudyJournal(path, FINGERPRINT) as journal:
             executor = AnalysisExecutor("SG", stage_budget=100, journal=journal)
             executor.guard(
                 "fd",
@@ -119,7 +124,7 @@ class TestJournalReplay:
             calls.append(1)
             return 0
 
-        with StudyJournal(path) as journal:
+        with StudyJournal(path, FINGERPRINT) as journal:
             executor = AnalysisExecutor("SG", stage_budget=100, journal=journal)
             result, outcome = executor.guard(
                 "fd",
@@ -137,14 +142,14 @@ class TestJournalReplay:
 
     def test_replayed_quarantine_still_excludes(self, tmp_path):
         path = tmp_path / "study-SG.jsonl"
-        with StudyJournal(path) as journal:
+        with StudyJournal(path, FINGERPRINT) as journal:
             executor = AnalysisExecutor(
                 "SG", stage_budget=10, journal=journal
             )
             executor.guard("screen", "t1", spend(50), journal_stage=True)
             assert executor.is_quarantined("t1")
 
-        with StudyJournal(path) as journal:
+        with StudyJournal(path, FINGERPRINT) as journal:
             executor = AnalysisExecutor("SG", stage_budget=10, journal=journal)
             _, outcome = executor.guard(
                 "screen", "t1", spend(0), journal_stage=True
@@ -155,10 +160,10 @@ class TestJournalReplay:
 
     def test_unjournaled_stage_always_recomputes(self, tmp_path):
         path = tmp_path / "study-SG.jsonl"
-        with StudyJournal(path) as journal:
+        with StudyJournal(path, FINGERPRINT) as journal:
             executor = AnalysisExecutor("SG", journal=journal)
             executor.guard("pairs", PORTAL_WIDE, spend(5))
-        with StudyJournal(path) as journal:
+        with StudyJournal(path, FINGERPRINT) as journal:
             executor = AnalysisExecutor("SG", journal=journal)
             _, outcome = executor.guard("pairs", PORTAL_WIDE, spend(5))
         assert not outcome.replayed
@@ -175,16 +180,16 @@ class TestStudyJournal:
             budget=100,
             payload={"a": 1},
         )
-        with StudyJournal(path) as journal:
+        with StudyJournal(path, FINGERPRINT) as journal:
             journal.record(record)
-        reloaded = StudyJournal(path)
+        reloaded = StudyJournal(path, FINGERPRINT)
         assert len(reloaded) == 1
         assert ("fd", "t1") in reloaded
-        assert reloaded.get("fd", "t1") == record
+        assert reloaded.get(("fd", "t1")) == record
 
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with StudyJournal(path) as journal:
+        with StudyJournal(path, FINGERPRINT) as journal:
             journal.record(
                 StageRecord(
                     stage="fd", table_id="t1", status="OK", ticks=1, budget=None
@@ -198,30 +203,75 @@ class TestStudyJournal:
         text = path.read_text(encoding="utf-8")
         path.write_text(text[: len(text) - 20], encoding="utf-8")
 
-        journal = StudyJournal(path)
-        assert journal.get("fd", "t1") is not None
-        assert journal.get("fd", "t2") is None  # torn unit is recomputed
-
-    def test_append_after_reload(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with StudyJournal(path) as journal:
+        metrics = MetricsRegistry()
+        with StudyJournal(path, FINGERPRINT, metrics=metrics) as journal:
+            counters = metrics.snapshot()
+            assert counters["journal.torn_lines"]["value"] == 1
+            assert counters["journal.loaded_records"]["value"] == 1
+            assert journal.get(("fd", "t1")) is not None
+            assert journal.get(("fd", "t2")) is None  # torn: recomputed
             journal.record(
                 StageRecord(
-                    stage="fd", table_id="t1", status="OK", ticks=1, budget=None
+                    stage="fd", table_id="t2", status="OK", ticks=3, budget=None
                 )
             )
-        with StudyJournal(path) as journal:
+        reloaded = StudyJournal(path, FINGERPRINT)
+        assert len(reloaded) == 2
+        assert reloaded.get(("fd", "t2")).ticks == 3
+
+    @pytest.mark.parametrize(
+        "header",
+        [None, {"fingerprint": {"seed": 8, "stage_budget": 100}}],
+        ids=["headerless", "foreign"],
+    )
+    def test_foreign_journal_starts_afresh(self, tmp_path, capsys, header):
+        """A journal written under another config (or before journals
+        had headers) is never replayed: it loads empty, warns once, and
+        is rewritten from a fresh header on the first append."""
+        path = tmp_path / "j.jsonl"
+        old = StageRecord(
+            stage="fd", table_id="t1", status="OK", ticks=1, budget=None
+        )
+        lines = [old.to_json()]
+        if header is not None:
+            lines.insert(0, json.dumps(header))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        with StudyJournal(path, FINGERPRINT) as journal:
+            assert len(journal) == 0
             journal.record(
                 StageRecord(
                     stage="fd", table_id="t2", status="OK", ticks=2, budget=None
                 )
             )
-        reloaded = StudyJournal(path)
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1
+        assert "journal-foreign" in warnings[0] and str(path) in warnings[0]
+        reloaded = StudyJournal(path, FINGERPRINT)
+        assert [r.table_id for r in reloaded] == ["t2"]
+        header_line = path.read_text(encoding="utf-8").splitlines()[0]
+        assert json.loads(header_line) == {"fingerprint": FINGERPRINT}
+
+    def test_append_after_reload(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with StudyJournal(path, FINGERPRINT) as journal:
+            journal.record(
+                StageRecord(
+                    stage="fd", table_id="t1", status="OK", ticks=1, budget=None
+                )
+            )
+        with StudyJournal(path, FINGERPRINT) as journal:
+            journal.record(
+                StageRecord(
+                    stage="fd", table_id="t2", status="OK", ticks=2, budget=None
+                )
+            )
+        reloaded = StudyJournal(path, FINGERPRINT)
         assert len(reloaded) == 2
 
     def test_last_record_wins(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        with StudyJournal(path) as journal:
+        with StudyJournal(path, FINGERPRINT) as journal:
             journal.record(
                 StageRecord(
                     stage="fd", table_id="t1", status="OK", ticks=1, budget=None
@@ -236,9 +286,9 @@ class TestStudyJournal:
                     budget=5,
                 )
             )
-        reloaded = StudyJournal(path)
+        reloaded = StudyJournal(path, FINGERPRINT)
         assert len(reloaded) == 1
-        assert reloaded.get("fd", "t1").status == "TRUNCATED"
+        assert reloaded.get(("fd", "t1")).status == "TRUNCATED"
 
 
 def test_budget_validation():

@@ -26,6 +26,9 @@ from repro.resilience import (
     RetryPolicy,
 )
 
+#: The config identity the crawl journals below are written under.
+FINGERPRINT = {"seed": 5, "max_retries": 2}
+
 
 def flaky_portal():
     """A hand-built portal with permanent, transient, and truncated faults."""
@@ -279,17 +282,18 @@ class TestCheckpointResume:
         dying_inner, dying_client = self.crawl_client(
             generated.store, budget=budget
         )
-        with CrawlJournal(journal_path) as journal:
+        with CrawlJournal(journal_path, FINGERPRINT) as journal:
             with pytest.raises(CrawlKilled):
                 ingest_portal(api, dying_client, journal=journal)
         checkpointed = {
-            entry.resource_id for entry in CrawlJournal(journal_path)
+            entry.resource_id
+            for entry in CrawlJournal(journal_path, FINGERPRINT)
         }
         assert 0 < len(checkpointed) < reference.total_declared_tables
 
         # Crawl 2: resumes from the journal with a fresh client.
         resume_inner, resume_client = self.crawl_client(generated.store)
-        with CrawlJournal(journal_path) as journal:
+        with CrawlJournal(journal_path, FINGERPRINT) as journal:
             resumed = ingest_portal(api, resume_client, journal=journal)
 
         # Identical report, including retry provenance...
@@ -327,12 +331,13 @@ class TestCheckpointResume:
         journal_path = tmp_path / "crawl.jsonl"
         budget = ref_inner.requests_made // 3
         _, dying_client = self.crawl_client(generated.store, budget=budget)
-        with CrawlJournal(journal_path) as journal:
+        with CrawlJournal(journal_path, FINGERPRINT) as journal:
             with pytest.raises(CrawlKilled):
                 ingest_portal(api, dying_client, journal=journal)
 
         checkpointed = {
-            entry.resource_id for entry in CrawlJournal(journal_path)
+            entry.resource_id
+            for entry in CrawlJournal(journal_path, FINGERPRINT)
         }
         expected_requests = sum(
             attempts
@@ -341,6 +346,6 @@ class TestCheckpointResume:
             if resource_id not in checkpointed
         )
         resume_inner, resume_client = self.crawl_client(generated.store)
-        with CrawlJournal(journal_path) as journal:
+        with CrawlJournal(journal_path, FINGERPRINT) as journal:
             ingest_portal(api, resume_client, journal=journal)
         assert resume_inner.requests_made == expected_requests

@@ -8,6 +8,7 @@ fault machinery (stragglers, poison units, retry exhaustion) is
 exercised end-to-end on the poison corpus.
 """
 
+import dataclasses
 import json
 import pathlib
 
@@ -20,17 +21,23 @@ from repro.experiments.registry import run_experiment
 from repro.obs.diff import diff_runs, load_run
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import load_trace
-from repro.resilience import StageStatus
+from repro.resilience import (
+    MergeConflict,
+    StageRecord,
+    StageStatus,
+    config_fingerprint,
+)
 from repro.resilience.pool import (
     HEARTBEAT_TICKS,
+    ShardJournal,
     SupervisedMeter,
     _Supervisor,
     _build_portal_tables,
     _chaos_kill_tick,
     _poison_record,
+    _worker_main,
+    merge_shards,
     plan_study_units,
-    read_shard,
-    shard_fingerprint,
 )
 from repro.resilience.units import (
     FD_STAGE,
@@ -236,14 +243,14 @@ class TestShards:
             pathlib.Path(config.shard_dir).glob("shard-*.jsonl")
         )
         assert shards
-        fingerprint = shard_fingerprint(config)
+        fingerprint = config_fingerprint(config)
         total = 0
         for shard in shards:
             header = json.loads(
                 shard.read_text(encoding="utf-8").splitlines()[0]
             )
             assert header["fingerprint"] == fingerprint
-            total += len(read_shard(shard, fingerprint))
+            total += len(ShardJournal(shard, fingerprint))
         assert total > 0
 
     def test_foreign_fingerprint_rejected_wholesale(self, pooled_run):
@@ -251,8 +258,127 @@ class TestShards:
         shard = sorted(
             pathlib.Path(config.shard_dir).glob("shard-*.jsonl")
         )[0]
-        foreign = dict(shard_fingerprint(config), seed=config.seed + 1)
-        assert read_shard(shard, foreign) == []
+        foreign = dict(config_fingerprint(config), seed=config.seed + 1)
+        assert list(ShardJournal(shard, foreign)) == []
+
+    def test_torn_shard_is_appended_by_next_incarnation(
+        self, pooled_run, tmp_path
+    ):
+        """A worker killed mid-append leaves its shard's last line torn;
+        the slot's next incarnation recomputes that unit and appends it
+        on a line of its own, where the final merge finds it."""
+        config, _ = pooled_run
+        source = sorted(
+            pathlib.Path(config.shard_dir).glob("shard-*.jsonl")
+        )[0]
+        slot = int(source.stem.removeprefix("shard-w"))
+        shard = tmp_path / source.name
+        text = source.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        last = json.loads(lines[-1])
+        # Cut the last envelope in half, as a kill mid-append would.
+        shard.write_text(text[: len(text) - len(lines[-1]) // 2])
+        fingerprint = config_fingerprint(config)
+        unit = tuple(last["unit"])
+        assert unit not in ShardJournal(shard, fingerprint)
+
+        tasks = _FakeConn(
+            [{"type": "unit", "unit": last["unit"], "attempt": 0}]
+            + [{"type": "stop"}]
+        )
+        results = _FakeConn()
+        _worker_main(slot, config, tasks, results, str(tmp_path))
+
+        assert results.sent[-1]["type"] == "done"
+        merged = merge_shards([shard], fingerprint)
+        assert merged[unit] == last
+        assert len(merged) == len(lines) - 1  # every envelope, no header
+
+
+def envelope(table_id="t1", *, worker="w0", stage="screen", ticks=10):
+    """A pool shard line wrapping one unit's record."""
+    record = StageRecord(
+        stage=stage, table_id=table_id, status="OK", ticks=ticks, budget=1000
+    )
+    return {
+        "unit": ["SG", stage, table_id],
+        "worker": worker,
+        "record": dataclasses.asdict(record),
+        "metrics": {},
+    }
+
+
+class TestMergeShards:
+    """The reconciliation the pool runs after the fleet drains."""
+
+    FINGERPRINT = {"seed": 7, "stage_budget": 1000}
+
+    def write_shard(self, path, envelopes, *, header=True):
+        lines = [json.dumps(e, sort_keys=True) for e in envelopes]
+        if header:
+            lines.insert(0, json.dumps({"fingerprint": self.FINGERPRINT}))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def merge(self, paths):
+        return merge_shards(paths, self.FINGERPRINT)
+
+    def test_interleaved_shards_union(self, tmp_path):
+        """Disjoint units scattered across shards all land."""
+        self.write_shard(
+            tmp_path / "shard-w0.jsonl",
+            [envelope("t1"), envelope("t3", stage="fd")],
+        )
+        self.write_shard(
+            tmp_path / "shard-w1.jsonl",
+            [envelope("t2", worker="w1"), envelope("t1", stage="fd")],
+        )
+        merged = self.merge(sorted(tmp_path.glob("shard-*.jsonl")))
+        assert len(merged) == 4
+        assert merged[("SG", "fd", "t1")] == envelope("t1", stage="fd")
+
+    def test_merge_order_is_path_sorted(self, tmp_path):
+        """The merged order ignores the order the shards are named in."""
+        w0, w1 = tmp_path / "shard-w0.jsonl", tmp_path / "shard-w1.jsonl"
+        self.write_shard(w0, [envelope("b")])
+        self.write_shard(w1, [envelope("a", worker="w1")])
+        forward = self.merge([w0, w1])
+        reverse = self.merge([w1, w0])
+        assert list(forward.items()) == list(reverse.items())
+        assert list(forward) == [("SG", "screen", "b"), ("SG", "screen", "a")]
+
+    def test_identical_duplicates_dedupe(self, tmp_path):
+        """A re-dispatched unit persisted by two workers merges silently."""
+        self.write_shard(tmp_path / "shard-w0.jsonl", [envelope(ticks=42)])
+        self.write_shard(
+            tmp_path / "shard-w1.jsonl", [envelope(ticks=42, worker="w1")]
+        )
+        merged = self.merge(sorted(tmp_path.glob("shard-*.jsonl")))
+        assert len(merged) == 1
+        assert merged[("SG", "screen", "t1")]["worker"] == "w0"
+
+    def test_conflicting_duplicates_raise(self, tmp_path):
+        self.write_shard(tmp_path / "shard-w0.jsonl", [envelope(ticks=42)])
+        self.write_shard(tmp_path / "shard-w1.jsonl", [envelope(ticks=43)])
+        with pytest.raises(MergeConflict) as excinfo:
+            self.merge(sorted(tmp_path.glob("shard-*.jsonl")))
+        assert "disagrees" in str(excinfo.value)
+
+    def test_torn_lines_skipped(self, tmp_path):
+        shard = tmp_path / "shard-w0.jsonl"
+        self.write_shard(shard, [envelope("t1"), envelope("t2")])
+        text = shard.read_text(encoding="utf-8")
+        shard.write_text(text[:-30], encoding="utf-8")
+        assert list(self.merge([shard])) == [("SG", "screen", "t1")]
+
+    def test_header_lines_ignored(self, tmp_path):
+        shard = tmp_path / "shard-w0.jsonl"
+        self.write_shard(shard, [envelope("t1")])
+        assert list(self.merge([shard])) == [("SG", "screen", "t1")]
+        self.write_shard(shard, [envelope("t1")], header=False)
+        assert self.merge([shard]) == {}
+
+    def test_missing_shards_are_not_an_error(self, tmp_path):
+        assert self.merge([tmp_path / "never-written.jsonl"]) == {}
 
 
 class TestPoisonEscalation:
@@ -326,11 +452,17 @@ class TestPoisonEscalation:
 
 
 class _FakeConn:
-    """One end of a supervisor pipe, recording what was sent."""
+    """One end of a pipe: records what was sent, replays *incoming*."""
 
-    def __init__(self):
+    def __init__(self, incoming=()):
         self.sent = []
+        self.incoming = list(incoming)
         self.closed = False
+
+    def recv(self):
+        if not self.incoming:
+            raise EOFError
+        return self.incoming.pop(0)
 
     def send(self, message):
         if self.closed:

@@ -7,7 +7,7 @@ from repro.core.config import StudyConfig
 from repro.core.study import Study
 from repro.experiments.registry import run_experiment
 from repro.report.render import render_degradation_appendix
-from repro.resilience import StageStatus
+from repro.resilience import PORTAL_WIDE, StageStatus
 
 SCALE = 0.05
 SEED = 7
@@ -69,8 +69,8 @@ class TestPoisonEndToEnd:
 
 
 class TestResume:
-    def config(self, tmp_path, resume=True):
-        return StudyConfig(
+    def config(self, tmp_path, resume=True, **overrides):
+        settings = dict(
             scale=SCALE,
             seed=SEED,
             poison_rate=0.25,
@@ -78,24 +78,30 @@ class TestResume:
             checkpoint_dir=str(tmp_path),
             resume=resume,
         )
+        settings.update(overrides)
+        return StudyConfig(**settings)
 
-    def run_once(self, tmp_path, resume=True):
-        study = Study.build(self.config(tmp_path, resume=resume))
+    def run_once(self, tmp_path, resume=True, **overrides):
+        """table05's text and every executor outcome of one run."""
+        study = Study.build(self.config(tmp_path, resume=resume, **overrides))
         try:
             text = run_experiment("table05", study).text
-            replayed = sum(
-                1
-                for portal in study
-                for o in portal.executor.outcomes
-                if o.replayed
-            )
-            return text, replayed
+            outcomes = [
+                o for portal in study for o in portal.executor.outcomes
+            ]
+            return text, outcomes
         finally:
             study.close()
 
+    @pytest.fixture(scope="class")
+    def cold_text(self, tmp_path_factory):
+        """What the default config prints into an empty checkpoint dir."""
+        text, _ = self.run_once(tmp_path_factory.mktemp("cold"))
+        return text
+
     def test_kill_then_rerun_is_byte_identical(self, tmp_path):
-        first, replayed_first = self.run_once(tmp_path)
-        assert replayed_first == 0
+        first, outcomes = self.run_once(tmp_path)
+        assert not any(o.replayed for o in outcomes)
 
         # Simulate a mid-write kill: chop the last journal line in two,
         # losing one completed unit and leaving a torn trailing line.
@@ -103,15 +109,47 @@ class TestResume:
         text = journal.read_text(encoding="utf-8")
         journal.write_text(text[: len(text) - 40], encoding="utf-8")
 
-        second, replayed_second = self.run_once(tmp_path)
+        second, outcomes = self.run_once(tmp_path)
         assert second == first
-        assert replayed_second > 0
+        assert any(o.replayed for o in outcomes)
+
+        # The unit recomputed after the torn line was appended on a line
+        # of its own: a third run replays every per-table unit.
+        third, outcomes = self.run_once(tmp_path)
+        assert third == first
+        per_table = [o for o in outcomes if o.table_id != PORTAL_WIDE]
+        assert per_table and all(o.replayed for o in per_table)
 
     def test_no_resume_discards_study_journals(self, tmp_path):
         first, _ = self.run_once(tmp_path)
-        fresh, replayed = self.run_once(tmp_path, resume=False)
-        assert replayed == 0
+        fresh, outcomes = self.run_once(tmp_path, resume=False)
+        assert not any(o.replayed for o in outcomes)
         assert fresh == first
+
+    @pytest.mark.parametrize(
+        "foreign",
+        [{"stage_budget": None}, {"seed": SEED + 1}, {"poison_rate": 0.1}],
+        ids=["stage_budget", "seed", "poison_rate"],
+    )
+    def test_dir_filled_under_other_config_is_not_replayed(
+        self, tmp_path, cold_text, foreign
+    ):
+        self.run_once(tmp_path, **foreign)
+        text, outcomes = self.run_once(tmp_path)
+        assert text == cold_text
+        assert not any(o.replayed for o in outcomes)
+
+    def test_pool_into_shard_dir_of_other_seed_equals_cold_serial(
+        self, tmp_path, cold_text
+    ):
+        shards = str(tmp_path / "shards")
+        self.run_once(
+            tmp_path / "foreign", seed=SEED + 1, workers=2, shard_dir=shards
+        )
+        text, _ = self.run_once(
+            tmp_path / "pooled", workers=2, shard_dir=shards
+        )
+        assert text == cold_text
 
 
 class TestGuardedWithoutBudget:
