@@ -43,18 +43,34 @@ smoke-trace:
 		--quarantine-dir smoke-quarantine --trace-out smoke-trace.jsonl
 	$(PYTHON) -m repro.experiments.cli profile-report smoke-trace.jsonl
 
-# The sharded-execution equivalence check CI's shard-gate job runs:
-# the same guarded run serially, pooled (4 workers), and pooled under
-# seeded chaos kills must produce traces that diff empty.
+# The sharded-execution equivalence gate CI's shard-gate job runs: the
+# same guarded run serially, pooled (4 workers), and pooled under
+# seeded chaos kills must produce traces that diff empty and reports
+# that compare byte for byte.  Every output lands under smoke-shard/.
+SHARD_RUN = $(PYTHON) -m repro.experiments.cli -q run table05 \
+	--scale 0.08 --seed 2 --stage-budget 40000 --poison-rate 0.1
+
 smoke-shard:
-	$(PYTHON) -m repro.experiments.cli -q run table05 \
-		--scale 0.08 --seed 2 --stage-budget 40000 --poison-rate 0.1 \
-		--quarantine-dir smoke-shard-q1 --trace-out smoke-serial.jsonl
-	$(PYTHON) -m repro.experiments.cli -q run table05 \
-		--scale 0.08 --seed 2 --stage-budget 40000 --poison-rate 0.1 \
-		--workers 4 --chaos-kill-rate 0.2 \
-		--quarantine-dir smoke-shard-q2 --trace-out smoke-chaos.jsonl
-	$(PYTHON) -m repro.experiments.cli diff smoke-serial.jsonl smoke-chaos.jsonl
+	rm -rf smoke-shard
+	mkdir -p smoke-shard/serial smoke-shard/pool smoke-shard/chaos
+	$(SHARD_RUN) --quarantine-dir smoke-shard/q-serial \
+		--trace-out smoke-shard/serial/trace.jsonl \
+		> smoke-shard/serial/report.txt
+	$(SHARD_RUN) --workers 4 --shard-dir smoke-shard/shards-pool \
+		--quarantine-dir smoke-shard/q-pool \
+		--trace-out smoke-shard/pool/trace.jsonl \
+		> smoke-shard/pool/report.txt
+	$(SHARD_RUN) --workers 4 --chaos-kill-rate 0.2 \
+		--shard-dir smoke-shard/shards-chaos \
+		--quarantine-dir smoke-shard/q-chaos \
+		--trace-out smoke-shard/chaos/trace.jsonl \
+		> smoke-shard/chaos/report.txt
+	$(PYTHON) -m repro.experiments.cli diff smoke-shard/serial \
+		smoke-shard/pool --out smoke-shard/diff-pool.json
+	cmp smoke-shard/serial/report.txt smoke-shard/pool/report.txt
+	$(PYTHON) -m repro.experiments.cli diff smoke-shard/serial \
+		smoke-shard/chaos --out smoke-shard/diff-chaos.json
+	cmp smoke-shard/serial/report.txt smoke-shard/chaos/report.txt
 
 # The resume gate CI's shard-gate job runs: every run of one guarded
 # command must print what its cold run (a) prints, however its

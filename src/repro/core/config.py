@@ -76,10 +76,6 @@ class StudyConfig:
     #: Seeded probability that a worker SIGKILLs itself mid-unit (chaos
     #: mode, exercising supervision); 0.0 disables chaos entirely.
     chaos_kill_rate: float = 0.0
-    #: Heartbeat gap, in deterministic ticks, after which a silent
-    #: worker is treated as hung and killed; None disables straggler
-    #: detection.
-    straggler_ticks: int | None = None
     #: Directory for per-worker shard journals; None keeps them in a
     #: temporary directory that is discarded after the merge.
     shard_dir: str | None = None
@@ -114,11 +110,6 @@ class StudyConfig:
             raise ValueError(
                 f"chaos_kill_rate must be in [0, 1], got "
                 f"{self.chaos_kill_rate}"
-            )
-        if self.straggler_ticks is not None and self.straggler_ticks < 1:
-            raise ValueError(
-                f"straggler_ticks must be >= 1 or None, got "
-                f"{self.straggler_ticks}"
             )
         if not 0.0 < self.jaccard_threshold <= 1.0:
             raise ValueError(

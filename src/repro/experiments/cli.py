@@ -133,7 +133,7 @@ def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_join_index_dir_flag(parser: argparse.ArgumentParser) -> None:
-    """The persisted-index directory shared by run/serve/loadtest."""
+    """The persisted-index directory shared by serve/loadtest."""
     parser.add_argument(
         "--join-index-dir",
         default=None,
@@ -280,17 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_pool_flags(run_parser)
-    run_parser.add_argument(
-        "--straggler-ticks",
-        type=_positive_int,
-        default=None,
-        help=(
-            "kill a worker whose in-flight unit reports this many "
-            "ticks without finishing (deterministic hang detection; "
-            "default: off)"
-        ),
-    )
-    _add_join_index_dir_flag(run_parser)
     index_parser = subparsers.add_parser(
         "build-index",
         help=(
@@ -550,8 +539,16 @@ def config_from_args(args: argparse.Namespace) -> StudyConfig:
         workers=args.workers,
         unit_retries=args.unit_retries,
         chaos_kill_rate=args.chaos_kill_rate,
-        straggler_ticks=args.straggler_ticks,
         shard_dir=args.shard_dir,
+    )
+
+
+def lake_config_from_args(args: argparse.Namespace) -> StudyConfig:
+    """Translate parsed ``serve``/``loadtest`` arguments into a study
+    configuration; only these commands build a lake."""
+    return StudyConfig(
+        scale=args.scale,
+        seed=args.seed,
         join_index_dir=args.join_index_dir,
     )
 
@@ -906,12 +903,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                 "slo-spec-unreadable", path=args.slo, message=str(exc)
             )
             return 2
-    config = StudyConfig(
-        scale=args.scale,
-        seed=args.seed,
-        join_index_dir=args.join_index_dir,
-    )
-    study = get_study(config=config)
+    study = get_study(config=lake_config_from_args(args))
     server = httpd.make_server(
         study,
         host=args.host if args.host is not None else httpd.DEFAULT_HOST,
@@ -1001,13 +993,7 @@ def _run_loadtest(args: argparse.Namespace) -> int:
     config = mix_factory()
     if args.load_seed is not None:
         config = dataclasses.replace(config, seed=args.load_seed)
-    study = get_study(
-        config=StudyConfig(
-            scale=args.scale,
-            seed=args.seed,
-            join_index_dir=args.join_index_dir,
-        )
-    )
+    study = get_study(config=lake_config_from_args(args))
     started = time.perf_counter()
     report = loadgen.run_load(
         study,

@@ -12,11 +12,11 @@ process itself:
   reader every trace consumer uses.  Span "durations" are
   deterministic :class:`WorkMeter` operation counts, so two
   equal-seed runs produce *byte-identical* traces.
-* :mod:`repro.obs.metrics` — a registry of counters, gauges, and
-  fixed-bucket histograms fed by the resilience layer (retries,
-  breaker transitions, journal resume hits, truncations, quarantines)
-  and the analysis engines (lattice nodes per FD level, join
-  candidates pruned vs. verified, cells screened).
+* :mod:`repro.obs.metrics` — a registry of counters and fixed-bucket
+  histograms fed by the resilience layer (retries, breaker
+  transitions, journal resume hits, truncations, quarantines) and the
+  analysis engines (lattice nodes per FD level, join candidates
+  pruned vs. verified, cells screened).
 * :mod:`repro.obs.log` — a small structured logger replacing bare
   ``print`` diagnostics, honoring ``--quiet`` / ``-v``.
 * :mod:`repro.obs.profile` — the deterministic tick profiler and the
@@ -35,7 +35,7 @@ from __future__ import annotations
 import contextlib
 
 from .log import Logger, configure_log, get_log
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 from .profile import Profiler, write_profile
 from .trace import Span, TraceWriter, Tracer
 
@@ -138,7 +138,6 @@ def maybe_span(obs: "Observer | None", name: str, kind: str = "span", **attrs):
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "Logger",
     "MetricsRegistry",

@@ -18,7 +18,7 @@ The comparison covers:
   unit, the terminal status in A vs. B (``ok → truncated``,
   ``ok → quarantined``, appearing/disappearing units, …);
 * **quarantine-set changes** — tables quarantined in one run only;
-* **metric drift** — counter/gauge values and histogram buckets from
+* **metric drift** — counter values and histogram buckets from
   the traces' metric blocks, beyond an optional relative tolerance
   (``pool.*`` worker-scheduling counters are excluded, like
   wall-clock: they describe how the run was executed, not what it
@@ -211,9 +211,9 @@ def _quarantined(trace: TraceData) -> set[tuple[str, str]]:
 
 
 #: Metric-name prefixes excluded from drift comparison.  ``pool.*``
-#: counters record *scheduling* — who computed what, steals, restarts,
-#: heartbeats — which legitimately varies between a serial and a
-#: sharded run (and across sharded reruns under chaos) while every
+#: counters record *scheduling* — who computed what, steals, deaths,
+#: restarts, redispatches — which legitimately varies between a serial
+#: and a sharded run (and across sharded reruns under chaos) while every
 #: analysis result stays identical; like wall-clock, they are
 #: telemetry about the run, not properties of the study.  ``profile.*``
 #: counters exist only when the profiler is attached, so a profiled

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and fixed-bucket histograms.
+"""Metrics registry: counters and fixed-bucket histograms.
 
 Deliberately minimal — no labels, no time series, no export protocol.
 A metric is a name and a value (or bucket counts); the registry is a
@@ -31,22 +31,6 @@ class Counter:
 
     def snapshot(self) -> dict:
         return {"kind": "counter", "value": self.value}
-
-
-class Gauge:
-    """A value that can move in either direction."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def set(self, value) -> None:
-        self.value = value
-
-    def snapshot(self) -> dict:
-        return {"kind": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -90,13 +74,13 @@ class Histogram:
 class MetricsRegistry:
     """A flat, name-keyed store of metrics.
 
-    ``counter``/``gauge``/``histogram`` create on first use and return
+    ``counter``/``histogram`` create on first use and return
     the existing instrument afterwards; asking for a name under a
     different type is a programming error and raises.
     """
 
     def __init__(self):
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[str, Counter | Histogram] = {}
 
     def _get(self, name: str, factory, kind):
         metric = self._metrics.get(name)
@@ -112,9 +96,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get(name, lambda: Counter(name), Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, lambda: Gauge(name), Gauge)
 
     def histogram(self, name: str, bounds: Sequence) -> Histogram:
         return self._get(name, lambda: Histogram(name, bounds), Histogram)
@@ -134,7 +115,7 @@ class MetricsRegistry:
         return self._metrics.get(name)
 
     def value(self, name: str, default=0):
-        """The scalar value of a counter/gauge, or *default* if absent."""
+        """The value of a counter, or *default* if absent."""
         metric = self._metrics.get(name)
         if metric is None:
             return default

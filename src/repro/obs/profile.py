@@ -26,11 +26,11 @@ Shard merge
 -----------
 Pool workers profile each unit with a fresh :class:`Profiler` seeded
 with the unit's ``study;portal;stage`` base frames and persist the
-per-unit frame counts inside their shard envelopes (written tmp +
-atomic rename, like every shard).  The executor absorbs those counts
+per-unit frame counts inside their shard envelopes (appended one line
+per unit, like every shard record).  The executor absorbs those counts
 when it adopts the unit, so a pooled chaos run's profile is
 byte-identical to the serial run's: killed attempts die before their
-shard persists, and tick addition is commutative.
+envelope is appended, and tick addition is commutative.
 
 Disabled (no ``--profile-out``), the hook in ``WorkMeter.tick`` is one
 ``is None`` branch and every ``prof_scope`` is a shared null context:

@@ -52,29 +52,48 @@ class StageStatus(enum.Enum):
 
 
 def compute_unit(
+    stage: str,
+    table_id: str,
     compute: Callable[[WorkMeter], object],
     meter: WorkMeter,
     *,
     classify: Callable[[object], StageStatus] | None = None,
     on_budget: StageStatus = StageStatus.QUARANTINED,
-) -> tuple[object | None, StageStatus, str]:
-    """Run one unit's compute under *meter*, mapping failures to statuses.
+    encode: Callable[[object], object] | None = None,
+) -> tuple[object | None, StageRecord]:
+    """Run one unit's compute under *meter* and record how it ended.
 
-    The failure-shape contract of :meth:`AnalysisExecutor.guard`,
-    extracted so a pool worker process can execute a unit with exactly
-    the semantics the in-process guard would apply: a clean return is
-    classified OK/TRUNCATED, an escaping :class:`BudgetExceeded` maps to
-    *on_budget* with no result, and any other exception maps to FAILED.
-    Returns ``(result, status, detail)``.
+    The failure-shape contract shared by :meth:`AnalysisExecutor.guard`
+    and pool worker processes, so a unit computed in a worker gets
+    exactly the semantics the in-process guard would apply: a clean
+    return is classified OK/TRUNCATED, an escaping
+    :class:`BudgetExceeded` maps to *on_budget* with no result, and any
+    other exception maps to FAILED.  Returns ``(result, record)``; the
+    record carries the meter's spend and budget and, given *encode* and
+    a result, the encoded payload.
     """
     try:
         result = compute(meter)
         status = classify(result) if classify else StageStatus.OK
-        return result, status, ""
+        detail = ""
     except BudgetExceeded as exc:
-        return None, on_budget, str(exc)
+        result, status, detail = None, on_budget, str(exc)
     except Exception as exc:  # noqa: BLE001 — the guard's whole point
-        return None, StageStatus.FAILED, f"{type(exc).__name__}: {exc}"
+        result, status = None, StageStatus.FAILED
+        detail = f"{type(exc).__name__}: {exc}"
+    return result, StageRecord(
+        stage=stage,
+        table_id=table_id,
+        status=status.name,
+        ticks=meter.spent,
+        budget=meter.budget,
+        detail=detail,
+        payload=(
+            encode(result)
+            if encode is not None and result is not None
+            else None
+        ),
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,9 +146,11 @@ class AnalysisExecutor:
     optional journal / quarantine directory.
 
     With an :class:`~repro.obs.Observer` attached, every unit —
-    computed or replayed — additionally emits exactly one trace span
+    computed here, adopted from a pool worker, or replayed from the
+    journal — additionally emits exactly one trace span
     (``kind="unit"``) whose operation count is the meter's spend, and
-    feeds the outcome/journal counters of the metrics registry.
+    feeds the outcome/journal counters of the metrics registry.  All
+    three finish through :meth:`_settle`.
     """
 
     def __init__(
@@ -156,10 +177,11 @@ class AnalysisExecutor:
         self._statuses: dict[tuple[str, str], StageStatus] = {}
         #: Units computed elsewhere (pool workers), adopted on demand:
         #: ``(stage, table_id) -> CompletedUnit``.  Adoption is the
-        #: parallel path's identity trick — an adopted unit emits the
-        #: same span, counters, journal record, and quarantine side
-        #: effects the in-process computation would have, so a sharded
-        #: run's artifacts diff empty against a serial run.
+        #: parallel path's identity trick — an adopted unit settles
+        #: through the method an in-process computation settles
+        #: through, so it emits the same span, counters, journal
+        #: record, and quarantine side effects, and a sharded run's
+        #: artifacts diff empty against a serial run.
         self.precomputed: dict[tuple[str, str], CompletedUnit] = {}
 
     # ------------------------------------------------------------------
@@ -192,15 +214,20 @@ class AnalysisExecutor:
         units are checkpointed (payload via *encode*) and future calls
         replay them (via *decode*) without recomputation.
         """
-        if journal_stage and self.journal is not None:
+        journaled = journal_stage and self.journal is not None
+        if journaled:
             record = self.journal.get((stage, table_id))
             if record is not None:
-                return self._replay(record, decode, fallback)
+                return self._settle(record, decode, fallback, replayed=True)
 
         completed = self.precomputed.pop((stage, table_id), None)
         if completed is not None:
-            return self._adopt(
-                completed, decode, fallback, journal_stage=journal_stage
+            return self._settle(
+                completed.record,
+                decode,
+                fallback,
+                adopted=completed,
+                journaled=journaled,
             )
 
         profiler = self.obs.profiler if self.obs is not None else None
@@ -209,58 +236,19 @@ class AnalysisExecutor:
             metrics=self.obs.metrics if self.obs is not None else None,
             profiler=profiler,
         )
-        span = None
-        if self.obs is not None:
-            span = self.obs.tracer.start(
-                stage,
-                kind="unit",
-                portal=self.portal_code,
-                stage=stage,
-                table=table_id,
-            )
         with prof_scope(profiler, self.portal_code, stage):
-            result, status, detail = compute_unit(
-                compute, meter, classify=classify, on_budget=on_budget
+            result, record = compute_unit(
+                stage,
+                table_id,
+                compute,
+                meter,
+                classify=classify,
+                on_budget=on_budget,
+                encode=encode if journaled else None,
             )
-
-        outcome = StageOutcome(
-            portal=self.portal_code,
-            stage=stage,
-            table_id=table_id,
-            status=status,
-            ticks=meter.spent,
-            budget=self.stage_budget,
-            detail=detail,
+        return self._settle(
+            record, decode, fallback, result=result, journaled=journaled
         )
-        if span is not None:
-            span.attrs["replayed"] = False
-            if detail:
-                span.attrs["detail"] = detail
-            self.obs.tracer.finish(span, status=status.value, ops=meter.spent)
-            self._observe_outcome(outcome)
-        self._note(outcome)
-        if journal_stage and self.journal is not None:
-            payload = (
-                encode(result)
-                if encode is not None and result is not None
-                else None
-            )
-            self.journal.record(
-                StageRecord(
-                    stage=stage,
-                    table_id=table_id,
-                    status=status.name,
-                    ticks=meter.spent,
-                    budget=self.stage_budget,
-                    detail=detail,
-                    payload=payload,
-                )
-            )
-            if self.obs is not None:
-                self.obs.metrics.inc("journal.records_written")
-        if result is None and fallback is not None:
-            result = fallback()
-        return result, outcome
 
     def guard_unit(
         self,
@@ -288,71 +276,30 @@ class AnalysisExecutor:
             fallback=request.fallback,
         )
 
-    def _adopt(
-        self,
-        completed: CompletedUnit,
-        decode: Callable[[object], object] | None,
-        fallback: Callable[[], object] | None,
-        *,
-        journal_stage: bool,
-    ) -> tuple[object | None, StageOutcome]:
-        """Take ownership of a unit a pool worker already computed.
-
-        Unlike :meth:`_replay`, adoption is *this run's* computation —
-        it merely happened in another process.  The unit therefore
-        emits a full-spend span (``replayed=False``), merges the
-        worker-side counter increments into this registry, appends the
-        record to the canonical journal, and applies quarantine side
-        effects, exactly as the local compute path would have.
-        """
-        record = completed.record
-        status = StageStatus[record.status]
-        outcome = StageOutcome(
-            portal=self.portal_code,
-            stage=record.stage,
-            table_id=record.table_id,
-            status=status,
-            ticks=record.ticks,
-            budget=record.budget,
-            detail=record.detail,
-        )
-        if self.obs is not None:
-            span = self.obs.tracer.start(
-                record.stage,
-                kind="unit",
-                portal=self.portal_code,
-                stage=record.stage,
-                table=record.table_id,
-                worker=completed.worker,
-            )
-            span.attrs["replayed"] = False
-            if record.detail:
-                span.attrs["detail"] = record.detail
-            self.obs.tracer.finish(span, status=status.value, ops=record.ticks)
-            for name, snapshot in completed.metrics.items():
-                self.obs.metrics.inc(name, int(snapshot["value"]))
-            if completed.profile and self.obs.profiler is not None:
-                self.obs.profiler.absorb(completed.profile)
-            self._observe_outcome(outcome)
-        self._note(outcome)
-        if journal_stage and self.journal is not None:
-            self.journal.record(record)
-            if self.obs is not None:
-                self.obs.metrics.inc("journal.records_written")
-        result = None
-        if record.payload is not None and decode is not None:
-            result = decode(record.payload)
-        if result is None and fallback is not None:
-            result = fallback()
-        return result, outcome
-
-    def _replay(
+    def _settle(
         self,
         record: StageRecord,
         decode: Callable[[object], object] | None,
         fallback: Callable[[], object] | None,
+        *,
+        result: object | None = None,
+        adopted: CompletedUnit | None = None,
+        replayed: bool = False,
+        journaled: bool = False,
     ) -> tuple[object | None, StageOutcome]:
-        """Reconstruct a checkpointed unit without recomputation."""
+        """Record one finished unit, however it was obtained.
+
+        A unit computed here brings its in-memory *result*; one
+        *adopted* from a pool worker brings the worker's counter
+        metrics and profile frames, merged here exactly as if computed
+        in process; one *replayed* from the study journal charges no
+        ops this run and keeps its recorded spend as an attribute.
+        Either way the unit emits one span, its outcome counters and
+        quarantine side effects; computed and adopted units are this
+        run's work, so with *journaled* set their record is appended to
+        the study journal.  The result is the in-memory one, else the
+        decoded payload, else *fallback*'s degraded stand-in.
+        """
         status = StageStatus[record.status]
         outcome = StageOutcome(
             portal=self.portal_code,
@@ -362,43 +309,51 @@ class AnalysisExecutor:
             ticks=record.ticks,
             budget=record.budget,
             detail=record.detail,
-            replayed=True,
+            replayed=replayed,
         )
         if self.obs is not None:
-            # Replays charge 0 ops this run (no work was redone); the
-            # originally recorded spend stays visible as an attribute.
+            metrics = self.obs.metrics
+            attrs = {"replayed": replayed}
+            if adopted is not None:
+                attrs["worker"] = adopted.worker
+            if replayed:
+                attrs["recorded_ticks"] = record.ticks
+            if record.detail:
+                attrs["detail"] = record.detail
             span = self.obs.tracer.start(
                 record.stage,
                 kind="unit",
                 portal=self.portal_code,
                 stage=record.stage,
                 table=record.table_id,
-                replayed=True,
-                recorded_ticks=record.ticks,
+                **attrs,
             )
-            if record.detail:
-                span.attrs["detail"] = record.detail
-            self.obs.tracer.finish(span, status=status.value, ops=0)
-            self.obs.metrics.inc("journal.resume_hits")
-            self._observe_outcome(outcome)
+            self.obs.tracer.finish(
+                span, status=status.value, ops=0 if replayed else record.ticks
+            )
+            if adopted is not None:
+                for name, snapshot in adopted.metrics.items():
+                    metrics.inc(name, int(snapshot["value"]))
+                if adopted.profile and self.obs.profiler is not None:
+                    self.obs.profiler.absorb(adopted.profile)
+            metrics.inc(f"stage.{status.value}")
+            if replayed:
+                metrics.inc("journal.resume_hits")
+                metrics.inc("stage.replayed")
+            else:
+                metrics.histogram("unit.ticks", UNIT_TICK_BUCKETS).observe(
+                    record.ticks
+                )
         self._note(outcome)
-        result = None
-        if record.payload is not None and decode is not None:
+        if journaled:
+            self.journal.record(record)
+            if self.obs is not None:
+                self.obs.metrics.inc("journal.records_written")
+        if result is None and record.payload is not None and decode is not None:
             result = decode(record.payload)
         if result is None and fallback is not None:
             result = fallback()
         return result, outcome
-
-    def _observe_outcome(self, outcome: StageOutcome) -> None:
-        """Feed one outcome's counters into the metrics registry."""
-        metrics = self.obs.metrics
-        metrics.inc(f"stage.{outcome.status.value}")
-        if outcome.replayed:
-            metrics.inc("stage.replayed")
-        else:
-            metrics.histogram("unit.ticks", UNIT_TICK_BUCKETS).observe(
-                outcome.ticks
-            )
 
     def _note(self, outcome: StageOutcome) -> None:
         """Log one outcome and apply its quarantine side effects."""

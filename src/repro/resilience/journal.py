@@ -40,9 +40,9 @@ def config_fingerprint(config) -> dict:
     crawl retries (attempts and simulated waits are recorded), work
     budgets, poison rate, portals, and profiling (profiled runs ship
     frame counts in their shard envelopes).  Scheduling knobs
-    (``workers``, ``unit_retries``, ``chaos_kill_rate``,
-    ``straggler_ticks``, ``shard_dir``) are left out on purpose: a
-    pooled or chaos run resumes from a serial run's journals.
+    (``workers``, ``unit_retries``, ``chaos_kill_rate``, ``shard_dir``)
+    are left out on purpose: a pooled or chaos run resumes from a
+    serial run's journals.
     """
     return {
         "seed": config.seed,

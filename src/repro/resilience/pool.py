@@ -3,9 +3,8 @@
 ROADMAP item 1: spend the PR 2–4 substrate (budgeted units, study
 journals, traces) on parallel execution.  This module fans the
 enumerable per-table units of :mod:`repro.resilience.units` out to N
-worker processes under a supervisor for which worker death, silent
-hangs, and poison units are first-class, *injectable*, recoverable
-events:
+worker processes under a supervisor for which worker death and poison
+units are first-class, *injectable*, recoverable events:
 
 * **scheduling** — units are sharded round-robin across workers; an
   idle worker steals from the tail of the longest remaining shard, so
@@ -14,13 +13,12 @@ events:
   (record + the counter metrics its meter charged) to its own
   :class:`~repro.resilience.journal.Journal`, so a SIGKILL at any
   instant loses at most the envelope being written;
-* **supervision** — the parent monitors exit codes for death and
-  deterministic op-count heartbeats for progress; with a straggler
-  threshold configured, a unit that reports more ticks than the
-  threshold gets its worker killed.  Either way the in-flight unit is
-  re-dispatched at most ``unit_retries`` times and then escalated to
-  QUARANTINED through the ordinary :class:`StageOutcome` machinery,
-  so a lattice-bomb table costs its own slot, never the study;
+* **supervision** — the parent watches exit codes, nothing else: a
+  dead worker's in-flight unit is re-dispatched at most
+  ``unit_retries`` times and then escalated to QUARANTINED through the
+  ordinary :class:`StageOutcome` machinery, so a table that keeps
+  killing its worker costs its own slot, never the study.  Work inside
+  a unit is bounded by the stage budget, exactly as in a serial run;
 * **chaos** — ``chaos_kill_rate`` plants seeded SIGKILLs mid-unit to
   exercise all of the above on demand (and in CI);
 * **reconciliation** — after the fleet drains, shards are merged with
@@ -33,22 +31,24 @@ Equivalence with the serial path is structural, not best-effort: a
 completed unit is handed to the portal's
 :class:`~repro.resilience.executor.AnalysisExecutor` as a
 :class:`~repro.resilience.executor.CompletedUnit` and *adopted* lazily
-— span, counters, canonical-journal record, and quarantine side
-effects are emitted only when (and exactly when) the serial guard
-would have computed the unit.  A pooled run's trace therefore diffs
-empty against a serial run; the scheduling nondeterminism that
-remains (who computed what, steals, restarts) is confined to ``pool.*``
-metrics and zero-op lane spans, both excluded from drift comparison.
+— through the same method that records a unit computed in process, so
+span, counters, canonical-journal record, and quarantine side effects
+are emitted only when (and exactly when) the serial guard would have
+computed the unit.  A pooled run's trace therefore diffs empty against
+a serial run; the scheduling nondeterminism that remains (who computed
+what, steals, restarts) is confined to ``pool.*`` metrics and zero-op
+lane spans, both excluded from drift comparison.
 
 Channel discipline: every worker talks to the supervisor over its own
 pair of one-way pipes — exactly one writer and one reader per pipe, so
 no lock is ever shared across processes and a SIGKILL cannot strand
 one (a shared queue dies with whichever worker is killed holding its
-write lock).  Every message is a small dict sent in a single write
-well under ``PIPE_BUF``, so a kill never tears a message either; and
-when a worker dies, its pipes die with it — the replacement gets fresh
-ones, so a dead incarnation's backlog (stale heartbeats, duplicate
-dones) is discarded instead of being misread as the successor's.
+write lock).  The supervisor sends ``unit`` and ``stop``; a worker
+sends only ``done``.  Every message is a small dict sent in a single
+write well under ``PIPE_BUF``, so a kill never tears a message either;
+and when a worker dies, its pipes die with it — the replacement gets
+fresh ones, so a dead incarnation's backlog (a done raced with its
+kill) is discarded instead of being misread as the successor's.
 Results and metrics travel through the shard journals, never the
 pipes.
 """
@@ -80,9 +80,8 @@ from .units import (
     unit_request,
 )
 
-#: Worker heartbeat cadence in meter ticks (coarser than any real unit
-#: is short, finer than any straggler threshold worth setting).
-HEARTBEAT_TICKS = 1_000
+#: Chaos kills land on a tick drawn from ``[1, CHAOS_KILL_TICKS)``.
+CHAOS_KILL_TICKS = 2_000
 
 #: Seconds the supervisor blocks on the result queue per loop turn.
 _POLL_SECONDS = 0.05
@@ -119,45 +118,27 @@ def _chaos_kill_tick(config, unit: PlannedUnit, attempt: int) -> int | None:
     )
     if rng.random() >= config.chaos_kill_rate:
         return None
-    return rng.randrange(1, 2 * HEARTBEAT_TICKS)
+    return rng.randrange(1, CHAOS_KILL_TICKS)
 
 
-class SupervisedMeter(WorkMeter):
-    """A :class:`WorkMeter` that reports liveness and hosts chaos kills.
+class ChaosMeter(WorkMeter):
+    """A :class:`WorkMeter` that SIGKILLs its process at a planted tick.
 
-    Every ``heartbeat_every`` ticks the meter invokes *heartbeat* with
-    the current spend — the deterministic progress signal the
-    supervisor watches instead of wall time.  A planted *kill_at* tick
-    SIGKILLs the process the moment the spend crosses it, simulating a
-    worker dying mid-computation.
+    The moment the spend crosses *kill_at* the process dies, simulating
+    a worker killed mid-computation; the other arguments are
+    :class:`WorkMeter`'s.
     """
 
-    def __init__(
-        self,
-        budget: int | None = None,
-        metrics=None,
-        *,
-        profiler=None,
-        heartbeat=None,
-        heartbeat_every: int = HEARTBEAT_TICKS,
-        kill_at: int | None = None,
-    ):
-        super().__init__(budget, metrics=metrics, profiler=profiler)
-        self._heartbeat = heartbeat
-        self._heartbeat_every = max(1, heartbeat_every)
-        self._next_beat = self._heartbeat_every
+    def __init__(self, kill_at: int, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._kill_at = kill_at
 
     def tick(self, cost: int = 1, op: str = "work") -> None:
         try:
             super().tick(cost, op)
         finally:
-            if self._kill_at is not None and self.spent >= self._kill_at:
+            if self.spent >= self._kill_at:
                 _kill_self()
-            if self._heartbeat is not None and self.spent >= self._next_beat:
-                self._heartbeat(self.spent)
-                while self._next_beat <= self.spent:
-                    self._next_beat += self._heartbeat_every
 
 
 # ----------------------------------------------------------------------
@@ -272,10 +253,6 @@ def _worker_main(slot, config, task_conn, result_conn, shard_dir):
     process could die holding.
     """
     name = f"w{slot}"
-    heartbeat_every = HEARTBEAT_TICKS
-    if config.straggler_ticks is not None:
-        heartbeat_every = min(heartbeat_every, config.straggler_ticks)
-
     with ShardJournal(
         _shard_path(pathlib.Path(shard_dir), slot), config_fingerprint(config)
     ) as shard:
@@ -313,46 +290,26 @@ def _worker_main(slot, config, task_conn, result_conn, shard_dir):
                 profiler = Profiler()
                 for frame in ("study", unit.portal, unit.stage):
                     profiler.push(frame)
-            meter = SupervisedMeter(
-                config.stage_budget,
-                metrics=registry,
-                profiler=profiler,
-                heartbeat=lambda ops, key=unit.key: result_conn.send(
-                    {
-                        "type": "heartbeat",
-                        "worker": slot,
-                        "unit": list(key),
-                        "ops": ops,
-                    }
-                ),
-                heartbeat_every=heartbeat_every,
-                kill_at=kill_at,
-            )
-            result, status, detail = compute_unit(
+            if kill_at is None:
+                meter = WorkMeter(config.stage_budget, registry, profiler)
+            else:
+                meter = ChaosMeter(
+                    kill_at, config.stage_budget, registry, profiler
+                )
+            _, record = compute_unit(
+                unit.stage,
+                unit.table_id,
                 request.compute,
                 meter,
                 classify=request.classify,
                 on_budget=request.on_budget,
+                encode=request.encode,
             )
             if kill_at is not None:
                 # The unit finished (or budgeted out) before reaching the
                 # planted tick: the kill still owes a death mid-unit, i.e.
                 # before the result is persisted anywhere.
                 _kill_self()
-            payload = (
-                request.encode(result)
-                if request.encode is not None and result is not None
-                else None
-            )
-            record = StageRecord(
-                stage=unit.stage,
-                table_id=unit.table_id,
-                status=status.name,
-                ticks=meter.spent,
-                budget=config.stage_budget,
-                detail=detail,
-                payload=payload,
-            )
             envelope = {
                 "unit": list(unit.key),
                 "worker": name,
@@ -371,7 +328,7 @@ def _worker_main(slot, config, task_conn, result_conn, shard_dir):
                     "type": "done",
                     "worker": slot,
                     "unit": list(unit.key),
-                    "status": status.name,
+                    "status": record.status,
                 }
             )
 
@@ -391,21 +348,6 @@ class WorkerLane:
     @property
     def name(self) -> str:
         return f"w{self.slot}"
-
-
-@dataclasses.dataclass
-class PoolOutcome:
-    """Everything a pooled execution resolved."""
-
-    #: Unit key -> CompletedUnit ready for executor adoption (poisoned
-    #: units included, as synthesized QUARANTINED records).
-    completed: dict[tuple[str, str, str], CompletedUnit]
-    #: fd units cancelled because their screen dependency was not OK.
-    cancelled: set[tuple[str, str, str]]
-    #: Unit keys escalated to QUARANTINED after exhausting retries.
-    poisoned: set[tuple[str, str, str]]
-    lanes: list[WorkerLane]
-    counters: dict[str, int]
 
 
 class _Supervisor:
@@ -520,9 +462,8 @@ class _Supervisor:
     # -- lifecycle -----------------------------------------------------
     def _spawn(self, slot: int) -> None:
         # Fresh pipes per incarnation: anything the dead predecessor
-        # left buffered (stale heartbeats, a done raced with its kill)
-        # is discarded with the old ends instead of being attributed to
-        # the replacement.
+        # left buffered (a done raced with its kill) is discarded with
+        # the old ends instead of being attributed to the replacement.
         self._close_conns(slot)
         task_recv, task_send = self.ctx.Pipe(duplex=False)
         result_recv, result_send = self.ctx.Pipe(duplex=False)
@@ -643,26 +584,7 @@ class _Supervisor:
                     # The writer died; its process is reaped separately.
                     self._close_conns(slot)
                     break
-                mtype = message.get("type")
-                if mtype == "heartbeat":
-                    self._on_heartbeat(slot, message)
-                elif mtype == "done":
-                    self._on_done(slot, message)
-
-    def _on_heartbeat(self, slot: int, message: dict) -> None:
-        self._count("pool.heartbeats")
-        unit = self.inflight.get(slot)
-        if unit is None or list(unit.key) != message.get("unit"):
-            return  # stale: sent by an attempt already resolved
-        threshold = self.config.straggler_ticks
-        if threshold is not None and message.get("ops", 0) >= threshold:
-            self._count("pool.straggler_kills")
-            process = self.processes[slot]
-            if process is not None and process.is_alive():
-                try:
-                    os.kill(process.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
+                self._on_done(slot, message)
 
     def _on_done(self, slot: int, message: dict) -> None:
         unit = self.inflight.get(slot)
@@ -749,7 +671,7 @@ def plan_study_units(
 
 def run_pool(
     portals, config, obs=None, stages: tuple[str, ...] | None = None
-) -> PoolOutcome:
+) -> None:
     """Execute the study's per-table units across worker processes.
 
     *portals* is the ``code -> PortalStudy`` map of a freshly built
@@ -764,75 +686,58 @@ def run_pool(
     plan, external = plan_study_units(
         portals, UNIT_STAGES if stages is None else stages
     )
-    counters: dict[str, int] = {}
-    lanes: list[WorkerLane] = []
-    completed: dict[tuple[str, str, str], CompletedUnit] = {}
-    cancelled: set[tuple[str, str, str]] = set()
-    poisoned: set[tuple[str, str, str]] = set()
-
-    if plan:
-        keep_shards = config.shard_dir is not None
-        shard_dir = pathlib.Path(
-            config.shard_dir
-            if keep_shards
-            else tempfile.mkdtemp(prefix="ogdp-shards-")
-        )
-        shard_dir.mkdir(parents=True, exist_ok=True)
-        _WORKER_TABLES.clear()
-        for portal in portals.values():
-            for ingested in portal.report.clean_tables:
-                if ingested.clean is not None:
-                    _WORKER_TABLES[(portal.code, ingested.resource_id)] = (
-                        ingested.clean
-                    )
-        try:
-            ctx = _mp_context()
-            supervisor = _Supervisor(
-                plan, config, ctx, shard_dir, external=external
-            )
-            supervisor._count("pool.units_planned", len(plan))
-            supervisor.run()
-            counters = supervisor.counters
-            lanes = supervisor.lanes
-            cancelled = set(supervisor.cancelled)
-            poisoned = set(supervisor.poisoned)
-            merged = supervisor.merged()
-            by_name = {lane.name: lane for lane in lanes}
-            for unit in plan:
-                if unit.key in poisoned:
-                    completed[unit.key] = _poison_record(unit, config)
-                    continue
-                envelope = merged.get(unit.key)
-                if envelope is None:
-                    continue
-                record = StageRecord(**envelope["record"])
-                completed[unit.key] = CompletedUnit(
-                    record=record,
-                    worker=envelope["worker"],
-                    metrics=envelope["metrics"],
-                    profile=envelope.get("profile", {}),
+    if not plan:
+        return
+    keep_shards = config.shard_dir is not None
+    shard_dir = pathlib.Path(
+        config.shard_dir
+        if keep_shards
+        else tempfile.mkdtemp(prefix="ogdp-shards-")
+    )
+    shard_dir.mkdir(parents=True, exist_ok=True)
+    _WORKER_TABLES.clear()
+    for portal in portals.values():
+        for ingested in portal.report.clean_tables:
+            if ingested.clean is not None:
+                _WORKER_TABLES[(portal.code, ingested.resource_id)] = (
+                    ingested.clean
                 )
-                lane = by_name.get(envelope["worker"])
-                if lane is not None:
-                    lane.ops += record.ticks
-        finally:
-            _WORKER_TABLES.clear()
-            if not keep_shards:
-                shutil.rmtree(shard_dir, ignore_errors=True)
+    completed: dict[tuple[str, str, str], CompletedUnit] = {}
+    try:
+        supervisor = _Supervisor(
+            plan, config, _mp_context(), shard_dir, external=external
+        )
+        supervisor._count("pool.units_planned", len(plan))
+        supervisor.run()
+        merged = supervisor.merged()
+        by_name = {lane.name: lane for lane in supervisor.lanes}
+        for unit in plan:
+            if unit.key in supervisor.poisoned:
+                completed[unit.key] = _poison_record(unit, config)
+                continue
+            envelope = merged.get(unit.key)
+            if envelope is None:
+                continue
+            record = StageRecord(**envelope["record"])
+            completed[unit.key] = CompletedUnit(
+                record=record,
+                worker=envelope["worker"],
+                metrics=envelope["metrics"],
+                profile=envelope.get("profile", {}),
+            )
+            lane = by_name.get(envelope["worker"])
+            if lane is not None:
+                lane.ops += record.ticks
+    finally:
+        _WORKER_TABLES.clear()
+        if not keep_shards:
+            shutil.rmtree(shard_dir, ignore_errors=True)
 
     for key, unit in completed.items():
         portal, stage, table_id = key
         portals[portal].executor.precomputed[(stage, table_id)] = unit
-
-    outcome = PoolOutcome(
-        completed=completed,
-        cancelled=cancelled,
-        poisoned=poisoned,
-        lanes=lanes,
-        counters=counters,
-    )
-    _observe_pool(obs, config, outcome)
-    return outcome
+    if obs is not None:
+        _observe_pool(obs, config, supervisor, len(completed))
 
 
 def _poison_record(unit: PlannedUnit, config) -> CompletedUnit:
@@ -856,7 +761,7 @@ def _poison_record(unit: PlannedUnit, config) -> CompletedUnit:
     )
 
 
-def _observe_pool(obs, config, outcome: PoolOutcome) -> None:
+def _observe_pool(obs, config, supervisor: _Supervisor, units: int) -> None:
     """Emit the pool's lane spans and scheduling metrics.
 
     Lane spans carry zero self-ops (the ops themselves are attributed
@@ -864,17 +769,12 @@ def _observe_pool(obs, config, outcome: PoolOutcome) -> None:
     never see them; per-lane totals ride along as attributes and
     reconcile with the sum of adopted unit ticks.
     """
-    if obs is None or not outcome.lanes:
-        return
-    for name, value in sorted(outcome.counters.items()):
+    for name, value in sorted(supervisor.counters.items()):
         obs.metrics.inc(name, value)
     span = obs.tracer.start(
-        "pool",
-        kind="pool",
-        workers=config.workers,
-        units=len(outcome.completed),
+        "pool", kind="pool", workers=config.workers, units=units
     )
-    for lane in outcome.lanes:
+    for lane in supervisor.lanes:
         lane_span = obs.tracer.start(
             lane.name,
             kind="lane",

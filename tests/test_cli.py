@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.study import _build_client
 from repro.experiments import clear_cache
-from repro.experiments.cli import build_parser, config_from_args, main
+from repro.experiments.cli import (
+    build_parser,
+    config_from_args,
+    lake_config_from_args,
+    main,
+)
 from repro.portal import BlobStore, HttpClient
 from repro.resilience import ResilientHttpClient
 
@@ -194,21 +199,28 @@ class TestParser:
         assert args.bench_root == str(tmp_path)
 
     def test_join_index_defaults_to_lsh(self):
-        config = config_from_args(
-            build_parser().parse_args(["run", "table01"])
-        )
-        assert config.join_index_dir is None
+        for command in ("serve", "loadtest"):
+            config = lake_config_from_args(
+                build_parser().parse_args([command])
+            )
+            assert config.join_index_dir is None
 
     def test_join_index_flags_reach_config(self, tmp_path):
-        config = config_from_args(
-            build_parser().parse_args(
-                [
-                    "run", "table06",
-                    "--join-index-dir", str(tmp_path),
-                ]
+        for command in ("serve", "loadtest"):
+            config = lake_config_from_args(
+                build_parser().parse_args(
+                    [command, "--join-index-dir", str(tmp_path)]
+                )
             )
-        )
-        assert config.join_index_dir == str(tmp_path)
+            assert config.join_index_dir == str(tmp_path)
+
+    def test_run_rejects_join_index_dir(self, tmp_path):
+        """Only the lake reads persisted indexes, and ``run`` never
+        builds one: the flag is kept on serve/loadtest only."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "table06", "--join-index-dir", str(tmp_path)]
+            )
 
     def test_build_index_command_parses(self, tmp_path):
         args = build_parser().parse_args(

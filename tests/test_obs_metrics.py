@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.resilience.budget import BudgetExceeded, WorkMeter
 
 
@@ -21,15 +21,6 @@ class TestCounter:
         counter = Counter("c")
         counter.inc(3)
         assert counter.snapshot() == {"kind": "counter", "value": 3}
-
-
-class TestGauge:
-    def test_moves_both_directions(self):
-        gauge = Gauge("g")
-        gauge.set(10)
-        gauge.set(4)
-        assert gauge.value == 4
-        assert gauge.snapshot() == {"kind": "gauge", "value": 4}
 
 
 class TestHistogram:
@@ -68,8 +59,9 @@ class TestRegistry:
     def test_kind_mismatch_raises(self):
         registry = MetricsRegistry()
         registry.counter("a")
+        registry.histogram("h", (1,))
         with pytest.raises(TypeError):
-            registry.gauge("a")
+            registry.counter("h")
         with pytest.raises(TypeError):
             registry.histogram("a", (1,))
 
@@ -90,7 +82,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.inc("zulu")
         registry.inc("alpha", 2)
-        registry.gauge("mid").set(5)
+        registry.histogram("mid", (1,)).observe(5)
         snap = registry.snapshot()
         assert list(snap) == ["alpha", "mid", "zulu"]
         assert snap == registry.snapshot()

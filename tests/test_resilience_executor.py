@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+from repro.obs import Observer
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import load_trace
 from repro.resilience import (
     PORTAL_WIDE,
     AnalysisExecutor,
+    CompletedUnit,
     StageRecord,
     StageStatus,
     StudyJournal,
@@ -167,6 +170,144 @@ class TestJournalReplay:
             executor = AnalysisExecutor("SG", journal=journal)
             _, outcome = executor.guard("pairs", PORTAL_WIDE, spend(5))
         assert not outcome.replayed
+
+
+class TestSettle:
+    BUDGET_DETAIL = (
+        "work budget exhausted during 'test.spend': spent 150 of 100 ticks"
+    )
+
+    def test_computed_adopted_and_replayed_units(self, tmp_path):
+        """A unit computed here, one adopted from a pool worker and one
+        replayed from the journal each leave exactly this span, these
+        counters, this journal line, this quarantine effect and this
+        result."""
+        path = tmp_path / "study-SG.jsonl"
+        with StudyJournal(path, FINGERPRINT) as journal:
+            journal.record(
+                StageRecord(
+                    stage="fd",
+                    table_id="t3",
+                    status="TRUNCATED",
+                    ticks=70,
+                    budget=100,
+                    detail="stopped at level 2",
+                    payload={"n": 3},
+                )
+            )
+        obs = Observer(tmp_path / "trace.jsonl")
+        with StudyJournal(path, FINGERPRINT, metrics=obs.metrics) as journal:
+            executor = AnalysisExecutor(
+                "SG",
+                stage_budget=100,
+                journal=journal,
+                quarantine_dir=tmp_path / "q",
+                obs=obs,
+            )
+            executor.precomputed[("fd", "t2")] = CompletedUnit(
+                record=StageRecord(
+                    stage="fd",
+                    table_id="t2",
+                    status="QUARANTINED",
+                    ticks=150,
+                    budget=100,
+                    detail=self.BUDGET_DETAIL,
+                ),
+                worker="w1",
+                metrics={"ops.test.spend": {"value": 150}},
+            )
+            results = [
+                executor.guard(
+                    "fd",
+                    table_id,
+                    spend(40),
+                    encode=lambda r: {"n": r},
+                    decode=lambda payload: ("decoded", payload["n"]),
+                    journal_stage=True,
+                    fallback=lambda: "fallback",
+                )[0]
+                for table_id in ("t1", "t2", "t3")
+            ]
+        obs.close()
+
+        # The computed unit returns its in-memory result, not a decoded
+        # payload; the quarantined adoption falls back; the replay
+        # decodes.
+        assert results == [40, "fallback", ("decoded", 3)]
+        assert [o.replayed for o in executor.outcomes] == [False, False, True]
+        assert executor.ticks_spent == 190
+        assert executor.quarantined == {"t2"}
+        files = sorted((tmp_path / "q").iterdir())
+        assert [f.name for f in files] == ["SG-t2.json"]
+        assert json.loads(files[0].read_text())["ticks"] == 150
+
+        trace = load_trace(tmp_path / "trace.jsonl")
+        spans = {s["attrs"]["table"]: s for s in trace.unit_spans}
+        base = {"portal": "SG", "stage": "fd"}
+        assert spans["t1"]["attrs"] == {
+            **base, "table": "t1", "replayed": False,
+        }
+        assert spans["t2"]["attrs"] == {
+            **base,
+            "table": "t2",
+            "replayed": False,
+            "worker": "w1",
+            "detail": self.BUDGET_DETAIL,
+        }
+        assert spans["t3"]["attrs"] == {
+            **base,
+            "table": "t3",
+            "replayed": True,
+            "recorded_ticks": 70,
+            "detail": "stopped at level 2",
+        }
+        assert [
+            (spans[t]["status"], spans[t]["ops"], spans[t]["self_ops"])
+            for t in ("t1", "t2", "t3")
+        ] == [("ok", 40, 40), ("quarantined", 150, 150), ("truncated", 0, 0)]
+
+        values = {
+            name: snap["value"]
+            for name, snap in trace.metrics.items()
+            if name.startswith(("journal.", "stage.", "ops."))
+        }
+        assert values == {
+            "journal.loaded_records": 1,
+            "journal.records_written": 2,
+            "journal.resume_hits": 1,
+            "ops.test.spend": 190,
+            "stage.ok": 1,
+            "stage.quarantined": 1,
+            "stage.replayed": 1,
+            "stage.truncated": 1,
+        }
+        assert trace.metrics["unit.ticks"]["count"] == 2
+        assert trace.metrics["unit.ticks"]["sum"] == 190
+
+        # Header, the replayed record, then the computed and the adopted
+        # unit's records; a replay appends nothing.
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 4
+        assert [json.loads(line) for line in lines[2:]] == [
+            {
+                "stage": "fd",
+                "table_id": "t1",
+                "status": "OK",
+                "ticks": 40,
+                "budget": 100,
+                "detail": "",
+                "payload": {"n": 40},
+            },
+            {
+                "stage": "fd",
+                "table_id": "t2",
+                "status": "QUARANTINED",
+                "ticks": 150,
+                "budget": 100,
+                "detail": self.BUDGET_DETAIL,
+                "payload": None,
+            },
+        ]
 
 
 class TestStudyJournal:
