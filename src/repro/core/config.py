@@ -42,9 +42,9 @@ class StudyConfig:
     #: Directory for the per-portal crawl and study journals; None
     #: disables checkpointing entirely.
     checkpoint_dir: str | None = None
-    #: When False, existing crawl journals are discarded and the crawl
-    #: starts fresh (every resource is re-fetched); checkpoints are
-    #: still written for the new run.
+    #: When False, existing crawl, study and shard journals are
+    #: discarded, so every resource is re-fetched and every unit
+    #: recomputed; checkpoints are still written for the new run.
     resume: bool = True
     #: Per-(stage, table) work budget in deterministic ticks (see
     #: :mod:`repro.resilience.budget`); None (the default) never

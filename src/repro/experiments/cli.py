@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-resume",
         action="store_true",
         help=(
-            "discard existing crawl and study journals; re-fetch and "
-            "re-analyze everything"
+            "discard existing crawl, study and shard journals; re-fetch "
+            "and re-analyze everything"
         ),
     )
     run_parser.add_argument(
@@ -728,11 +728,7 @@ def _run_build_index(args: argparse.Namespace) -> int:
     from ..obs.metrics import MetricsRegistry
     from ..resilience.budget import WorkMeter
     from ..resilience.units import JOINSIG_STAGE, SCREEN_STAGE
-    from ..search.indexstore import (
-        JoinIndexStore,
-        StoredJoinIndex,
-        index_fingerprint,
-    )
+    from ..search.indexstore import JoinIndexStore, StoredJoinIndex
 
     log = get_log()
     try:
@@ -801,17 +797,8 @@ def _run_build_index(args: argparse.Namespace) -> int:
                         )
                         continue
                 store.save(
-                    StoredJoinIndex(
-                        portal_code=portal.code,
-                        threshold=threshold,
-                        fingerprint=index_fingerprint(
-                            config, portal.code, threshold
-                        ),
-                        pairs=tuple(analysis.pairs),
-                        column_check=tuple(
-                            p.num_unique for p in analysis.profiles
-                        ),
-                        counters={"pairs": len(analysis.pairs)},
+                    StoredJoinIndex.from_analysis(
+                        config, portal.code, threshold, analysis
                     )
                 )
                 written.append(

@@ -211,9 +211,9 @@ def _quarantined(trace: TraceData) -> set[tuple[str, str]]:
 
 
 #: Metric-name prefixes excluded from drift comparison.  ``pool.*``
-#: counters record *scheduling* — who computed what, steals, deaths,
-#: restarts, redispatches — which legitimately varies between a serial
-#: and a sharded run (and across sharded reruns under chaos) while every
+#: counters record *scheduling* — who computed what, deaths, restarts,
+#: redispatches — which legitimately varies between a serial and a
+#: sharded run (and across sharded reruns under chaos) while every
 #: analysis result stays identical; like wall-clock, they are
 #: telemetry about the run, not properties of the study.  ``profile.*``
 #: counters exist only when the profiler is attached, so a profiled

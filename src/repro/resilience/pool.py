@@ -6,19 +6,21 @@ enumerable per-table units of :mod:`repro.resilience.units` out to N
 worker processes under a supervisor for which worker death and poison
 units are first-class, *injectable*, recoverable events:
 
-* **scheduling** — units are sharded round-robin across workers; an
-  idle worker steals from the tail of the longest remaining shard, so
-  one slow table never serializes the fleet;
+* **two waves** — one fleet of workers runs every unjournaled
+  ``screen`` unit, then the ``fd`` and ``joinsig`` units whose screen
+  ended OK (:attr:`~repro.resilience.units.PlannedUnit.depends_on`);
+  inside a wave units are independent and go out from one FIFO queue;
 * **shard journals** — each worker appends every finished unit
   (record + the counter metrics its meter charged) to its own
   :class:`~repro.resilience.journal.Journal`, so a SIGKILL at any
   instant loses at most the envelope being written;
 * **supervision** — the parent watches exit codes, nothing else: a
-  dead worker's in-flight unit is re-dispatched at most
-  ``unit_retries`` times and then escalated to QUARANTINED through the
-  ordinary :class:`StageOutcome` machinery, so a table that keeps
-  killing its worker costs its own slot, never the study.  Work inside
-  a unit is bounded by the stage budget, exactly as in a serial run;
+  dead worker's in-flight unit goes back to the front of the queue at
+  most ``unit_retries`` times and is then escalated to QUARANTINED
+  through the ordinary :class:`StageOutcome` machinery, so a table
+  that keeps killing its worker costs its own slot, never the study.
+  Work inside a unit is bounded by the stage budget, exactly as in a
+  serial run;
 * **chaos** — ``chaos_kill_rate`` plants seeded SIGKILLs mid-unit to
   exercise all of the above on demand (and in CI);
 * **reconciliation** — after the fleet drains, shards are merged with
@@ -36,8 +38,8 @@ span, counters, canonical-journal record, and quarantine side effects
 are emitted only when (and exactly when) the serial guard would have
 computed the unit.  A pooled run's trace therefore diffs empty against
 a serial run; the scheduling nondeterminism that remains (who computed
-what, steals, restarts) is confined to ``pool.*`` metrics and zero-op
-lane spans, both excluded from drift comparison.
+what, restarts) is confined to ``pool.*`` metrics and zero-op lane
+spans, both excluded from drift comparison.
 
 Channel discipline: every worker talks to the supervisor over its own
 pair of one-way pipes — exactly one writer and one reader per pipe, so
@@ -72,13 +74,7 @@ from ..obs.profile import Profiler
 from .budget import WorkMeter
 from .executor import CompletedUnit, StageStatus, compute_unit
 from .journal import Journal, MergeConflict, StageRecord, config_fingerprint
-from .units import (
-    SCREEN_STAGE,
-    UNIT_STAGES,
-    PlannedUnit,
-    plan_portal_units,
-    unit_request,
-)
+from .units import UNIT_STAGES, PlannedUnit, plan_portal_units, unit_request
 
 #: Chaos kills land on a tick drawn from ``[1, CHAOS_KILL_TICKS)``.
 CHAOS_KILL_TICKS = 2_000
@@ -351,76 +347,32 @@ class WorkerLane:
 
 
 class _Supervisor:
-    """The parent-side scheduler, health monitor, and escalator."""
+    """The parent-side dispatcher, health monitor, and escalator.
 
-    def __init__(
-        self,
-        units,
-        config,
-        ctx,
-        shard_dir: pathlib.Path,
-        external: dict[tuple, str] | None = None,
-    ):
+    A unit is pending (queued), in flight, then completed or poisoned;
+    units the slots' shards already hold start out completed.
+    """
+
+    def __init__(self, config, ctx, shard_dir: pathlib.Path, slots: int):
         self.config = config
         self.ctx = ctx
         self.shard_dir = shard_dir
         self.fingerprint = config_fingerprint(config)
-        self.slots = max(1, min(config.workers, max(1, len(units))))
+        self.slots = slots
         self.counters: dict[str, int] = {}
-        self.lanes = [WorkerLane(slot) for slot in range(self.slots)]
-        #: Dependency statuses settled outside the pool (units already
-        #: in a portal's canonical study journal, which the serial path
-        #: will replay rather than recompute).
-        self.external = dict(external or {})
-
-        #: Home shards: round-robin over plan order.
-        self.pending = [deque() for _ in range(self.slots)]
-        #: fd units waiting on their screen unit, keyed by screen key.
-        self.blocked: dict[tuple, list[PlannedUnit]] = {}
-        self.home: dict[tuple, int] = {}
-        self.completed: dict[tuple, str] = {}
-        self.cancelled: set[tuple] = set()
+        self.lanes = [WorkerLane(slot) for slot in range(slots)]
+        self.queue: deque[PlannedUnit] = deque()
+        self.completed: dict[tuple, str] = {
+            key: envelope["record"]["status"]
+            for key, envelope in self.merged().items()
+        }
         self.poisoned: set[tuple] = set()
         self.attempts: dict[tuple, int] = {}
         self.inflight: dict[int, PlannedUnit] = {}
-        self.processes: list = [None] * self.slots
-        self.task_conns: list = [None] * self.slots
-        self.result_conns: list = [None] * self.slots
-        self.unit_count = len(units)
+        self.processes: list = [None] * slots
+        self.task_conns: list = [None] * slots
+        self.result_conns: list = [None] * slots
         self._fruitless_deaths = 0
-
-        preloaded = self.merged()
-        plan_keys = {unit.key for unit in units}
-        next_slot = 0
-        for unit in units:
-            if unit.key in preloaded:
-                self._resolve(unit, preloaded[unit.key]["record"]["status"])
-                continue
-            dependency = unit.depends_on
-            if dependency is not None and dependency not in self.completed:
-                status = self.external.get(dependency)
-                if status is None and dependency in plan_keys:
-                    # Screen still pending in this pool run; the unit
-                    # is promoted (or cancelled) when it resolves.
-                    self.blocked.setdefault(dependency, []).append(unit)
-                    self.home[unit.key] = next_slot % self.slots
-                    next_slot += 1
-                    continue
-                if status != StageStatus.OK.name:
-                    self.cancelled.add(unit.key)
-                    self._count("pool.units_cancelled")
-                    continue
-            elif (
-                dependency is not None
-                and self.completed[dependency] != StageStatus.OK.name
-            ):
-                self.cancelled.add(unit.key)
-                self._count("pool.units_cancelled")
-                continue
-            slot = next_slot % self.slots
-            self.home[unit.key] = slot
-            self.pending[slot].append(unit)
-            next_slot += 1
 
     # -- helpers -------------------------------------------------------
     def merged(self) -> dict[tuple[str, str, str], dict]:
@@ -433,31 +385,8 @@ class _Supervisor:
     def _count(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
 
-    def _resolve(self, unit: PlannedUnit, status: str) -> None:
-        """Mark *unit* finished and settle its dependents."""
-        self.completed[unit.key] = status
-        if unit.stage != SCREEN_STAGE:
-            return
-        for dependent in self.blocked.pop(unit.key, []):
-            if status == StageStatus.OK.name:
-                self.pending[self.home[dependent.key]].append(dependent)
-            else:
-                self.cancelled.add(dependent.key)
-                self._count("pool.units_cancelled")
-
-    def _poison(self, unit: PlannedUnit) -> None:
-        """Escalate a repeat-offender unit to QUARANTINED."""
-        self.poisoned.add(unit.key)
-        self._count("pool.poison_quarantines")
-        for dependent in self.blocked.pop(unit.key, []):
-            self.cancelled.add(dependent.key)
-            self._count("pool.units_cancelled")
-
     def _unresolved(self) -> bool:
-        settled = (
-            len(self.completed) + len(self.cancelled) + len(self.poisoned)
-        )
-        return settled < self.unit_count
+        return bool(self.queue or self.inflight)
 
     # -- lifecycle -----------------------------------------------------
     def _spawn(self, slot: int) -> None:
@@ -496,18 +425,18 @@ class _Supervisor:
                     pass
                 conns[slot] = None
 
-    def run(self) -> None:
-        for slot in range(self.slots):
-            self._spawn(slot)
-        try:
-            while self._unresolved():
-                self._dispatch_idle()
-                self._drain_results()
-                self._reap_dead()
-        finally:
-            self._shutdown()
+    def run(self, units: list[PlannedUnit]) -> None:
+        """Run one wave of independent *units* until each settles.
 
-    def _shutdown(self) -> None:
+        Units the shards already hold are skipped.
+        """
+        self.queue.extend(u for u in units if u.key not in self.completed)
+        while self._unresolved():
+            self._dispatch_idle()
+            self._drain_results()
+            self._reap_dead()
+
+    def shutdown(self) -> None:
         for slot, process in enumerate(self.processes):
             if process is None or not process.is_alive():
                 continue
@@ -523,28 +452,17 @@ class _Supervisor:
                     process.join(timeout=_JOIN_SECONDS)
             self._close_conns(slot)
 
-    # -- scheduling ----------------------------------------------------
-    def _next_unit(self, slot: int) -> PlannedUnit | None:
-        if self.pending[slot]:
-            return self.pending[slot].popleft()
-        victim = max(
-            range(self.slots), key=lambda s: len(self.pending[s])
-        )
-        if self.pending[victim]:
-            self._count("pool.steals")
-            return self.pending[victim].pop()
-        return None
-
+    # -- dispatch ------------------------------------------------------
     def _dispatch_idle(self) -> None:
-        for slot in range(self.slots):
-            if slot in self.inflight:
+        for slot, process in enumerate(self.processes):
+            if not self.queue:
+                return
+            if process is None:
+                # No worker yet, or it died when the last wave settled.
+                self._spawn(slot)
+            elif slot in self.inflight or not process.is_alive():
                 continue
-            process = self.processes[slot]
-            if process is None or not process.is_alive():
-                continue
-            unit = self._next_unit(slot)
-            if unit is None:
-                continue
+            unit = self.queue.popleft()
             try:
                 self.task_conns[slot].send(
                     {
@@ -556,7 +474,7 @@ class _Supervisor:
             except OSError:
                 # The worker died under us; reap will respawn it, and
                 # the unit goes back to the front of the line.
-                self.pending[slot].appendleft(unit)
+                self.queue.appendleft(unit)
                 continue
             self.inflight[slot] = unit
 
@@ -595,11 +513,8 @@ class _Supervisor:
         if key in self.completed:
             return  # duplicate from a worker killed right after done
         self._count("pool.units_completed")
-        lane = self.lanes[slot]
-        lane.units += 1
-        self._resolve(
-            PlannedUnit(*key), message.get("status", StageStatus.OK.name)
-        )
+        self.lanes[slot].units += 1
+        self.completed[key] = message.get("status", StageStatus.OK.name)
 
     def _reap_dead(self) -> None:
         for slot, process in enumerate(self.processes):
@@ -612,10 +527,12 @@ class _Supervisor:
                 attempts = self.attempts.get(unit.key, 0) + 1
                 self.attempts[unit.key] = attempts
                 if attempts > self.config.unit_retries:
-                    self._poison(unit)
+                    # A repeat offender: escalated to QUARANTINED.
+                    self.poisoned.add(unit.key)
+                    self._count("pool.poison_quarantines")
                 else:
                     self._count("pool.redispatches")
-                    self.pending[self.home[unit.key]].appendleft(unit)
+                    self.queue.appendleft(unit)
             elif unit is None:
                 # A worker that dies without work in flight cannot be a
                 # poison unit's fault; repeated fruitless deaths mean
@@ -639,34 +556,49 @@ class _Supervisor:
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
+def _journaled_status(portals, key: tuple[str, str, str]) -> str | None:
+    """Unit *key*'s status in its portal's study journal, if journaled."""
+    portal, stage, table_id = key
+    journal = portals[portal].executor.journal
+    record = None if journal is None else journal.get((stage, table_id))
+    return None if record is None else record.status
+
+
 def plan_study_units(
     portals,
     stages: tuple[str, ...] = UNIT_STAGES,
-) -> tuple[list[PlannedUnit], dict[tuple, str]]:
+) -> list[PlannedUnit]:
     """Every per-table unit the study's portals will run, in study order.
 
     Units already present in a portal's canonical study journal are
     excluded — exactly the units the serial path will replay rather
-    than recompute — and returned separately as a ``key -> status`` map
-    so the scheduler can settle dependencies on them.  *stages*
-    restricts planning, e.g. to ``(screen, joinsig)`` for a pure index
-    build.
+    than recompute.  *stages* restricts planning, e.g. to ``(screen,
+    joinsig)`` for a pure index build.
     """
-    plan: list[PlannedUnit] = []
-    external: dict[tuple, str] = {}
-    for portal in portals.values():
-        journal = portal.executor.journal
-        for unit in plan_portal_units(portal.code, portal.report, stages):
-            record = (
-                journal.get(unit.journal_key)
-                if journal is not None
-                else None
-            )
-            if record is not None:
-                external[unit.key] = record.status
-                continue
-            plan.append(unit)
-    return plan, external
+    return [
+        unit
+        for portal in portals.values()
+        for unit in plan_portal_units(portal.code, portal.report, stages)
+        if _journaled_status(portals, unit.key) is None
+    ]
+
+
+def _wave_two(plan, portals, completed: dict[tuple, str]) -> list[PlannedUnit]:
+    """The plan's units whose ``depends_on`` screen ended OK.
+
+    A screen's status is wave one's (*completed*; a poisoned screen has
+    none), else the study journal's; a screen in neither never ran.
+    """
+
+    def status(key):
+        return completed.get(key, _journaled_status(portals, key))
+
+    return [
+        unit
+        for unit in plan
+        if unit.depends_on is not None
+        and status(unit.depends_on) == StageStatus.OK.name
+    ]
 
 
 def run_pool(
@@ -675,15 +607,16 @@ def run_pool(
     """Execute the study's per-table units across worker processes.
 
     *portals* is the ``code -> PortalStudy`` map of a freshly built
-    study whose executors exist but have not yet run any analysis.  On
-    return, every resolved unit sits in its executor's ``precomputed``
-    map awaiting lazy adoption; cancelled units (fd behind a failed
-    screen) are simply absent, matching what the serial path would
-    never have computed.  *stages* defaults to every per-table stage;
-    precomputed units no analysis asks for are never adopted, so an
-    over-planned stage is waste, never drift.
+    study whose executors exist but have not yet run any analysis.  The
+    pool runs two waves: every planned ``screen`` unit, then the units
+    whose screen ended OK.  On return, every finished unit sits in its
+    executor's ``precomputed`` map awaiting lazy adoption; units behind
+    a screen that did not end OK are never planned, matching what the
+    serial path would never have computed.  *stages* defaults to every
+    per-table stage; precomputed units no analysis asks for are never
+    adopted, so an over-planned stage is waste, never drift.
     """
-    plan, external = plan_study_units(
+    plan = plan_study_units(
         portals, UNIT_STAGES if stages is None else stages
     )
     if not plan:
@@ -695,6 +628,11 @@ def run_pool(
         else tempfile.mkdtemp(prefix="ogdp-shards-")
     )
     shard_dir.mkdir(parents=True, exist_ok=True)
+    if not config.resume:
+        # Recompute every unit, as for the crawl and study journals:
+        # no preload or recovered-work path may see an earlier run.
+        for path in shard_dir.glob("shard-w*.jsonl"):
+            path.unlink()
     _WORKER_TABLES.clear()
     for portal in portals.values():
         for ingested in portal.report.clean_tables:
@@ -705,10 +643,17 @@ def run_pool(
     completed: dict[tuple[str, str, str], CompletedUnit] = {}
     try:
         supervisor = _Supervisor(
-            plan, config, _mp_context(), shard_dir, external=external
+            config,
+            _mp_context(),
+            shard_dir,
+            slots=min(config.workers, len(plan)),
         )
         supervisor._count("pool.units_planned", len(plan))
-        supervisor.run()
+        try:
+            supervisor.run([u for u in plan if u.depends_on is None])
+            supervisor.run(_wave_two(plan, portals, supervisor.completed))
+        finally:
+            supervisor.shutdown()
         merged = supervisor.merged()
         by_name = {lane.name: lane for lane in supervisor.lanes}
         for unit in plan:

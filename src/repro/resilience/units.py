@@ -77,9 +77,11 @@ class PlannedUnit:
 
         FD discovery and signature building only run on tables the
         screen stage passed, so ``fd`` and ``joinsig`` units depend on
-        their own table's ``screen`` unit; a scheduler must not
-        dispatch them earlier, and must cancel them when the screen
-        quarantines or fails the table.
+        their own table's ``screen`` unit.  This is the one statement
+        of that rule: the serial path skips a dependent unit whose
+        screen did not end OK, and the worker pool runs dependent
+        units in a second wave, planning only those whose screen ended
+        OK.
         """
         if self.stage in (FD_STAGE, JOINSIG_STAGE):
             return (self.portal, SCREEN_STAGE, self.table_id)

@@ -87,6 +87,20 @@ class StoredJoinIndex:
     #: Informational build counters (candidates, verify ops, ...).
     counters: dict = dataclasses.field(default_factory=dict)
 
+    @classmethod
+    def from_analysis(
+        cls, config, portal_code: str, threshold: float, analysis
+    ) -> "StoredJoinIndex":
+        """The index of one portal's joinability analysis at *threshold*."""
+        return cls(
+            portal_code=portal_code,
+            threshold=threshold,
+            fingerprint=index_fingerprint(config, portal_code, threshold),
+            pairs=tuple(analysis.pairs),
+            column_check=tuple(p.num_unique for p in analysis.profiles),
+            counters={"pairs": len(analysis.pairs)},
+        )
+
 
 @dataclasses.dataclass(frozen=True)
 class LoadResult:

@@ -258,15 +258,8 @@ class DataLake:
             analysis = portal.joinability(threshold)
             if not analysis.truncated:
                 self._index_store.save(
-                    StoredJoinIndex(
-                        portal_code=portal.code,
-                        threshold=threshold,
-                        fingerprint=fingerprint,
-                        pairs=tuple(analysis.pairs),
-                        column_check=tuple(
-                            p.num_unique for p in analysis.profiles
-                        ),
-                        counters={"pairs": len(analysis.pairs)},
+                    StoredJoinIndex.from_analysis(
+                        self._study.config, portal.code, threshold, analysis
                     )
                 )
         except Exception as exc:  # noqa: BLE001 — serving must survive

@@ -90,9 +90,6 @@ class ServiceConfig:
             failure_threshold=0.5, window=8, min_calls=4, reset_timeout=30.0
         )
     )
-    #: Pre-compute every portal's analyses at startup so request cost is
-    #: lookups plus scoring, not first-touch analysis storms.
-    warm: bool = True
     #: The service-level objectives the error-budget monitor evaluates;
     #: None disables SLO accounting entirely.
     slo: SloSpec | None = dataclasses.field(default_factory=default_slos)
@@ -160,14 +157,15 @@ class LakeService:
             for family in GUARDED_FAMILIES
         }
         self._study = study
-        if self.config.warm:
-            self._warm(study)
+        self._warm(study)
 
     def _warm(self, study) -> None:
         """Pre-compute the analyses every guarded endpoint serves from.
 
-        A portal whose analysis fails is logged and skipped — the
-        service starts degraded rather than not at all.
+        Warming at startup makes request cost lookups plus scoring, not
+        first-touch analysis storms.  A portal whose analysis fails is
+        logged and skipped — the service starts degraded rather than
+        not at all.
         """
         for portal in study:
             for stage in ("joinability", "unionability"):

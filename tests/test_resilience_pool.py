@@ -11,6 +11,7 @@ end-to-end on the poison corpus.
 import dataclasses
 import json
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.resilience import (
     MergeConflict,
     StageRecord,
     StageStatus,
+    StudyJournal,
     config_fingerprint,
 )
 from repro.resilience.pool import (
@@ -33,12 +35,14 @@ from repro.resilience.pool import (
     _build_portal_tables,
     _chaos_kill_tick,
     _poison_record,
+    _wave_two,
     _worker_main,
     merge_shards,
     plan_study_units,
 )
 from repro.resilience.units import (
     FD_STAGE,
+    JOINSIG_STAGE,
     SCREEN_STAGE,
     PlannedUnit,
     plan_portal_units,
@@ -129,16 +133,14 @@ class TestPlan:
                     unit.table_id,
                 )
 
-    def test_study_plan_without_journal_has_no_external(self, study):
-        plan, external = plan_study_units({p.code: p for p in study})
-        assert external == {}
-        assert len(plan) == sum(
-            len(plan_portal_units(p.code, p.report)) for p in study
-        )
+    def test_study_plan_without_journal_plans_every_unit(self, study):
+        assert plan_study_units({p.code: p for p in study}) == [
+            unit
+            for portal in study
+            for unit in plan_portal_units(portal.code, portal.report)
+        ]
 
     def test_joinsig_unit_per_clean_table(self, study):
-        from repro.resilience.units import JOINSIG_STAGE
-
         for portal in study:
             units = plan_portal_units(portal.code, portal.report)
             joinsigs = [u for u in units if u.stage == JOINSIG_STAGE]
@@ -291,6 +293,29 @@ class TestShards:
         merged = merge_shards([shard], fingerprint)
         assert merged[unit] == last
         assert len(merged) == len(lines) - 1  # every envelope, no header
+
+    def test_no_resume_recomputes_every_unit(self, tmp_path):
+        """Without resume a kept shard dir is discarded, like the crawl
+        and study journals, so the rerun computes every planned unit."""
+
+        def pool_metrics(**overrides):
+            config = StudyConfig(
+                scale=SCALE,
+                seed=SEED,
+                portal_codes=("SG",),
+                workers=2,
+                shard_dir=str(tmp_path / "shards"),
+                trace_out=str(tmp_path / "trace.jsonl"),
+                **overrides,
+            )
+            Study.build(config).close()
+            return load_trace(config.trace_out).metrics
+
+        pool_metrics()
+        metrics = pool_metrics(resume=False)
+        planned = metrics["pool.units_planned"]["value"]
+        completed = metrics.get("pool.units_completed", {"value": 0})
+        assert completed["value"] == planned > 0
 
 
 def envelope(table_id="t1", *, worker="w0", stage="screen", ticks=10):
@@ -499,7 +524,7 @@ class TestSupervisorEscalation:
     processes remove the scheduler so the kill → redispatch → kill →
     poison escalation is exercised exactly."""
 
-    def make_supervisor(self, tmp_path, units):
+    def make_supervisor(self, tmp_path, units, slots=2):
         config = StudyConfig(
             scale=SCALE,
             seed=SEED,
@@ -507,69 +532,133 @@ class TestSupervisorEscalation:
             workers=2,
             unit_retries=1,
         )
-        ctx = _FakeCtx()
-        supervisor = _Supervisor(units, config, ctx, tmp_path / "shards")
-        for slot in range(supervisor.slots):
+        supervisor = _Supervisor(
+            config, _FakeCtx(), tmp_path / "shards", slots=slots
+        )
+        supervisor.queue.extend(units)
+        for slot in range(slots):
             supervisor._spawn(slot)
         return supervisor
 
-    def test_two_deaths_poison_the_unit_and_cancel_dependents(
-        self, tmp_path
-    ):
-        screen_a = PlannedUnit("socrata", SCREEN_STAGE, "tbl-a")
-        fd_a = PlannedUnit("socrata", FD_STAGE, "tbl-a")
-        screen_b = PlannedUnit("socrata", SCREEN_STAGE, "tbl-b")
-        supervisor = self.make_supervisor(
-            tmp_path, [screen_a, fd_a, screen_b]
+    def done(self, supervisor, slot, unit, status=StageStatus.OK.name):
+        supervisor._on_done(
+            slot, {"type": "done", "unit": list(unit.key), "status": status}
         )
 
-        supervisor._dispatch_idle()
-        assert supervisor.inflight[0] is screen_a
-        assert supervisor.task_conns[0].sent[-1]["attempt"] == 0
-        # Slot 1's home shard is empty, so it steals screen_b.
-        assert supervisor.inflight[1] is screen_b
-        assert supervisor.counters["pool.steals"] == 1
+    def test_two_deaths_poison_the_unit(self, tmp_path):
+        fd_a, fd_b, fd_c = (
+            PlannedUnit("socrata", FD_STAGE, table)
+            for table in ("tbl-a", "tbl-b", "tbl-c")
+        )
+        supervisor = self.make_supervisor(tmp_path, [fd_a, fd_b, fd_c])
 
-        # First death: the unit is redispatched to its home shard and a
-        # replacement worker (with fresh pipes) takes the slot.
+        supervisor._dispatch_idle()
+        assert supervisor.inflight == {0: fd_a, 1: fd_b}
+        assert supervisor.task_conns[0].sent[-1]["attempt"] == 0
+        assert list(supervisor.queue) == [fd_c]
+
+        # First death: the unit goes back to the front of the queue and
+        # a replacement worker (with fresh pipes) takes the slot.
         supervisor.processes[0].die()
         supervisor._reap_dead()
         assert supervisor.counters["pool.worker_deaths"] == 1
         assert supervisor.counters["pool.redispatches"] == 1
-        assert supervisor.attempts[screen_a.key] == 1
+        assert supervisor.attempts[fd_a.key] == 1
+        assert list(supervisor.queue) == [fd_a, fd_c]
         assert supervisor.processes[0].is_alive()
 
         supervisor._dispatch_idle()
-        assert supervisor.inflight[0] is screen_a
+        assert supervisor.inflight[0] is fd_a
         assert supervisor.task_conns[0].sent[-1]["attempt"] == 1
 
-        # Second death exhausts unit_retries=1: the unit is poisoned
-        # and its blocked fd dependent is cancelled, not orphaned.
+        # Second death exhausts unit_retries=1: the unit is poisoned.
         supervisor.processes[0].die()
         supervisor._reap_dead()
-        assert supervisor.poisoned == {screen_a.key}
-        assert supervisor.cancelled == {fd_a.key}
+        assert supervisor.poisoned == {fd_a.key}
         assert supervisor.counters["pool.poison_quarantines"] == 1
-        assert supervisor.counters["pool.units_cancelled"] == 1
         assert supervisor.counters["pool.worker_deaths"] == 2
 
-        # The surviving unit completes and the plan is fully settled.
-        supervisor._on_done(
-            1,
-            {
-                "type": "done",
-                "unit": list(screen_b.key),
-                "status": StageStatus.OK.name,
-            },
-        )
+        # The other units complete and the plan is fully settled.
+        supervisor._dispatch_idle()
+        assert supervisor.inflight == {0: fd_c, 1: fd_b}
+        self.done(supervisor, 1, fd_b)
+        self.done(supervisor, 0, fd_c)
         assert not supervisor._unresolved()
+        assert supervisor.counters["pool.units_completed"] == 2
+
+    def test_wave_two_runs_only_units_behind_an_ok_screen(self, tmp_path):
+        """A table's fd and joinsig units join wave two only when its
+        screen ended OK in wave one or in the study journal: a screen
+        the pool poisoned, one journaled QUARANTINED and one that never
+        ran hold them back.  Wave two runs on the same fleet."""
+
+        def dependents(table_id):
+            return [
+                PlannedUnit("SG", stage, table_id)
+                for stage in (FD_STAGE, JOINSIG_STAGE)
+            ]
+
+        journal = StudyJournal(tmp_path / "study-SG.jsonl", {"seed": SEED})
+        for table_id, status in (
+            ("journaled-ok", StageStatus.OK.name),
+            ("journaled-quarantined", StageStatus.QUARANTINED.name),
+        ):
+            journal.record(
+                StageRecord(
+                    stage=SCREEN_STAGE,
+                    table_id=table_id,
+                    status=status,
+                    ticks=1,
+                    budget=40_000,
+                )
+            )
+        portals = {
+            "SG": SimpleNamespace(executor=SimpleNamespace(journal=journal))
+        }
+        poisoned = PlannedUnit("SG", SCREEN_STAGE, "poisoned")
+        screened = PlannedUnit("SG", SCREEN_STAGE, "screened")
+        supervisor = self.make_supervisor(tmp_path, [poisoned, screened])
+        supervisor._dispatch_idle()
+        for _ in range(2):
+            supervisor.processes[0].die()
+            supervisor._reap_dead()
+            supervisor._dispatch_idle()
+        self.done(supervisor, 1, screened)
+        assert supervisor.poisoned == {poisoned.key}
+        assert not supervisor._unresolved()
+
+        # Journaled screens are not in the plan, as plan_study_units
+        # leaves them out; "never-ran" has no screen anywhere.
+        plan = [poisoned, screened] + [
+            unit
+            for table_id in (
+                "poisoned",
+                "screened",
+                "journaled-ok",
+                "journaled-quarantined",
+                "never-ran",
+            )
+            for unit in dependents(table_id)
+        ]
+        wave = _wave_two(plan, portals, supervisor.completed)
+        assert wave == dependents("screened") + dependents("journaled-ok")
+        journal.close()
+
+        # A worker that died once wave one had settled is not replaced
+        # until wave two has a unit for its slot.
+        supervisor.processes[0].die()
+        supervisor._reap_dead()
+        assert supervisor.processes[0] is None
+        supervisor.queue.extend(wave)
+        supervisor._dispatch_idle()
+        assert supervisor.processes[0].is_alive()
+        assert supervisor.inflight == {0: wave[0], 1: wave[1]}
 
     def test_repeated_fruitless_deaths_abort_instead_of_respawning(
         self, tmp_path
     ):
         screen = PlannedUnit("socrata", SCREEN_STAGE, "tbl-a")
-        supervisor = self.make_supervisor(tmp_path, [screen])
-        assert supervisor.slots == 1
+        supervisor = self.make_supervisor(tmp_path, [screen], slots=1)
         # Workers dying with nothing in flight cannot be a unit's
         # fault; after 3 * slots of them in a row the pool gives up.
         for _ in range(3 * supervisor.slots):
@@ -600,8 +689,9 @@ class TestSupervisorEscalation:
 
 class TestResumeIntoPool:
     def test_pooled_run_replays_canonical_journal(self, tmp_path, serial_run):
-        """Units checkpointed by a serial run are external to the pool:
-        the resumed pooled run replays them and computes only the rest."""
+        """Units checkpointed by a serial run are left out of the pool's
+        plan: the resumed pooled run replays them and computes only the
+        rest."""
         config = StudyConfig(
             scale=SCALE,
             seed=SEED,
