@@ -122,9 +122,8 @@ class Table:
         return tuple(c[index] for c in self._columns)
 
     def iter_rows(self) -> Iterator[tuple[Cell, ...]]:
-        """Iterate rows as tuples."""
-        for index in range(self.num_rows):
-            yield self.row(index)
+        """Iterate rows as tuples (the rows :meth:`row` returns)."""
+        return zip(*(c.values for c in self._columns))
 
     def __len__(self) -> int:
         return self.num_rows

@@ -45,6 +45,15 @@ def discover_fds(
     ``truncated`` and contains exactly the minimal FDs of the levels it
     finished — FDs discovered mid-level are discarded so that equal
     budgets always yield identical results.
+
+    FDs are listed by LHS size, then by the sorted positions of the LHS
+    columns among the distinct column names, then by the RHS position.
+    The set's ``lhs_cards`` records ``|pi_X|`` on *table* for every FD's
+    left-hand side X (``|pi_∅| = 1``): the free-set cardinalities the
+    walk computes anyway.  From both,
+    :func:`repro.normalize.bcnf.fragment_fds` derives the FDs of any
+    distinct projection, in this order, without walking its lattice
+    again.
     """
     names: list[str] = []
     positions: list[int] = []
@@ -63,15 +72,9 @@ def discover_fds(
     all_encoded = encode_columns(table)
     encoded = [all_encoded[p] for p in positions]
 
-    # FDs found at the level in progress; committed to ``fds`` only when
-    # the whole level completes, so a budget blowup mid-level truncates
-    # at the last completed level instead of an arbitrary lattice node.
-    pending: list[FD] = []
     try:
         with prof_scope(meter, "fun"):
-            pending = _discover_fun(
-                fds, names, encoded, n_rows, max_lhs, meter
-            )
+            _discover_fun(fds, names, encoded, n_rows, max_lhs, meter)
     except BudgetExceeded:
         fds.truncated = True
 
@@ -85,7 +88,7 @@ def _discover_fun(
     n_rows: int,
     max_lhs: int,
     meter: WorkMeter | None,
-) -> list[FD]:
+) -> None:
     """The lattice walk of :func:`discover_fds` (inside the ``fun`` frame).
 
     Profiler frames follow the lattice structure — one ``levelN`` frame
@@ -94,7 +97,11 @@ def _discover_fun(
     (``cardinality``, ``refine`` or ``determines``), e.g.
     ``fun;level2;dataframe;determines``.
     """
-    pending: list[FD] = []
+    # (FD, |pi_LHS|) pairs found at the level in progress; committed to
+    # ``fds`` only when the whole level completes, so a budget blowup
+    # mid-level truncates at the last completed level instead of an
+    # arbitrary lattice node.
+    pending: list[tuple[FD, int]] = []
     n_attrs = len(names)
     # Level 1 ----------------------------------------------------
     # labels/cards per free set; closures accumulate every RHS known
@@ -128,7 +135,7 @@ def _discover_fun(
                 free_level.append(single)
 
         for attr in sorted(constant_attrs):
-            pending.append(FD(frozenset(), names[attr]))
+            pending.append((FD(frozenset(), names[attr]), 1))
 
         if meter is not None:
             meter.event("fd.level1.nodes", len(free_level))
@@ -145,7 +152,9 @@ def _discover_fun(
                         meter.tick(n_rows, op="fd.refine")
                     if determines(labels[single], encoded[rhs]):
                         closure.add(rhs)
-                        pending.append(FD(frozenset((names[attr],)), names[rhs]))
+                        pending.append(
+                            (FD(frozenset((names[attr],)), names[rhs]), cards[single])
+                        )
     _commit(fds, pending)
 
     # Levels 2..max_lhs ------------------------------------------
@@ -173,8 +182,9 @@ def _discover_fun(
                 with prof_scope(meter, "dataframe", "refine"):
                     if meter is not None:
                         meter.tick(n_rows, op="fd.refine")
-                    candidate_labels = refine(labels[base_subset], encoded[extra_attr])
-                    card = cardinality(candidate_labels)
+                    candidate_labels, card = refine(
+                        labels[base_subset], encoded[extra_attr]
+                    )
                 cards[candidate] = card
                 if card in subset_cards:
                     continue  # not free: a subset already induces this partition
@@ -190,9 +200,8 @@ def _discover_fun(
                             meter.tick(n_rows, op="fd.refine")
                         if determines(candidate_labels, encoded[rhs]):
                             closure.add(rhs)
-                            pending.append(
-                                FD(frozenset(names[a] for a in candidate), names[rhs])
-                            )
+                            lhs = frozenset(names[a] for a in candidate)
+                            pending.append((FD(lhs, names[rhs]), card))
                 next_labels[candidate] = candidate_labels
                 next_free.append(candidate)
         # Free-set labels of the previous level are no longer needed
@@ -201,13 +210,13 @@ def _discover_fun(
         labels.update(next_labels)
         current_free = next_free
         _commit(fds, pending)
-    return pending
 
 
-def _commit(fds: FDSet, pending: list[FD]) -> None:
-    """Move a completed level's FDs into the result set."""
-    for fd in pending:
+def _commit(fds: FDSet, pending: list[tuple[FD, int]]) -> None:
+    """Move a completed level's FDs and LHS cardinalities into *fds*."""
+    for fd, lhs_card in pending:
         fds.add(fd)
+        fds.lhs_cards[fd.lhs] = lhs_card
     pending.clear()
 
 

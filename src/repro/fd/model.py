@@ -42,6 +42,11 @@ class FDSet:
     ``truncated`` marks a set produced by a budget-guarded discovery
     that stopped early: every FD present is genuinely minimal and
     non-trivial, but FDs at deeper lattice levels may be missing.
+
+    ``lhs_cards`` maps the left-hand side X of every FD in the set to
+    ``|pi_X|``, the number of distinct value combinations of X on the
+    source table (``|pi_∅| = 1``).  FUN, TANE and the naive checker
+    all fill it; BCNF decomposition derives fragment FDs from it.
     """
 
     def __init__(
@@ -50,6 +55,7 @@ class FDSet:
         self.table_name = table_name
         self.truncated = truncated
         self._fds: list[FD] = list(fds)
+        self.lhs_cards: dict[frozenset[str], int] = {}
 
     def __iter__(self) -> Iterator[FD]:
         return iter(self._fds)

@@ -61,14 +61,14 @@ def discover_fds_naive(
     minimal_lhs: dict[int, list[frozenset[int]]] = {a: [] for a in range(n_attrs)}
     usable = [a for a in range(n_attrs) if a not in constant_attrs]
 
-    pending: list[FD] = []
+    pending: list[tuple[FD, int]] = []
     # Same-size LHS sets never prune each other (a proper subset is
     # strictly smaller), so buffering the minimal_lhs additions per size
     # alongside the FDs changes nothing for an unlimited meter.
     pending_lhs: list[tuple[int, frozenset[int]]] = []
     try:
         for attr in sorted(constant_attrs):
-            pending.append(FD(frozenset(), names[attr]))
+            pending.append((FD(frozenset(), names[attr]), 1))
 
         for size in range(1, max_lhs + 1):
             if meter is not None:
@@ -97,9 +97,8 @@ def discover_fds_naive(
                     joint = cardinality(partition_of(encoded, list(lhs) + [rhs]))
                     if joint == lhs_card:
                         pending_lhs.append((rhs, lhs_set))
-                        pending.append(
-                            FD(frozenset(names[a] for a in lhs_set), names[rhs])
-                        )
+                        lhs_names = frozenset(names[a] for a in lhs_set)
+                        pending.append((FD(lhs_names, names[rhs]), lhs_card))
         _commit(fds, pending)
     except BudgetExceeded:
         fds.truncated = True

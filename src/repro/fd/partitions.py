@@ -44,18 +44,16 @@ def encode_columns(table: Table) -> list[Labels]:
     return encoded
 
 
-def refine(labels: Labels, column: Labels) -> Labels:
-    """Refine the partition *labels* by *column*; returns new labels."""
+def refine(labels: Labels, column: Labels) -> tuple[Labels, int]:
+    """Refine the partition *labels* by *column*.
+
+    Returns the new labels and their number of classes, counted by the
+    same pass that numbers them.
+    """
     mapping: dict[tuple[int, int], int] = {}
-    refined: Labels = []
-    for label, value in zip(labels, column):
-        key = (label, value)
-        identifier = mapping.get(key)
-        if identifier is None:
-            identifier = len(mapping)
-            mapping[key] = identifier
-        refined.append(identifier)
-    return refined
+    setdefault = mapping.setdefault
+    refined = [setdefault(key, len(mapping)) for key in zip(labels, column)]
+    return refined, len(mapping)
 
 
 def cardinality(labels: Labels) -> int:
@@ -66,7 +64,7 @@ def cardinality(labels: Labels) -> int:
 def determines(labels: Labels, column: Labels) -> bool:
     """Whether *column* is constant within every class of *labels*.
 
-    The same answer as ``cardinality(refine(labels, column)) ==
+    The same answer as ``refine(labels, column)[1] ==
     cardinality(labels)``, i.e. whether ``X -> A`` holds for the
     partition ``pi_X`` and column ``A``, but it stops at the first row
     whose value differs from its class's first value.  Most candidate
@@ -88,5 +86,5 @@ def partition_of(columns: Sequence[Labels], positions: Sequence[int]) -> Labels:
         return [0] * (len(columns[0]) if columns else 0)
     labels = list(columns[positions[0]])
     for position in positions[1:]:
-        labels = refine(labels, columns[position])
+        labels, _ = refine(labels, columns[position])
     return labels

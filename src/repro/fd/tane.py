@@ -109,7 +109,7 @@ def discover_fds_tane(
     encoded = [all_encoded[p] for p in positions]
     n_attrs = len(names)
 
-    pending: list[FD] = []
+    pending: list[tuple[FD, int]] = []
     try:
         singleton_partitions = []
         with prof_scope(meter, "tane", "dataframe", "stripped_partition"):
@@ -124,7 +124,7 @@ def discover_fds_tane(
             if n_rows > 1 and len(set(encoded[a])) <= 1
         }
         for attr in sorted(constant_attrs):
-            pending.append(FD(frozenset(), names[attr]))
+            pending.append((FD(frozenset(), names[attr]), 1))
 
         usable = [a for a in range(n_attrs) if a not in constant_attrs]
         all_usable = frozenset(usable)
@@ -166,20 +166,18 @@ def discover_fds_tane(
                         joint = partition_product(
                             partitions[node], encoded[rhs], n_rows
                         )
-                        if _partition_error(
-                            partitions[node]
-                        ) == _partition_error(joint):
+                        error = _partition_error(partitions[node])
+                        if error == _partition_error(joint):
                             # X -> rhs holds; minimality: rhs must still
                             # be a candidate of every maximal proper
                             # subset.
                             if _minimal(
                                 node, rhs, rhs_candidates, all_usable
                             ):
+                                # |pi_X| = n_rows - e(X).
+                                lhs = frozenset(names[a] for a in node)
                                 pending.append(
-                                    FD(
-                                        frozenset(names[a] for a in node),
-                                        names[rhs],
-                                    )
+                                    (FD(lhs, names[rhs]), n_rows - error)
                                 )
                             next_candidates[node] = (
                                 next_candidates.get(node, candidates)

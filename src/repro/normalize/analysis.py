@@ -65,7 +65,8 @@ class TableNormalization:
     exactly (ints, bools, and repr-round-tripping floats only).
     """
 
-    #: Whether a work budget cut FD discovery or decomposition short.
+    #: Whether a work budget cut FD discovery short (the decomposition
+    #: of a truncated FD set keeps the table whole).
     truncated: bool
     has_fd: bool
     has_single: bool
@@ -114,9 +115,9 @@ def table_normalization(
             fragment_columns=(),
             gains=(),
         )
-    result = bcnf_decompose(table, fds, rng, max_lhs=max_lhs, meter=meter)
+    result = bcnf_decompose(table, fds, rng)
     return TableNormalization(
-        truncated=fds.truncated or (meter is not None and meter.exhausted),
+        truncated=fds.truncated,
         has_fd=True,
         has_single=fds.has_single_lhs,
         fragments=result.num_fragments,

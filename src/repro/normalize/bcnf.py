@@ -9,6 +9,19 @@ paper's bounded analysis.
 
 Fragments are projections with duplicate rows removed (set semantics),
 which is what produces the uniqueness-score gains Table 5 reports.
+
+A fragment's FDs are the projection of its source table's FD set
+(Abiteboul, Hull & Vianu, *Foundations of Databases*, 1995), not a new
+profiler run.  For a fragment ``F = distinct(pi_S(T))`` and any
+``X ⊆ S``, ``|pi_X|`` is the same on F as on T: two rows of F agree on
+X and differ on B exactly when two rows of T do.  So every set free on
+T is free on F, and ``X -> B`` holds on F iff it holds on T.  F only
+has fewer rows, so some free sets become keys of F, and FUN drops the
+FDs those keys determine.  FUN on F therefore finds exactly T's FDs
+``X -> B`` with ``X ∪ {B} ⊆ S`` and ``|pi_X| < |F|``.
+:func:`fragment_fds` lists them in the order FUN's lattice walk over F
+emits them, so each split draws the same FD from ``rng.choice`` that a
+re-run of FUN on the fragment would give it.
 """
 
 from __future__ import annotations
@@ -18,9 +31,10 @@ import random
 from collections import Counter
 
 from ..dataframe import Table
-from ..fd.fun import DEFAULT_MAX_LHS, discover_fds
-from ..fd.model import FDSet
-from ..resilience.budget import WorkMeter
+# Not called here: perfbench/spans.py's WRAPPED entry
+# ("fd.bcnf_discover", "repro.normalize.bcnf", "discover_fds") resolves it.
+from ..fd.fun import discover_fds  # noqa: F401
+from ..fd.model import FD, FDSet
 
 #: Safety valve: decomposition of a k-column table can produce at most
 #: k-1 fragments, but we cap anyway against adversarial inputs.
@@ -65,40 +79,64 @@ class DecompositionResult:
         ]
 
 
+def fragment_fds(fragment: Table, fds: FDSet) -> list[FD]:
+    """The FDs FUN would discover on *fragment*, in FUN's order.
+
+    *fds* is the complete (untruncated) :func:`discover_fds` result of a
+    table T, and *fragment* is T itself or ``distinct(pi_S(T))`` for a
+    list S of T's column names.  The result equals
+    ``list(discover_fds(fragment))`` with the ``max_lhs`` *fds* was
+    discovered with: T's FDs ``X -> B`` with ``X ∪ {B} ⊆ S`` and
+    ``fds.lhs_cards[X] < fragment.num_rows``, ordered as FUN emits them,
+    by ``|X|``, then by the sorted positions of X, then by the position
+    of B.  A position counts each distinct column name once, at its
+    first occurrence in *fragment*, as FUN ignores repeated names.
+    """
+    positions: dict[str, int] = {}
+    for name in fragment.column_names:
+        positions.setdefault(name, len(positions))
+    names = frozenset(positions)
+    n_rows = fragment.num_rows
+    kept = [
+        fd
+        for fd in fds
+        if fd.rhs in names
+        and fd.lhs <= names
+        and fds.lhs_cards[fd.lhs] < n_rows
+    ]
+    kept.sort(
+        key=lambda fd: (
+            len(fd.lhs),
+            sorted(positions[name] for name in fd.lhs),
+            positions[fd.rhs],
+        )
+    )
+    return kept
+
+
 def bcnf_decompose(
     table: Table,
     fds: FDSet,
     rng: random.Random,
-    max_lhs: int = DEFAULT_MAX_LHS,
     max_fragments: int = MAX_FRAGMENTS,
-    meter: WorkMeter | None = None,
 ) -> DecompositionResult:
     """Decompose *table* into bounded-BCNF fragments.
 
-    *fds* is *table*'s own :func:`discover_fds` result for the same
-    *max_lhs*, which the caller already holds.  FDs are re-discovered
-    from the data of every fragment: projections can both lose FDs
-    (columns gone) and expose none, so re-running the profiler is the
-    faithful data-driven equivalent of projecting the dependency set.
-
-    The *meter* is shared with those internal re-discoveries: once it
-    is exhausted they return empty truncated FD sets, so every fragment
-    still in the worklist finishes immediately and the decomposition
-    terminates with whatever splits it had already committed.  A
-    truncated *fds* means the meter ran out during the caller's
-    discovery, so *table* stays whole.
+    *fds* is *table*'s own :func:`discover_fds` result, which the caller
+    already holds.  Each split draws from :func:`fragment_fds` of the
+    table or fragment it splits, so no fragment is profiled again and
+    decomposing costs no work-budget ticks.  A truncated *fds* may lack
+    FDs of deeper lattice levels, from which no fragment's FDs can be
+    derived, so *table* stays whole.
     """
+    if fds.truncated:
+        return DecompositionResult(original=table, fragments=[table], steps=0)
     worklist = [table]
     finished: list[Table] = []
     steps = 0
     while worklist:
         current = worklist.pop()
-        if current is table:
-            candidates = [] if fds.truncated else list(fds)
-        else:
-            candidates = list(
-                discover_fds(current, max_lhs=max_lhs, meter=meter)
-            )
+        candidates = fragment_fds(current, fds)
         if not candidates or len(finished) + len(worklist) + 2 > max_fragments:
             finished.append(current)
             continue

@@ -1,6 +1,6 @@
 """Property-based tests for the dataframe engine (hypothesis)."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dataframe import (
@@ -61,6 +61,16 @@ def test_join_size_formula_matches_materialized_join(left, right):
     size = join_output_size(left, right, "c0", "c0")
     materialized = inner_join(left, right, "c0", "c0")
     assert size == materialized.num_rows
+
+
+@given(tables(min_cols=0))
+@example(Table("t", []))
+@example(Table.empty("t", ["c0", "c1"]))
+@settings(max_examples=60)
+def test_iter_rows_matches_row(table):
+    assert list(table.iter_rows()) == [
+        table.row(i) for i in range(table.num_rows)
+    ]
 
 
 @given(tables(min_rows=1))

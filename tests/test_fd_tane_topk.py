@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataframe import Column, Table
-from repro.fd import discover_fds
+from repro.fd import discover_fds, discover_fds_naive
 from repro.fd.tane import (
     discover_fds_tane,
     partition_product,
@@ -90,6 +90,22 @@ def test_tane_equals_fun_property(table):
         discover_fds_tane(table).as_frozenset()
         == discover_fds(table).as_frozenset()
     )
+
+
+@given(fd_tables())
+@settings(max_examples=80, deadline=None)
+def test_lhs_cards_count_distinct_lhs_values(table):
+    """FUN, TANE and the naive checker record ``|pi_X|`` per FD LHS X."""
+    fds = discover_fds(table)
+    expected = {
+        fd.lhs: table.project(sorted(fd.lhs)).distinct().num_rows
+        if fd.lhs
+        else 1
+        for fd in fds
+    }
+    assert fds.lhs_cards == expected
+    assert discover_fds_tane(table).lhs_cards == expected
+    assert discover_fds_naive(table).lhs_cards == expected
 
 
 class TestTopKSearch:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.dataframe import Column, Table, inner_join
 from repro.fd import FD, discover_fds
@@ -15,6 +17,7 @@ from repro.normalize import (
     passes_size_filter,
 )
 from repro.normalize.analysis import aggregate_normalization, table_normalization
+from repro.normalize.bcnf import fragment_fds
 from repro.resilience import WorkMeter
 
 
@@ -156,18 +159,118 @@ def _recording(discover, tables):
     return recording
 
 
+@st.composite
+def fragment_cases(draw):
+    """A table, a column list S of it and a ``max_lhs`` for FUN.
+
+    Column names repeat, columns may be constant or all-null, values
+    come from small domains with nulls (so projections collapse rows),
+    and some rows may be duplicated.  S may reorder and repeat names.
+    """
+    n_rows = draw(st.integers(0, 30))
+    names = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6))
+    columns = []
+    for name in names:
+        kind = draw(st.sampled_from(["values"] * 4 + ["constant", "null"]))
+        if kind == "constant":
+            values = [7] * n_rows
+        elif kind == "null":
+            values = [None] * n_rows
+        else:
+            domain = draw(st.integers(1, 4))
+            values = draw(
+                st.lists(
+                    st.one_of(st.none(), st.integers(0, domain)),
+                    min_size=n_rows,
+                    max_size=n_rows,
+                )
+            )
+        columns.append(Column(name, values))
+    table = Table("t", columns)
+    if n_rows:
+        repeats = draw(st.lists(st.integers(0, n_rows - 1), max_size=10))
+        table = table.take(list(range(n_rows)) + repeats)
+    subset = draw(
+        st.lists(st.sampled_from(names), min_size=1, max_size=len(names) + 2)
+    )
+    return table, subset, draw(st.integers(1, 4))
+
+
+#: ``a -> b`` holds on the table, where ``a`` is no key, but ``a`` is a
+#: key of the fragment ``distinct(pi_{a,b})``, so FUN finds no FD there.
+KEY_IN_FRAGMENT = (
+    Table(
+        "t",
+        [
+            Column("a", [1, 1, 2, 2, 3]),
+            Column("b", ["x", "x", "y", "y", "x"]),
+            Column("c", [5, 6, 5, 6, 5]),
+        ],
+    ),
+    ["a", "b"],
+    4,
+)
+
+
+class TestFragmentFDs:
+    """Derived fragment FDs against FUN re-run on the fragment (oracle)."""
+
+    @given(fragment_cases())
+    @example(KEY_IN_FRAGMENT)
+    @settings(max_examples=400, deadline=None)
+    def test_derived_equals_rediscovered(self, case):
+        table, subset, max_lhs = case
+        fds = discover_fds(table, max_lhs=max_lhs)
+        assert fragment_fds(table, fds) == list(fds)
+        fragment = table.project(subset).distinct()
+        assert fragment_fds(fragment, fds) == list(
+            discover_fds(fragment, max_lhs=max_lhs)
+        )
+
+    def test_every_study_fragment(self, monkeypatch, study):
+        """Every table and fragment the study's ``fd`` units decompose,
+        with each unit's own BCNF RNG."""
+        checked = []
+
+        def checking(fragment, fds):
+            derived = fragment_fds(fragment, fds)
+            rediscovered = discover_fds(fragment, max_lhs=study.config.max_lhs)
+            assert derived == list(rediscovered), fragment.column_names
+            checked.append(fragment)
+            return derived
+
+        monkeypatch.setattr(bcnf, "fragment_fds", checking)
+        tables = []
+        for portal in study:
+            for ingested in portal.screened_tables():
+                table = ingested.clean
+                if table is None or not passes_size_filter(table):
+                    continue
+                tables.append(table)
+                key = (
+                    f"{study.config.seed}:{portal.code}:bcnf:"
+                    f"{ingested.resource_id}"
+                )
+                table_normalization(
+                    table, random.Random(key), max_lhs=study.config.max_lhs
+                )
+        fragments = [f for f in checked if all(f is not t for t in tables)]
+        assert len(fragments) > 100
+
+
 class TestTableNormalization:
     def test_discovers_the_unsplit_table_once(self, monkeypatch, fish_table):
-        discovered = []
-        for module in (analysis, bcnf):
+        discovered = {analysis: [], bcnf: []}
+        for module, tables in discovered.items():
             monkeypatch.setattr(
                 module,
                 "discover_fds",
-                _recording(module.discover_fds, discovered),
+                _recording(module.discover_fds, tables),
             )
         contribution = table_normalization(fish_table, random.Random(0))
         assert contribution.fragments >= 2
-        assert sum(table is fish_table for table in discovered) == 1
+        assert discovered[analysis] == [fish_table]
+        assert discovered[bcnf] == []
 
     def test_truncated_discovery_keeps_the_table_whole(self, fish_table):
         """A budget that cuts the table's own discovery after it found an
