@@ -261,14 +261,12 @@ class PortalStudy:
         key = ("join-sample", threshold)
         if key not in self._cache:
             oracle = LineageOracle.from_recorder(self.generated.lineage)
-            labeled, plan = stratified_sample(
+            self._cache[key], _ = stratified_sample(
                 self.joinability(threshold),
                 oracle,
                 seed=self.config.seed,
                 per_subbucket=self.config.join_sample_per_subbucket,
             )
-            self._cache[key] = labeled
-            self._cache[("join-sample-plan", threshold)] = plan
         return self._cache[key]
 
     def expansion_ratios(

@@ -6,7 +6,8 @@ The paper's procedure, reproduced exactly:
    tables are not over-represented);
 2. pick one of ``T1``'s joinable columns uniformly;
 3. pick ``T2`` uniformly among the tables joinable with that column,
-   taking ``T2``'s highest-overlap column when several qualify;
+   taking ``T2``'s column of highest Jaccard similarity when several
+   qualify (the first in ``column_neighbors`` order on ties);
 4. discard pairs of same-schema tables (they belong to the
    unionability analysis);
 5. balance the sample across three ``T1``-size buckets — (10,100),
@@ -20,6 +21,7 @@ import dataclasses
 import random
 from collections import Counter, defaultdict
 
+from ..unionability.schemas import Fingerprint, schema_fingerprint
 from .labeling import (
     KEY_KEY,
     KEY_NONKEY,
@@ -56,6 +58,8 @@ class SamplePlan:
 
     requested_per_subbucket: int
     filled: Counter
+    #: Draws made until the sample could no longer grow or the budget
+    #: of ``per_subbucket * 9 * 60`` draws ran out.
     attempts: int
 
 
@@ -64,64 +68,54 @@ def stratified_sample(
     oracle: LineageOracle,
     seed: int = 0,
     per_subbucket: int = PER_SUBBUCKET,
-    max_attempts: int | None = None,
 ) -> tuple[list[LabeledPair], SamplePlan]:
     """Draw and label a stratified sample of joinable pairs.
 
     Sub-buckets that the portal cannot fill (small corpora may simply
     lack, say, key-key pairs among tiny tables) are left short, and the
     plan records what was achieved.
+
+    A draw is a (``T1`` column, ``T2``) choice, and its outcome is
+    fixed before the first one: the pair it proposes and that pair's
+    sub-bucket, or a rejection that holds whatever was drawn before
+    (``T1`` under 10 rows, or the same schema).  Each is resolved once,
+    and the loop stops when no draw could still be accepted.  That stop
+    is exact: a seen pair stays seen and a full sub-bucket stays full,
+    so every later draw would be rejected.  The draws up to the stop
+    and the sample are those of a loop that spends its whole budget.
     """
     rng = random.Random(f"{seed}:{analysis.portal_code}:sample")
     profiles = analysis.profiles
     by_table = _joinable_columns_by_table(analysis)
     joinable_tables = sorted(by_table)
+    neighbor_tables, draws = _resolve_draws(analysis)
+    # The draws that would be accepted now, and what retires them.
+    live = set(draws)
+    by_pair: dict[JoinablePair, list[tuple[int, int]]] = defaultdict(list)
+    by_subbucket: dict[tuple[str, str], list[tuple[int, int]]] = (
+        defaultdict(list)
+    )
+    for draw, (pair, subbucket) in draws.items():
+        by_pair[pair].append(draw)
+        by_subbucket[subbucket].append(draw)
     filled: Counter = Counter()
-    seen_pairs: set[tuple[int, int]] = set()
     labeled: list[LabeledPair] = []
-    schema_cache: dict[int, tuple] = {}
     counts_cache: dict = {}
 
-    target_total = per_subbucket * len(SIZE_BUCKETS) * len(KEY_COMBOS)
-    attempts_budget = max_attempts or target_total * 60
+    attempts_budget = per_subbucket * len(SIZE_BUCKETS) * len(KEY_COMBOS) * 60
     attempts = 0
-    while (
-        joinable_tables
-        and len(labeled) < target_total
-        and attempts < attempts_budget
-    ):
+    while live and attempts < attempts_budget:
         attempts += 1
         t1 = rng.choice(joinable_tables)
         column_id = rng.choice(by_table[t1])
-        neighbors = analysis.column_neighbors.get(column_id, [])
-        if not neighbors:
+        t2 = rng.choice(neighbor_tables[column_id])
+        if (column_id, t2) not in live:
             continue
-        # Group neighbor columns by their table, pick a table uniformly,
-        # then the highest-overlap column within it.
-        neighbor_tables: dict[int, list[int]] = defaultdict(list)
-        for other in neighbors:
-            neighbor_tables[profiles[other].table_index].append(other)
-        t2 = rng.choice(sorted(neighbor_tables))
-        best = max(
-            neighbor_tables[t2],
-            key=lambda other: _pair_jaccard(analysis, column_id, other),
-        )
-        left, right = sorted((column_id, best))
-        if (left, right) in seen_pairs:
-            continue
-        if _same_schema(analysis, t1, t2, schema_cache):
-            continue
-        bucket = size_bucket(profiles[column_id].num_rows)
-        if bucket is None:
-            continue
-        combo = key_combination(profiles[left], profiles[right])
-        if filled[(bucket, combo)] >= per_subbucket:
-            continue
-        pair = _find_pair(analysis, left, right)
-        if pair is None:
-            continue
-        seen_pairs.add((left, right))
-        filled[(bucket, combo)] += 1
+        pair, subbucket = draws[(column_id, t2)]
+        live.difference_update(by_pair[pair])
+        filled[subbucket] += 1
+        if filled[subbucket] >= per_subbucket:
+            live.difference_update(by_subbucket[subbucket])
         judgment = oracle.judge(analysis, pair)
         labeled.append(
             LabeledPair(
@@ -132,11 +126,11 @@ def stratified_sample(
                     analysis.tables[t1].dataset_id
                     == analysis.tables[t2].dataset_id
                 ),
-                key_combo=combo,
+                key_combo=subbucket[1],
                 semantic_type=pair_semantic_type(
-                    profiles[left], profiles[right]
+                    profiles[pair.left], profiles[pair.right]
                 ),
-                size_bucket=bucket,
+                size_bucket=subbucket[0],
                 expansion_ratio=pair_expansion_ratio(
                     analysis, pair, counts_cache
                 ),
@@ -159,41 +153,55 @@ def _joinable_columns_by_table(
     return {table: sorted(columns) for table, columns in by_table.items()}
 
 
-def _pair_jaccard(
-    analysis: JoinabilityAnalysis, left: int, right: int
-) -> float:
-    pair = _find_pair(analysis, *sorted((left, right)))
-    return pair.jaccard if pair else 0.0
-
-
-def _find_pair(
-    analysis: JoinabilityAnalysis, left: int, right: int
-) -> JoinablePair | None:
-    index = getattr(analysis, "_pair_index", None)
-    if index is None:
-        index = {(p.left, p.right): p for p in analysis.pairs}
-        analysis._pair_index = index  # lazy cache on the analysis object
-    return index.get((left, right))
-
-
-def _same_schema(
+def _resolve_draws(
     analysis: JoinabilityAnalysis,
-    t1: int,
-    t2: int,
-    cache: dict[int, tuple],
-) -> bool:
-    return _schema_of(analysis, t1, cache) == _schema_of(analysis, t2, cache)
+) -> tuple[
+    dict[int, list[int]],
+    dict[tuple[int, int], tuple[JoinablePair, tuple[str, str]]],
+]:
+    """Each joinable column's ``T2`` choices and every draw's outcome.
 
+    Returns, per column, the sorted tables it joins with (the list
+    ``T2`` is drawn from) and, per draw ``(column, T2)`` that is not
+    rejected outright, the pair with ``T2``'s best column (highest
+    Jaccard, the first in neighbour order on ties) and its
+    ``(size bucket, key combo)`` sub-bucket, bucketed by ``T1``'s rows.
+    """
+    profiles = analysis.profiles
+    pairs = {(pair.left, pair.right): pair for pair in analysis.pairs}
+    fingerprints: dict[int, Fingerprint] = {}
 
-def _schema_of(
-    analysis: JoinabilityAnalysis, table_index: int, cache: dict[int, tuple]
-) -> tuple:
-    schema = cache.get(table_index)
-    if schema is None:
-        table = analysis.tables[table_index].clean
-        assert table is not None
-        schema = tuple(
-            (name.lower(), dtype.value) for name, dtype in table.schema()
-        )
-        cache[table_index] = schema
-    return schema
+    def fingerprint(table_index: int) -> Fingerprint:
+        if table_index not in fingerprints:
+            fingerprints[table_index] = schema_fingerprint(
+                analysis.tables[table_index].clean
+            )
+        return fingerprints[table_index]
+
+    def jaccard(left: int, right: int) -> float:
+        pair = pairs.get((min(left, right), max(left, right)))
+        return pair.jaccard if pair else 0.0
+
+    neighbor_tables: dict[int, list[int]] = {}
+    draws: dict[tuple[int, int], tuple[JoinablePair, tuple[str, str]]] = {}
+    for column_id, neighbors in analysis.column_neighbors.items():
+        best: dict[int, int] = {}
+        for other in neighbors:
+            t2 = profiles[other].table_index
+            if t2 not in best or (
+                jaccard(column_id, other) > jaccard(column_id, best[t2])
+            ):
+                best[t2] = other
+        neighbor_tables[column_id] = sorted(best)
+        t1 = profiles[column_id].table_index
+        bucket = size_bucket(profiles[column_id].num_rows)
+        if bucket is None:
+            continue
+        for t2, other in best.items():
+            left, right = sorted((column_id, other))
+            pair = pairs.get((left, right))
+            if pair is None or fingerprint(t1) == fingerprint(t2):
+                continue
+            combo = key_combination(profiles[left], profiles[right])
+            draws[(column_id, t2)] = (pair, (bucket, combo))
+    return neighbor_tables, draws

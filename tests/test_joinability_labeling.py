@@ -1,6 +1,9 @@
 """Tests for the lineage labeling oracle and sampling (§5.3)."""
 
-from collections import Counter
+import dataclasses
+import itertools
+import random
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -17,9 +20,17 @@ from repro.joinability import (
     stratified_sample,
 )
 from repro.joinability.coltypes import SemanticType
+from repro.joinability.expansion import pair_expansion_ratio
 from repro.joinability.index import ColumnProfile
 from repro.joinability.labeling import LabeledPair
 from repro.joinability.pairs import JoinablePair
+from repro.joinability.sampling import (
+    KEY_COMBOS,
+    PER_SUBBUCKET,
+    SIZE_BUCKETS,
+    SamplePlan,
+    size_bucket,
+)
 
 
 def profile(column_id=0, is_key=False, semantic=SemanticType.CATEGORICAL,
@@ -192,3 +203,162 @@ class TestStratifiedSampling:
         assert [(p.pair.left, p.pair.right) for p in a] == [
             (p.pair.left, p.pair.right) for p in b
         ]
+
+
+# ----------------------------------------------------------------------
+# Reference: the draw-by-draw sampling loop, which re-groups a column's
+# neighbours and re-ranks their Jaccards on every draw and spends its
+# whole budget.  It is kept verbatim, less its unused ``max_attempts``
+# parameter, as the oracle for ``stratified_sample``.
+# ----------------------------------------------------------------------
+def reference_sample(
+    analysis,
+    oracle,
+    seed=0,
+    per_subbucket=PER_SUBBUCKET,
+):
+    rng = random.Random(f"{seed}:{analysis.portal_code}:sample")
+    profiles = analysis.profiles
+    by_table = _joinable_columns_by_table(analysis)
+    joinable_tables = sorted(by_table)
+    filled: Counter = Counter()
+    seen_pairs: set[tuple[int, int]] = set()
+    labeled: list[LabeledPair] = []
+    schema_cache: dict[int, tuple] = {}
+    counts_cache: dict = {}
+
+    target_total = per_subbucket * len(SIZE_BUCKETS) * len(KEY_COMBOS)
+    attempts_budget = target_total * 60
+    attempts = 0
+    while (
+        joinable_tables
+        and len(labeled) < target_total
+        and attempts < attempts_budget
+    ):
+        attempts += 1
+        t1 = rng.choice(joinable_tables)
+        column_id = rng.choice(by_table[t1])
+        neighbors = analysis.column_neighbors.get(column_id, [])
+        if not neighbors:
+            continue
+        # Group neighbor columns by their table, pick a table uniformly,
+        # then the highest-overlap column within it.
+        neighbor_tables: dict[int, list[int]] = defaultdict(list)
+        for other in neighbors:
+            neighbor_tables[profiles[other].table_index].append(other)
+        t2 = rng.choice(sorted(neighbor_tables))
+        best = max(
+            neighbor_tables[t2],
+            key=lambda other: _pair_jaccard(analysis, column_id, other),
+        )
+        left, right = sorted((column_id, best))
+        if (left, right) in seen_pairs:
+            continue
+        if _same_schema(analysis, t1, t2, schema_cache):
+            continue
+        bucket = size_bucket(profiles[column_id].num_rows)
+        if bucket is None:
+            continue
+        combo = key_combination(profiles[left], profiles[right])
+        if filled[(bucket, combo)] >= per_subbucket:
+            continue
+        pair = _find_pair(analysis, left, right)
+        if pair is None:
+            continue
+        seen_pairs.add((left, right))
+        filled[(bucket, combo)] += 1
+        judgment = oracle.judge(analysis, pair)
+        labeled.append(
+            LabeledPair(
+                pair=pair,
+                label=judgment.label,
+                pattern=judgment.pattern,
+                same_dataset=(
+                    analysis.tables[t1].dataset_id
+                    == analysis.tables[t2].dataset_id
+                ),
+                key_combo=combo,
+                semantic_type=pair_semantic_type(
+                    profiles[left], profiles[right]
+                ),
+                size_bucket=bucket,
+                expansion_ratio=pair_expansion_ratio(
+                    analysis, pair, counts_cache
+                ),
+            )
+        )
+    plan = SamplePlan(
+        requested_per_subbucket=per_subbucket,
+        filled=filled,
+        attempts=attempts,
+    )
+    return labeled, plan
+
+
+def _joinable_columns_by_table(analysis):
+    by_table: dict[int, list[int]] = defaultdict(list)
+    for column_id in analysis.column_neighbors:
+        by_table[analysis.profiles[column_id].table_index].append(column_id)
+    return {table: sorted(columns) for table, columns in by_table.items()}
+
+
+def _pair_jaccard(analysis, left, right):
+    pair = _find_pair(analysis, *sorted((left, right)))
+    return pair.jaccard if pair else 0.0
+
+
+def _find_pair(analysis, left, right):
+    index = getattr(analysis, "_pair_index", None)
+    if index is None:
+        index = {(p.left, p.right): p for p in analysis.pairs}
+        analysis._pair_index = index  # lazy cache on the analysis object
+    return index.get((left, right))
+
+
+def _same_schema(analysis, t1, t2, cache):
+    return _schema_of(analysis, t1, cache) == _schema_of(analysis, t2, cache)
+
+
+def _schema_of(analysis, table_index, cache):
+    schema = cache.get(table_index)
+    if schema is None:
+        table = analysis.tables[table_index].clean
+        assert table is not None
+        schema = tuple(
+            (name.lower(), dtype.value) for name, dtype in table.schema()
+        )
+        cache[table_index] = schema
+    return schema
+
+
+class TestSampleMatchesDrawLoop:
+    def test_same_sample_and_draws_stop_early(self, study):
+        """Equal samples and sub-bucket counts on every portal of the
+        study at both thresholds, three seeds and four sub-bucket sizes;
+        the resolved sampler never draws more, and it stops early on at
+        least one sample that cannot fill."""
+        stopped_early = []
+        for code in ("CA", "SG", "UK", "US"):
+            portal = study.portal(code)
+            oracle = LineageOracle.from_recorder(portal.generated.lineage)
+            for threshold, seed, per_subbucket in itertools.product(
+                (0.9, 0.7), (3, 4, 5), (1, 2, 3, 17)
+            ):
+                case = (code, threshold, seed, per_subbucket)
+                analysis = portal.joinability(threshold)
+                labeled, plan = stratified_sample(
+                    analysis, oracle, seed=seed, per_subbucket=per_subbucket
+                )
+                # A copy takes the reference's pair index, so the shared
+                # analysis stays as built.
+                expected, expected_plan = reference_sample(
+                    dataclasses.replace(analysis), oracle,
+                    seed=seed, per_subbucket=per_subbucket,
+                )
+                assert labeled == expected, case
+                assert plan.filled == expected_plan.filled, case
+                assert plan.attempts <= expected_plan.attempts, case
+                short = len(labeled) < per_subbucket * 9
+                if short and plan.attempts < expected_plan.attempts:
+                    stopped_early.append(case)
+        assert stopped_early
