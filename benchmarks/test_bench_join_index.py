@@ -50,7 +50,6 @@ def test_bench_join_index_exact_vs_lsh(benchmark, study):
                 tables,
                 threshold,
                 meter=WorkMeter(None, metrics=lsh_metrics),
-                seed=study.config.seed,
             )
             for threshold in THRESHOLDS
         ]

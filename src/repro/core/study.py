@@ -29,6 +29,7 @@ from ..resilience import (
     RetryPolicy,
     StageStatus,
     StudyJournal,
+    UnitRequest,
     config_fingerprint,
 )
 from .config import StudyConfig
@@ -36,7 +37,6 @@ from .config import StudyConfig
 if TYPE_CHECKING:  # imported lazily at runtime to keep imports acyclic
     from ..dataframe import Table
     from ..joinability.labeling import LabeledPair
-    from ..joinability.lshindex import SignatureMemo
     from ..joinability.pairs import JoinabilityAnalysis
     from ..normalize.analysis import NormalizationStats
     from ..unionability.labeling import LabeledUnionPair
@@ -69,9 +69,7 @@ class PortalStudy:
         """Portal code (SG/CA/UK/US)."""
         return self.report.portal_code
 
-    def _run_units(
-        self, stage: str, memo: "SignatureMemo | None" = None
-    ) -> dict:
+    def _run_units(self, stage: str) -> dict:
         """Run *stage*'s planned per-table units; results by table id.
 
         Walks :func:`~repro.resilience.units.plan_portal_units` — the
@@ -92,12 +90,10 @@ class PortalStudy:
                 status = self.executor.status_of(dependency, table_id)
                 if status is not StageStatus.OK:
                     continue
-            result, _ = self.executor.guard_unit(
-                unit_request(
-                    planned, tables[planned.table_id], self.config, memo
-                ),
+            result, _ = self.executor.guard(
                 stage,
                 planned.table_id,
+                unit_request(planned, tables[planned.table_id], self.config),
             )
             if result is not None:
                 results[planned.table_id] = result
@@ -133,35 +129,33 @@ class PortalStudy:
     # joinability
     # ------------------------------------------------------------------
     def join_signatures(self) -> dict:
-        """Cached MinHash signatures per screened table.
+        """Cached MinHash signatures per screened table; no analysis uses them.
 
-        Keyed by position in :meth:`screened_tables` — the table-index
-        space the joinability profiles use.  Cached once and shared by
-        every threshold.  One journaled ``joinsig`` unit runs per table
-        (pooled runs adopt the worker-computed results here), sharing
-        one per-portal memo — the hasher and every value's hash vector
-        — in process; a unit truncated by its budget degrades to the
-        empty signature set, which the pair search treats as "skip the
-        band filter for this table" — slower, never wrong.
+        Keyed by position in :meth:`screened_tables`.  Only the
+        wall-clock benchmark calls this (its ``lake`` workload and
+        ``describe_corpus``), so it is a plain loop under one per-portal
+        :class:`~repro.joinability.lshindex.SignatureMemo`: no executor
+        unit, journal, span or budget.  Delete it with the next
+        benchmark change.
         """
-        from ..joinability.lshindex import SignatureMemo
-        from ..resilience.units import JOINSIG_STAGE
+        # Looked up at call time so a wrapper installed on the module
+        # attribute sees every call.
+        from ..joinability.lshindex import (
+            SignatureMemo,
+            compute_table_signatures,
+        )
 
         if "join-signatures" not in self._cache:
-            with maybe_span(
-                self.obs, "joinsig", kind="stage", portal=self.code
-            ):
-                positions = {
-                    t.resource_id: index
-                    for index, t in enumerate(self.screened_tables())
-                }
-                by_table = self._run_units(
-                    JOINSIG_STAGE,
-                    memo=SignatureMemo.create(seed=self.config.seed),
-                )
+            memo = SignatureMemo.create(seed=self.config.seed)
             self._cache["join-signatures"] = {
-                positions[table_id]: signatures
-                for table_id, signatures in by_table.items()
+                index: compute_table_signatures(
+                    ingested.clean,
+                    ingested.resource_id,
+                    min_unique=self.config.min_unique_values,
+                    seed=self.config.seed,
+                    memo=memo,
+                )
+                for index, ingested in enumerate(self.screened_tables())
             }
         return self._cache["join-signatures"]
 
@@ -170,9 +164,8 @@ class PortalStudy:
     ) -> "JoinabilityAnalysis":
         """Cached joinability analysis at the given threshold.
 
-        Consumes the cached per-table signatures and prefix-filters
-        candidates before the exact Jaccard verify; the pair set is
-        byte-identical to the all-pairs walk
+        Prefix- and size-filters candidates before the exact Jaccard
+        verify; the pair set is byte-identical to the all-pairs walk
         (:func:`~repro.joinability.pairs.analyze_joinability`, kept as
         the oracle), only the op counts differ.
         """
@@ -193,31 +186,26 @@ class PortalStudy:
                 portal=self.code,
             ):
                 tables = self.screened_tables()
-                table_signatures = self.join_signatures()
-
-                def analyze(meter):
-                    return analyze_joinability_lsh(
-                        self.code,
-                        tables,
-                        threshold=threshold,
-                        min_unique=self.config.min_unique_values,
-                        meter=meter,
-                        table_signatures=table_signatures,
-                        seed=self.config.seed,
-                    )
-
                 analysis, _ = self.executor.guard(
                     f"pairs@{threshold}",
                     PORTAL_WIDE,
-                    analyze,
-                    classify=lambda a: (
-                        StageStatus.TRUNCATED
-                        if a.truncated
-                        else StageStatus.OK
-                    ),
-                    on_budget=StageStatus.TRUNCATED,
-                    fallback=lambda: empty_joinability_analysis(
-                        self.code, tables
+                    UnitRequest(
+                        compute=lambda meter: analyze_joinability_lsh(
+                            self.code,
+                            tables,
+                            threshold=threshold,
+                            min_unique=self.config.min_unique_values,
+                            meter=meter,
+                        ),
+                        classify=lambda a: (
+                            StageStatus.TRUNCATED
+                            if a.truncated
+                            else StageStatus.OK
+                        ),
+                        on_budget=StageStatus.TRUNCATED,
+                        fallback=lambda: empty_joinability_analysis(
+                            self.code, tables
+                        ),
                     ),
                 )
                 self._cache[key] = analysis
@@ -303,12 +291,14 @@ class PortalStudy:
                 analysis, _ = self.executor.guard(
                     "union",
                     PORTAL_WIDE,
-                    lambda meter: analyze_unionability(
-                        self.code, tables, meter=meter
-                    ),
-                    on_budget=StageStatus.TRUNCATED,
-                    fallback=lambda: empty_unionability_analysis(
-                        self.code, tables
+                    UnitRequest(
+                        compute=lambda meter: analyze_unionability(
+                            self.code, tables, meter=meter
+                        ),
+                        on_budget=StageStatus.TRUNCATED,
+                        fallback=lambda: empty_unionability_analysis(
+                            self.code, tables
+                        ),
                     ),
                 )
                 self._cache["unionability"] = analysis

@@ -283,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     index_parser = subparsers.add_parser(
         "build-index",
         help=(
-            "build the persistent MinHash-LSH join index and write it "
-            "to disk for later runs to load"
+            "build the persistent join index (exact prefix-filtered "
+            "pair search) and write it to disk for later runs to load"
         ),
     )
     index_parser.set_defaults(handler=_run_build_index)
@@ -712,9 +712,9 @@ def _run_bench_report(args: argparse.Namespace) -> int:
 
 
 def _run_build_index(args: argparse.Namespace) -> int:
-    """The ``build-index`` subcommand: persist the MinHash-LSH join index.
+    """The ``build-index`` subcommand: persist the join index.
 
-    Builds one study, computes the LSH-filtered (exact-verified) pair
+    Builds one study, computes the prefix-filtered (exact-verified) pair
     set per (portal, threshold), and writes each to a fingerprinted
     index file under ``--out``.  ``--verify`` re-derives every pair set
     with the quadratic all-pairs walk and exits 1 on any mismatch —
@@ -727,7 +727,7 @@ def _run_build_index(args: argparse.Namespace) -> int:
     from ..obs import Observer
     from ..obs.metrics import MetricsRegistry
     from ..resilience.budget import WorkMeter
-    from ..resilience.units import JOINSIG_STAGE, SCREEN_STAGE
+    from ..resilience.units import SCREEN_STAGE
     from ..search.indexstore import JoinIndexStore, StoredJoinIndex
 
     log = get_log()
@@ -753,14 +753,12 @@ def _run_build_index(args: argparse.Namespace) -> int:
     )
     obs = Observer(None)
     started = time.perf_counter()
-    # The index needs screening plus signatures, never FD discovery —
-    # a pooled build plans exactly those unit stages.
+    # The index needs screening, never FD discovery — a pooled build
+    # plans only screen units.
     study = Study.build(
         config,
         obs=obs,
-        pool_stages=(
-            (SCREEN_STAGE, JOINSIG_STAGE) if config.workers > 1 else None
-        ),
+        pool_stages=(SCREEN_STAGE,) if config.workers > 1 else None,
     )
     store = JoinIndexStore(args.out)
     written: list[dict] = []

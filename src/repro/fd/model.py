@@ -86,10 +86,6 @@ class FDSet:
         """Whether some FD has |LHS| = 1 (Table 5's simple-FD count)."""
         return any(fd.lhs_size == 1 for fd in self._fds)
 
-    def with_lhs_size(self, size: int) -> list[FD]:
-        """All FDs whose LHS has exactly *size* attributes."""
-        return [fd for fd in self._fds if fd.lhs_size == size]
-
     def as_frozenset(self) -> frozenset[tuple[frozenset[str], str]]:
         """Canonical form for comparing two discovery algorithms."""
         return frozenset((fd.lhs, fd.rhs) for fd in self._fds)

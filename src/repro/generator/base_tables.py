@@ -12,7 +12,7 @@ import random
 import zlib
 
 from . import vocab
-from .domains import Domain, DomainKind, DomainRegistry, code_domain, incremental_domain
+from .domains import Domain, DomainKind, DomainRegistry, code_domain
 from .schemas import DimSpec, MeasureSpec, TopicBlueprint
 
 #: Portal-specific name of the shared "{region}" dimension column.
@@ -396,8 +396,3 @@ def _sample_measure(measure: MeasureSpec, grid: int, rng: random.Random):
         step = max(1, int(span / grid))
         return min(int(measure.high), int(measure.low) + position * step)
     return round(measure.low + position * (span / grid), 2)
-
-
-def make_id_column_domain(family_id: str, table_name: str) -> Domain:
-    """Scoped incremental-id domain for one published table."""
-    return incremental_domain(f"{family_id}.{table_name}")

@@ -118,11 +118,6 @@ class IngestReport:
         """Tables that survive cleaning (the analysis corpus)."""
         return [t for t in self.tables if t.analyzable]
 
-    @property
-    def dropped_wide_count(self) -> int:
-        """Number of readable tables removed by the width cutoff."""
-        return sum(1 for t in self.tables if t.dropped_as_wide)
-
 
 def ingest_portal(
     api: CkanApi,

@@ -1,18 +1,16 @@
-"""Sub-quadratic joinable-pair search: prefix filter + MinHash-LSH.
+"""Sub-quadratic joinable-pair search: two exact filters, then verify.
 
-ROADMAP item 3.  The exact all-pairs walk in
-:mod:`repro.joinability.pairs` charges one tick per posting comparison,
-which is quadratic in the size of popular posting lists and dominates
-every study run.  This module promotes the ablation-only MinHash code
-(:mod:`repro.joinability.minhash`) into the production candidate path
-while keeping the **exact-verify fidelity contract**: every candidate
-that survives filtering is verified with the same exact Jaccard
-arithmetic the all-pairs path uses, so the emitted
+The exact all-pairs walk in :mod:`repro.joinability.pairs` charges one
+tick per posting comparison, which is quadratic in the size of popular
+posting lists.  This module finds the same pairs from far fewer
+candidates while keeping the **exact-verify fidelity contract**: every
+candidate that survives filtering is verified with the same exact
+Jaccard arithmetic the all-pairs path uses, so the emitted
 :class:`~repro.joinability.pairs.JoinablePair` set is byte-identical —
 same ints, same floats, same order — and only the *candidate count*
 changes.
 
-Candidate generation is a conjunction of three filters:
+Candidate generation is a conjunction of two filters, both exact:
 
 * **prefix filter** (PPJoin, Xiao et al. 2008) — order all tokens by
   ascending document frequency; a column keeps only the
@@ -20,30 +18,23 @@ Candidate generation is a conjunction of three filters:
   with Jaccard >= t must share a prefix token (for J >= t the overlap
   is at least ``t * max(|A|, |B|)``, and the first common token in the
   global order falls inside both prefixes), so enumerating pairs from
-  prefix posting lists is a **provable superset** of the answer —
-  recall 1.0 by construction, not probabilistically;
-* **size filter** — J >= t implies ``min(|A|,|B|) >= t * max(|A|,|B|)``
-  (also exact);
-* **LSH band filter** — banded MinHash signatures (64 permutations in
-  32 bands of 2 rows): a pair survives only if some band's signature
-  slices agree.  P(no band agrees | J) = (1 - J^2)^32, about 1e-23 at
-  J = 0.9 and 4e-10 at J = 0.7 — negligible, and the equal-seed
-  equality gates (`build-index --verify`, CI's index-gate, the
-  `exact vs lsh` ablation bench) verify it empirically on every corpus
-  we ship.  A column whose signature is unavailable (its index-build
-  unit was truncated) simply skips this filter, degrading speed, never
-  recall.
+  prefix posting lists is a **provable superset** of the answer;
+* **size filter** — J >= t implies ``min(|A|,|B|) >= t * max(|A|,|B|)``.
 
-Both float comparisons are slack in the safe direction:
-``ceil(t*n - 1e-9)`` can only under-estimate the overlap requirement
-(lengthening the prefix), and ``min + 1e-9 >= t * max`` can only admit
-extra candidates.
+Neither filter can drop a joinable pair, so the whole path has recall
+1.0 by construction, not probabilistically.  Both float comparisons are
+slack in the safe direction: ``ceil(t*n - 1e-9)`` can only
+under-estimate the overlap requirement (lengthening the prefix), and
+``min + 1e-9 >= t * max`` can only admit extra candidates.
 
-Signatures themselves are per-table work, so
-:mod:`repro.resilience.units` plans one ``joinsig`` unit per screened
-table and ``--workers N`` builds them in parallel under the existing
-crash supervision; :mod:`repro.search.indexstore` persists the verified
-pair set as the on-disk join index the data lake serves from.
+The MinHash signature code below (:func:`compute_table_signatures` and
+its types) is not part of the pair search.  It stays only because the
+wall-clock benchmark calls
+:meth:`~repro.core.study.PortalStudy.join_signatures` and wraps
+:func:`compute_table_signatures` by name; delete it with the next
+benchmark change.  The module name and :func:`analyze_joinability_lsh`
+stay for the same reason.  :mod:`repro.search.indexstore` persists the
+verified pair set as the on-disk join index the data lake serves from.
 """
 
 from __future__ import annotations
@@ -69,39 +60,13 @@ from .pairs import (
     assemble_joinability,
 )
 
-
-@dataclasses.dataclass(frozen=True)
-class LshParams:
-    """Banding geometry of the production join index.
-
-    The defaults (64 permutations, 32 bands of 2 rows) are chosen so
-    the per-band agreement probability ``J^2`` makes a miss at either
-    paper threshold (0.9 primary, 0.7 supplementary) astronomically
-    unlikely — see the module docstring — while keeping signatures
-    small enough to journal per unit.
-    """
-
-    num_perm: int = 64
-    bands: int = 32
-
-    def __post_init__(self) -> None:
-        if self.bands < 1 or self.num_perm < self.bands:
-            raise ValueError("need at least one row per band")
-        if self.num_perm % self.bands:
-            raise ValueError("num_perm must divide evenly into bands")
-
-    @property
-    def rows_per_band(self) -> int:
-        """Signature positions hashed into each band."""
-        return self.num_perm // self.bands
-
-
-DEFAULT_LSH_PARAMS = LshParams()
+#: Permutations per column signature.
+NUM_PERM = 64
 
 
 @dataclasses.dataclass(frozen=True)
 class ColumnSignature:
-    """One qualifying column's MinHash signature, unit-transportable."""
+    """One qualifying column's MinHash signature."""
 
     column_name: str
     num_unique: int
@@ -110,65 +75,21 @@ class ColumnSignature:
 
 @dataclasses.dataclass(frozen=True)
 class TableJoinSignatures:
-    """The ``joinsig`` unit result: signatures of one table's columns.
-
-    ``columns`` lists qualifying columns in table order — the same
-    order :func:`~repro.joinability.index.build_profiles` assigns
-    profile ids — so the supervisor aligns signatures to profiles
-    positionally, double-checked by name and distinct count.
-    """
+    """Signatures of one table's qualifying columns, in table order."""
 
     table_id: str
     columns: tuple[ColumnSignature, ...]
-
-    def to_payload(self) -> dict:
-        """JSON-serializable form for shard/journal transport."""
-        return {
-            "table_id": self.table_id,
-            "columns": [
-                {
-                    "name": c.column_name,
-                    "n": c.num_unique,
-                    "sig": list(c.signature),
-                }
-                for c in self.columns
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "TableJoinSignatures":
-        """Rebuild from :meth:`to_payload` output."""
-        return cls(
-            table_id=payload["table_id"],
-            columns=tuple(
-                ColumnSignature(
-                    column_name=c["name"],
-                    num_unique=c["n"],
-                    signature=tuple(c["sig"]),
-                )
-                for c in payload["columns"]
-            ),
-        )
-
-
-def empty_table_signatures(table_id: str) -> TableJoinSignatures:
-    """The budget fallback: no signatures, so no band filtering.
-
-    Pairs touching this table's columns fall back to prefix + size
-    filtering only — slower candidate generation, identical answers.
-    """
-    return TableJoinSignatures(table_id=table_id, columns=())
 
 
 @dataclasses.dataclass(frozen=True)
 class SignatureMemo:
     """A hasher plus the permuted hash vector of every value it has hashed.
 
-    One portal's in-process ``joinsig`` units share one memo: the hasher
-    is built once rather than once per table, and a value repeated
-    across tables (the paper's §4 finding: OGDP columns repeat heavily)
-    is hashed once.  The vectors are a pure function of the hasher, so a
-    memo never changes a result.
+    One portal's tables share one memo: the hasher is built once rather
+    than once per table, and a value repeated across tables (the
+    paper's §4 finding: OGDP columns repeat heavily) is hashed once.
+    The vectors are a pure function of the hasher, so a memo never
+    changes a result.
     """
 
     hasher: MinHasher
@@ -177,11 +98,9 @@ class SignatureMemo:
     )
 
     @classmethod
-    def create(
-        cls, params: LshParams = DEFAULT_LSH_PARAMS, seed: int = 1
-    ) -> "SignatureMemo":
-        """An empty memo over the hasher of *params* and *seed*."""
-        return cls(MinHasher.create(num_perm=params.num_perm, seed=seed))
+    def create(cls, seed: int = 1) -> "SignatureMemo":
+        """An empty memo over the :data:`NUM_PERM` hasher of *seed*."""
+        return cls(MinHasher.create(num_perm=NUM_PERM, seed=seed))
 
 
 def signature_of_values(
@@ -212,24 +131,20 @@ def compute_table_signatures(
     table_id: str,
     *,
     min_unique: int = MIN_UNIQUE_VALUES,
-    params: LshParams = DEFAULT_LSH_PARAMS,
     seed: int = 1,
     meter: WorkMeter | None = None,
     memo: SignatureMemo | None = None,
 ) -> TableJoinSignatures:
-    """The ``joinsig`` unit computation over one cleaned table.
+    """MinHash signatures of one cleaned table's qualifying columns.
 
-    Mirrors :func:`build_profiles`' qualifying rule exactly (raw
-    ``distinct_count`` against the unique-value floor) so the produced
-    signatures align one-to-one with the profiles the supervisor
-    builds.  Charges one tick per normalized distinct value, so a
-    data-volume poison table budgets out here like it would in any
-    other per-table stage.  A shared *memo* must have been created
-    with the same *params* and *seed*; without one, the table gets
-    its own.
+    Qualifies columns by :func:`build_profiles`' rule (raw
+    ``distinct_count`` against the unique-value floor) and charges one
+    ``join.signature`` tick per normalized distinct value.  A shared
+    *memo* must have been created with the same *seed*; without one,
+    the table gets its own.
     """
     if memo is None:
-        memo = SignatureMemo.create(params, seed)
+        memo = SignatureMemo.create(seed)
     columns: list[ColumnSignature] = []
     with prof_scope(meter, "minhash", "signature"):
         for column in table.columns:
@@ -250,37 +165,6 @@ def compute_table_signatures(
                 )
             )
     return TableJoinSignatures(table_id=table_id, columns=tuple(columns))
-
-
-def align_signatures(
-    profiles: list[ColumnProfile],
-    table_signatures: dict[int, TableJoinSignatures],
-) -> dict[int, tuple[int, ...] | None]:
-    """Map profile column ids to their unit-computed signatures.
-
-    Alignment is positional within each table (both sides enumerate
-    qualifying columns in table order) and verified by column name and
-    distinct count; any mismatch — or a table whose unit was truncated
-    to the empty fallback — yields ``None``, meaning "no band filter
-    for this column" rather than a wrong filter.
-    """
-    aligned: dict[int, tuple[int, ...] | None] = {}
-    positions: dict[int, int] = defaultdict(int)
-    for profile in profiles:
-        signatures = table_signatures.get(profile.table_index)
-        signature: tuple[int, ...] | None = None
-        if signatures is not None:
-            position = positions[profile.table_index]
-            positions[profile.table_index] += 1
-            if position < len(signatures.columns):
-                entry = signatures.columns[position]
-                if (
-                    entry.column_name == profile.column_name
-                    and entry.num_unique == profile.num_unique
-                ):
-                    signature = tuple(entry.signature)
-        aligned[profile.column_id] = signature
-    return aligned
 
 
 def prefix_length(num_unique: int, threshold: float) -> int:
@@ -345,53 +229,25 @@ def generate_candidates(
     return sorted(candidates)
 
 
-def _bands_agree(
-    left: tuple[int, ...], right: tuple[int, ...], params: LshParams
-) -> bool:
-    """Whether any LSH band's signature slices are equal."""
-    rows = params.rows_per_band
-    for band in range(params.bands):
-        low = band * rows
-        if left[low : low + rows] == right[low : low + rows]:
-            return True
-    return False
-
-
 def lsh_joinable_pairs_flagged(
     profiles: list[ColumnProfile],
     threshold: float = JACCARD_THRESHOLD,
     meter: WorkMeter | None = None,
-    *,
-    signatures: dict[int, tuple[int, ...] | None] | None = None,
-    params: LshParams = DEFAULT_LSH_PARAMS,
-    seed: int = 1,
 ) -> tuple[list[JoinablePair], bool]:
     """The indexed sibling of ``joinable_pairs_flagged``: same answers.
 
-    *signatures* maps profile column ids to MinHash signatures (or
-    ``None`` for "unavailable"); omitted entirely, signatures are
-    computed inline from the profiles.  Filter survivors are counted in
-    the same ``join.candidate_pairs`` event the all-pairs path emits —
-    the number the bench gate tracks — and verified with identical
+    Prefix candidates that pass the size filter are counted in the same
+    ``join.candidate_pairs`` event the all-pairs path emits — the
+    number the bench gate tracks — and verified with identical
     exact-Jaccard arithmetic, charging the same one-tick-per-candidate
     ``join.jaccard`` op.  The verify loop truncates cleanly over the
     sorted candidate list, matching the all-pairs truncation contract.
     """
-    if signatures is None:
-        memo = SignatureMemo.create(params, seed)
-        signatures = {}
-        with prof_scope(meter, "minhash", "signature"):
-            for profile in profiles:
-                if meter is not None:
-                    meter.tick(profile.num_unique, op="join.signature")
-                signatures[profile.column_id] = signature_of_values(
-                    profile.values, memo.hasher, memo.vectors
-                )
     candidates = generate_candidates(profiles, threshold, meter)
     if meter is not None:
         meter.event("join.prefix_candidates", len(candidates))
     survivors: list[tuple[int, int]] = []
-    with prof_scope(meter, "lsh", "band_filter"):
+    with prof_scope(meter, "lsh", "size_filter"):
         for left, right in candidates:
             if meter is not None:
                 meter.tick(op="join.filter")
@@ -401,17 +257,8 @@ def lsh_joinable_pairs_flagged(
             large = max(
                 profiles[left].num_unique, profiles[right].num_unique
             )
-            if small + 1e-9 < threshold * large:
-                continue
-            left_sig = signatures.get(left)
-            right_sig = signatures.get(right)
-            if (
-                left_sig is not None
-                and right_sig is not None
-                and not _bands_agree(left_sig, right_sig, params)
-            ):
-                continue
-            survivors.append((left, right))
+            if small + 1e-9 >= threshold * large:
+                survivors.append((left, right))
     if meter is not None:
         meter.event("join.candidate_pairs", len(survivors))
     pairs: list[JoinablePair] = []
@@ -455,33 +302,17 @@ def analyze_joinability_lsh(
     threshold: float = JACCARD_THRESHOLD,
     min_unique: int = MIN_UNIQUE_VALUES,
     meter: WorkMeter | None = None,
-    *,
-    table_signatures: dict[int, TableJoinSignatures] | None = None,
-    params: LshParams = DEFAULT_LSH_PARAMS,
-    seed: int = 1,
 ) -> JoinabilityAnalysis:
     """Index-backed drop-in for ``analyze_joinability``: same analysis.
 
-    *table_signatures* maps table indexes (positions in *tables*) to
-    unit-computed signatures; without it, signatures are derived inline
-    from the profiles — the serial unpooled path.  Either way the
-    emitted pair set, stats, and neighbor maps are byte-identical to
-    the all-pairs analysis, which the fidelity and diff gates enforce.
+    The emitted pair set, stats, and neighbor maps are byte-identical
+    to the all-pairs analysis, which the fidelity and diff gates
+    enforce.
     """
     profiles, total_columns = build_profiles(
         tables, min_unique=min_unique, meter=meter
     )
-    signatures = None
-    if table_signatures is not None:
-        signatures = align_signatures(profiles, table_signatures)
-    pairs, truncated = lsh_joinable_pairs_flagged(
-        profiles,
-        threshold,
-        meter,
-        signatures=signatures,
-        params=params,
-        seed=seed,
-    )
+    pairs, truncated = lsh_joinable_pairs_flagged(profiles, threshold, meter)
     return assemble_joinability(
         portal_code, tables, profiles, total_columns, pairs, truncated
     )

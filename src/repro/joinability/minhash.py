@@ -80,7 +80,7 @@ class MinHasher:
         exception: coefficient *i* comes from
         ``sha256("minhash:<seed>:<i>")`` — 16 digest bytes for the
         multiplier (nonzero mod the Mersenne prime), 16 for the offset —
-        which keeps on-disk signatures stable across interpreter
+        so equal seeds give equal signatures across interpreter
         upgrades.
         """
         coefficients = []

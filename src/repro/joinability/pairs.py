@@ -238,7 +238,7 @@ def assemble_joinability(
 ) -> JoinabilityAnalysis:
     """Table 6's statistics bundle from an already-found pair set.
 
-    Shared by the all-pairs path, the LSH-indexed path, and the on-disk
+    Shared by the all-pairs path, the prefix-filtered path, and the on-disk
     index loader (:mod:`repro.search.indexstore`), which reconstructs an
     analysis from persisted pairs without re-running the pair search —
     the derived stats are a pure function of ``(profiles, pairs)``, so

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import pathlib
 import re
 import statistics
 from typing import Iterable, Mapping
+
+from .trace import write_atomic
 
 #: Filename pattern for bench histories at the repository root.
 BENCH_GLOB = "BENCH_*.json"
@@ -41,7 +42,7 @@ DEFAULT_WINDOW = 5
 DEFAULT_MIN_OPS = 1000
 #: Absolute floor for the join-candidate gate.  Candidate counts are
 #: orders of magnitude smaller than total_ops (that is the point of the
-#: LSH index), so they get their own, tighter floor.
+#: join index's filters), so they get their own, tighter floor.
 DEFAULT_MIN_CANDIDATES = 50
 
 
@@ -198,13 +199,12 @@ def append_record(
 
     Existing records are recovered with the tolerant reader (so a
     previously truncated file loses only its torn tail, not its
-    history), and the updated array is written via a same-directory
-    temp file plus :func:`os.replace` so readers never observe a
+    history), and the updated array is written through
+    :func:`~repro.obs.trace.write_atomic` so readers never observe a
     partially written file.  Shared by the bench harness and the
     load-test CLI.
     """
     path = pathlib.Path(root) / f"BENCH_{experiment_id}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
     records: list = []
     if path.exists():
         try:
@@ -213,12 +213,7 @@ def append_record(
             text = ""
         records = salvage_json_objects(text)
     records.append(dict(record))
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(records, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(records, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -335,7 +330,7 @@ def evaluate_gate(
         and baseline_ops > 0
         and latest.total_ops > baseline_ops * (1.0 + threshold)
     )
-    # The candidate-count gate: the LSH index's whole value is that
+    # The candidate-count gate: the join index's whole value is that
     # join.candidate_pairs stays super-linearly below all-pairs, so a
     # creep back up is a regression even when total_ops still passes.
     baseline_join = statistics.median(r.join_candidates for r in prior)

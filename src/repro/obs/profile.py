@@ -42,12 +42,11 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import pathlib
 from typing import Mapping
 
 from .quantiles import percentile_nearest_rank
-from .trace import TraceData, load_trace
+from .trace import TraceData, load_trace, write_atomic
 
 #: Profile artifact format version.
 PROFILE_VERSION = 1
@@ -165,16 +164,11 @@ def write_profile(
     meta: Mapping | None = None,
 ) -> None:
     """Write the profile artifact via write-to-temp + atomic rename."""
-    target = pathlib.Path(path)
-    if target.parent != pathlib.Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    text = (
+    write_atomic(
+        path,
         json.dumps(profile_doc(profiler, meta), sort_keys=True, indent=2)
-        + "\n"
+        + "\n",
     )
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, target)
 
 
 def read_profile(path: str | pathlib.Path) -> dict:

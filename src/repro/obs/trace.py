@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import pathlib
 from contextlib import contextmanager
 from typing import IO
@@ -49,6 +50,22 @@ class Span:
     def add_ops(self, ops: int) -> None:
         """Charge *ops* operations directly to this span."""
         self.self_ops += ops
+
+
+def write_atomic(path: str | pathlib.Path, text: str) -> None:
+    """Write *text* to *path* through ``<name>.tmp`` and an atomic rename.
+
+    The one temp-then-rename writer of every whole-file artifact
+    (quarantine records, profiles, join indexes, bench histories): a
+    process killed mid-write leaves the previous file, or none, and at
+    most a stray temp file — never a torn *path*.  Creates the parent
+    directory.
+    """
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 class TraceWriter:

@@ -28,6 +28,7 @@ from .executor import (
     CompletedUnit,
     StageOutcome,
     StageStatus,
+    UnitRequest,
     compute_unit,
 )
 from .journal import (
@@ -66,6 +67,7 @@ __all__ = [
     "StageStatus",
     "StudyJournal",
     "TokenBucket",
+    "UnitRequest",
     "WorkMeter",
     "compute_unit",
     "config_fingerprint",

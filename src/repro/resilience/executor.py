@@ -27,11 +27,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-import os
 import pathlib
 from typing import Callable, Mapping
 
 from ..obs.profile import prof_scope
+from ..obs.trace import write_atomic
 from .budget import BudgetExceeded, WorkMeter
 from .journal import StageRecord, StudyJournal
 
@@ -51,33 +51,52 @@ class StageStatus(enum.Enum):
     FAILED = "failed"
 
 
+@dataclasses.dataclass(frozen=True)
+class UnitRequest:
+    """Everything the guard needs to run one unit, wherever it runs.
+
+    ``compute(meter)`` does the work; *classify* maps a clean result to
+    OK/TRUNCATED; *encode*/*decode* carry a journaled result to and from
+    its payload; *on_budget* and *fallback* say what a budget blowup
+    with no usable partial records and stands in with.
+    """
+
+    compute: Callable[[WorkMeter], object]
+    classify: Callable[[object], StageStatus] | None = None
+    encode: Callable[[object], object] | None = None
+    decode: Callable[[object], object] | None = None
+    on_budget: StageStatus = StageStatus.QUARANTINED
+    fallback: Callable[[], object] | None = None
+
+
 def compute_unit(
     stage: str,
     table_id: str,
-    compute: Callable[[WorkMeter], object],
+    request: UnitRequest,
     meter: WorkMeter,
     *,
-    classify: Callable[[object], StageStatus] | None = None,
-    on_budget: StageStatus = StageStatus.QUARANTINED,
-    encode: Callable[[object], object] | None = None,
+    encode: bool = True,
 ) -> tuple[object | None, StageRecord]:
-    """Run one unit's compute under *meter* and record how it ended.
+    """Run *request*'s compute under *meter* and record how it ended.
 
     The failure-shape contract shared by :meth:`AnalysisExecutor.guard`
     and pool worker processes, so a unit computed in a worker gets
     exactly the semantics the in-process guard would apply: a clean
     return is classified OK/TRUNCATED, an escaping
-    :class:`BudgetExceeded` maps to *on_budget* with no result, and any
-    other exception maps to FAILED.  Returns ``(result, record)``; the
-    record carries the meter's spend and budget and, given *encode* and
-    a result, the encoded payload.
+    :class:`BudgetExceeded` maps to ``request.on_budget`` with no
+    result, and any other exception maps to FAILED.  Returns
+    ``(result, record)``; the record carries the meter's spend and
+    budget and, with *encode* set, a result and a ``request.encode``,
+    the encoded payload.
     """
     try:
-        result = compute(meter)
-        status = classify(result) if classify else StageStatus.OK
+        result = request.compute(meter)
+        status = (
+            request.classify(result) if request.classify else StageStatus.OK
+        )
         detail = ""
     except BudgetExceeded as exc:
-        result, status, detail = None, on_budget, str(exc)
+        result, status, detail = None, request.on_budget, str(exc)
     except Exception as exc:  # noqa: BLE001 — the guard's whole point
         result, status = None, StageStatus.FAILED
         detail = f"{type(exc).__name__}: {exc}"
@@ -89,8 +108,8 @@ def compute_unit(
         budget=meter.budget,
         detail=detail,
         payload=(
-            encode(result)
-            if encode is not None and result is not None
+            request.encode(result)
+            if encode and request.encode is not None and result is not None
             else None
         ),
     )
@@ -188,44 +207,36 @@ class AnalysisExecutor:
     # the guard
     # ------------------------------------------------------------------
     def guard(
-        self,
-        stage: str,
-        table_id: str,
-        compute: Callable[[WorkMeter], object],
-        *,
-        classify: Callable[[object], StageStatus] | None = None,
-        encode: Callable[[object], object] | None = None,
-        decode: Callable[[object], object] | None = None,
-        journal_stage: bool = False,
-        on_budget: StageStatus = StageStatus.QUARANTINED,
-        fallback: Callable[[], object] | None = None,
+        self, stage: str, table_id: str, request: UnitRequest
     ) -> tuple[object | None, StageOutcome]:
         """Run one analysis unit under a fresh meter.
 
-        ``compute(meter)`` does the work; analyses that truncate
-        internally (FD discovery) flag their result and ``classify``
-        maps it to OK/TRUNCATED.  A :class:`BudgetExceeded` escaping
-        ``compute`` means no usable partial exists: the unit is recorded
-        with *on_budget* (QUARANTINED for per-table stages, TRUNCATED
-        for portal-wide ones) and *fallback* supplies the degraded
-        stand-in result.  Any other exception records FAILED.
+        ``request.compute(meter)`` does the work; analyses that truncate
+        internally (FD discovery) flag their result and
+        ``request.classify`` maps it to OK/TRUNCATED.  A
+        :class:`BudgetExceeded` escaping the compute means no usable
+        partial exists: the unit is recorded with ``request.on_budget``
+        (QUARANTINED for per-table stages, TRUNCATED for portal-wide
+        ones) and ``request.fallback`` supplies the degraded stand-in
+        result.  Any other exception records FAILED.
 
-        With ``journal_stage=True`` and a journal attached, finished
-        units are checkpointed (payload via *encode*) and future calls
-        replay them (via *decode*) without recomputation.
+        A unit is journaled if and only if a journal is attached and it
+        is a per-table unit (*table_id* is not :data:`PORTAL_WIDE`):
+        its finished record is checkpointed (payload via
+        ``request.encode``) and future calls replay it (via
+        ``request.decode``) without recomputation.
         """
-        journaled = journal_stage and self.journal is not None
+        journaled = self.journal is not None and table_id != PORTAL_WIDE
         if journaled:
             record = self.journal.get((stage, table_id))
             if record is not None:
-                return self._settle(record, decode, fallback, replayed=True)
+                return self._settle(record, request, replayed=True)
 
         completed = self.precomputed.pop((stage, table_id), None)
         if completed is not None:
             return self._settle(
                 completed.record,
-                decode,
-                fallback,
+                request,
                 adopted=completed,
                 journaled=journaled,
             )
@@ -238,49 +249,16 @@ class AnalysisExecutor:
         )
         with prof_scope(profiler, self.portal_code, stage):
             result, record = compute_unit(
-                stage,
-                table_id,
-                compute,
-                meter,
-                classify=classify,
-                on_budget=on_budget,
-                encode=encode if journaled else None,
+                stage, table_id, request, meter, encode=journaled
             )
         return self._settle(
-            record, decode, fallback, result=result, journaled=journaled
-        )
-
-    def guard_unit(
-        self,
-        request,
-        stage: str,
-        table_id: str,
-        *,
-        journal_stage: bool = True,
-    ) -> tuple[object | None, StageOutcome]:
-        """Run one catalogued unit request (see ``resilience.units``).
-
-        Thin adapter over :meth:`guard` unpacking a ``UnitRequest``'s
-        hooks, so the serial path and the pool plan share one unit
-        definition.
-        """
-        return self.guard(
-            stage,
-            table_id,
-            request.compute,
-            classify=request.classify,
-            encode=request.encode,
-            decode=request.decode,
-            journal_stage=journal_stage,
-            on_budget=request.on_budget,
-            fallback=request.fallback,
+            record, request, result=result, journaled=journaled
         )
 
     def _settle(
         self,
         record: StageRecord,
-        decode: Callable[[object], object] | None,
-        fallback: Callable[[], object] | None,
+        request: UnitRequest,
         *,
         result: object | None = None,
         adopted: CompletedUnit | None = None,
@@ -298,7 +276,8 @@ class AnalysisExecutor:
         quarantine side effects; computed and adopted units are this
         run's work, so with *journaled* set their record is appended to
         the study journal.  The result is the in-memory one, else the
-        decoded payload, else *fallback*'s degraded stand-in.
+        payload decoded by *request*, else its fallback's degraded
+        stand-in.
         """
         status = StageStatus[record.status]
         outcome = StageOutcome(
@@ -349,10 +328,14 @@ class AnalysisExecutor:
             self.journal.record(record)
             if self.obs is not None:
                 self.obs.metrics.inc("journal.records_written")
-        if result is None and record.payload is not None and decode is not None:
-            result = decode(record.payload)
-        if result is None and fallback is not None:
-            result = fallback()
+        if (
+            result is None
+            and record.payload is not None
+            and request.decode is not None
+        ):
+            result = request.decode(record.payload)
+        if result is None and request.fallback is not None:
+            result = request.fallback()
         return result, outcome
 
     def _note(self, outcome: StageOutcome) -> None:
@@ -371,12 +354,8 @@ class AnalysisExecutor:
     def _write_quarantine_file(self, outcome: StageOutcome) -> None:
         if self.quarantine_dir is None or outcome.table_id == PORTAL_WIDE:
             return
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        path = (
-            self.quarantine_dir
-            / f"{outcome.portal}-{outcome.table_id}.json"
-        )
-        text = (
+        write_atomic(
+            self.quarantine_dir / f"{outcome.portal}-{outcome.table_id}.json",
             json.dumps(
                 {
                     "portal": outcome.portal,
@@ -390,13 +369,8 @@ class AnalysisExecutor:
                 sort_keys=True,
                 indent=2,
             )
-            + "\n"
+            + "\n",
         )
-        # Write-then-rename so a process killed mid-write (a real event
-        # under the chaos-enabled pool) never leaves a torn record.
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
 
     # ------------------------------------------------------------------
     # queries

@@ -7,8 +7,8 @@ worker processes under a supervisor for which worker death and poison
 units are first-class, *injectable*, recoverable events:
 
 * **two waves** — one fleet of workers runs every unjournaled
-  ``screen`` unit, then the ``fd`` and ``joinsig`` units whose screen
-  ended OK (:attr:`~repro.resilience.units.PlannedUnit.depends_on`);
+  ``screen`` unit, then the ``fd`` units whose screen ended OK
+  (:attr:`~repro.resilience.units.PlannedUnit.depends_on`);
   inside a wave units are independent and go out from one FIFO queue;
 * **shard journals** — each worker appends every finished unit
   (record + the counter metrics its meter charged) to its own
@@ -292,15 +292,7 @@ def _worker_main(slot, config, task_conn, result_conn, shard_dir):
                 meter = ChaosMeter(
                     kill_at, config.stage_budget, registry, profiler
                 )
-            _, record = compute_unit(
-                unit.stage,
-                unit.table_id,
-                request.compute,
-                meter,
-                classify=request.classify,
-                on_budget=request.on_budget,
-                encode=request.encode,
-            )
+            _, record = compute_unit(unit.stage, unit.table_id, request, meter)
             if kill_at is not None:
                 # The unit finished (or budgeted out) before reaching the
                 # planted tick: the kill still owes a death mid-unit, i.e.
@@ -572,8 +564,8 @@ def plan_study_units(
 
     Units already present in a portal's canonical study journal are
     excluded — exactly the units the serial path will replay rather
-    than recompute.  *stages* restricts planning, e.g. to ``(screen,
-    joinsig)`` for a pure index build.
+    than recompute.  *stages* restricts planning, e.g. to ``(screen,)``
+    for a pure index build.
     """
     return [
         unit

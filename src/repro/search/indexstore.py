@@ -1,7 +1,7 @@
 """The persistent join index: versioned, fingerprinted, torn-tolerant.
 
-The LSH-filtered pair search (:mod:`repro.joinability.lshindex`) makes
-*building* joinability cheap; this module makes it a **one-time** cost.
+The prefix-filtered pair search (:mod:`repro.joinability.lshindex`)
+makes *building* joinability cheap; this module makes it a **one-time** cost.
 ``ogdp-repro build-index`` persists each portal's verified
 :class:`~repro.joinability.pairs.JoinablePair` set to a JSON artifact
 that :class:`~repro.search.lake.DataLake` loads at construction instead
@@ -13,10 +13,10 @@ shard files, bench records):
 
 * **versioned + fingerprinted** — every file embeds ``INDEX_VERSION``
   and the full corpus-config fingerprint (seed, scale, portal,
-  threshold, unique-value floor, LSH geometry).  A mismatch loads as
-  ``stale``, never as silently wrong answers;
-* **atomic** — written to a temp file then ``os.replace``d, so a crash
-  mid-write leaves either the old index or none;
+  threshold, unique-value floor).  A mismatch loads as ``stale``, never
+  as silently wrong answers;
+* **atomic** — written through :func:`~repro.obs.trace.write_atomic`,
+  so a crash mid-write leaves either the old index or none;
 * **torn-tolerant** — a truncated or corrupt file loads as ``miss``
   (the lake rebuilds and overwrites it), never as an exception;
 * **integrity-checked by the caller** — the file records each
@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import pathlib
 
-from ..joinability.lshindex import DEFAULT_LSH_PARAMS, LshParams
 from ..joinability.pairs import JoinablePair
+from ..obs.trace import write_atomic
 
 #: On-disk format version; bump on any incompatible layout change.
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 #: Load statuses, mirrored by the lake's ``lake.index.*`` metrics.
 HIT = "hit"
@@ -47,18 +46,13 @@ MISS = "miss"
 STALE = "stale"
 
 
-def index_fingerprint(
-    config,
-    portal_code: str,
-    threshold: float,
-    params: LshParams = DEFAULT_LSH_PARAMS,
-) -> dict:
+def index_fingerprint(config, portal_code: str, threshold: float) -> dict:
     """The corpus identity an index must match to be served.
 
     Everything the pair set is a function of: the generated corpus
-    (seed, scale, portal), the join definition (threshold, unique-value
-    floor), and the index geometry.  Format version rides along so a
-    layout bump invalidates old artifacts through the same comparison.
+    (seed, scale, portal) and the join definition (threshold,
+    unique-value floor).  Format version rides along so a layout bump
+    invalidates old artifacts through the same comparison.
     """
     return {
         "version": INDEX_VERSION,
@@ -67,8 +61,6 @@ def index_fingerprint(
         "seed": config.seed,
         "scale": config.scale,
         "min_unique": config.min_unique_values,
-        "num_perm": params.num_perm,
-        "bands": params.bands,
     }
 
 
@@ -123,7 +115,6 @@ class JoinIndexStore:
 
     def save(self, index: StoredJoinIndex) -> pathlib.Path:
         """Persist *index* atomically; returns the final path."""
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(index.portal_code, index.threshold)
         document = {
             "version": INDEX_VERSION,
@@ -137,11 +128,7 @@ class JoinIndexStore:
                 for p in index.pairs
             ],
         }
-        tmp = path.with_suffix(".json.tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
+        write_atomic(path, json.dumps(document, sort_keys=True) + "\n")
         return path
 
     def load(

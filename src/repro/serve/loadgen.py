@@ -39,9 +39,7 @@ import random
 from collections import deque
 
 from ..obs import Observer
-from ..obs.quantiles import (
-    percentile_nearest_rank as _percentile_nearest_rank,
-)
+from ..obs.quantiles import percentile_nearest_rank
 from ..obs.slo import (
     KIND_AVAILABILITY,
     KIND_LATENCY,
@@ -288,11 +286,6 @@ def _derive_rng(*parts) -> random.Random:
     text = ":".join(str(part) for part in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-# Re-exported from the shared helper (repro.obs.quantiles) so existing
-# importers keep working; the arithmetic lives in exactly one place.
-percentile_nearest_rank = _percentile_nearest_rank
 
 
 class _FaultSchedule:
@@ -874,7 +867,6 @@ __all__ = [
     "RequestRecord",
     "bench_record",
     "check_invariants",
-    "percentile_nearest_rank",
     "render_report",
     "report_to_json",
     "run_load",

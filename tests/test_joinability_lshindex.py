@@ -1,8 +1,9 @@
-"""Tests for the production LSH candidate path (repro.joinability.lshindex).
+"""Tests for the production join candidate path (repro.joinability.lshindex).
 
-The load-bearing property throughout: the LSH path is an *exact*
+The load-bearing property throughout: the indexed path is an *exact*
 replacement for the all-pairs walk — candidate generation is a provable
-superset of the answer, and the surviving candidates go through the
+superset of the answer, the size filter drops only pairs that cannot
+reach the threshold, and the surviving candidates go through the
 identical Jaccard verify — so pair sets match element for element, at
 both paper thresholds, on anything we can throw at it.
 """
@@ -13,17 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import StudyConfig
+from repro.core.study import Study
 from repro.dataframe import Column, Table
 from repro.joinability import (
-    DEFAULT_LSH_PARAMS,
-    LshParams,
-    TableJoinSignatures,
-    align_signatures,
+    MinHasher,
     analyze_joinability,
     analyze_joinability_lsh,
     build_profiles,
     compute_table_signatures,
-    empty_table_signatures,
     find_joinable_pairs,
     generate_candidates,
     lsh_joinable_pairs_flagged,
@@ -95,7 +94,7 @@ class TestCandidateSuperset:
 
     @given(overlapping_value_sets())
     @settings(max_examples=60, deadline=None)
-    def test_banded_survivors_equal_all_pairs(self, value_sets):
+    def test_survivors_equal_all_pairs(self, value_sets):
         tables = _corpus_from_value_sets(value_sets)
         for threshold in THRESHOLDS:
             exact = analyze_joinability("XX", tables, threshold)
@@ -123,9 +122,7 @@ class TestPairSetEquality:
                 exact = analyze_joinability(
                     portal.code, tables, threshold
                 )
-                lsh = analyze_joinability_lsh(
-                    portal.code, tables, threshold, seed=study.config.seed
-                )
+                lsh = analyze_joinability_lsh(portal.code, tables, threshold)
                 assert lsh.pairs == exact.pairs
                 assert lsh.stats == exact.stats
                 assert lsh.column_neighbors == exact.column_neighbors
@@ -142,81 +139,58 @@ class TestPairSetEquality:
         analyze_joinability_lsh(
             portal.code, tables, 0.9,
             meter=WorkMeter(None, metrics=lsh_metrics),
-            seed=study.config.seed,
         )
         exact = exact_metrics.snapshot()["join.candidate_pairs"]["value"]
         lsh = lsh_metrics.snapshot()["join.candidate_pairs"]["value"]
         assert 0 < lsh
         assert lsh * 5 <= exact
 
-    def test_missing_signatures_still_exact(self, study):
-        """Truncated joinsig units degrade speed, never answers."""
-        portal = study.portal("CA")
+    def test_candidates_are_exactly_the_size_survivors(self, study):
+        """Every prefix candidate passing the size filter is verified:
+        no other filter sits between them and the exact Jaccard."""
+        portal = study.portal("UK")
         tables = portal.screened_tables()
-        fallbacks = {
-            i: empty_table_signatures(t.resource_id)
-            for i, t in enumerate(tables)
-        }
-        exact = analyze_joinability(portal.code, tables, 0.9)
-        degraded = analyze_joinability_lsh(
-            portal.code, tables, 0.9, table_signatures=fallbacks
+        profiles, _ = build_profiles(tables)
+        expected = sum(
+            1
+            for left, right in generate_candidates(profiles, 0.7)
+            if min(profiles[left].num_unique, profiles[right].num_unique)
+            + 1e-9
+            >= 0.7
+            * max(profiles[left].num_unique, profiles[right].num_unique)
         )
-        assert degraded.pairs == exact.pairs
+        metrics = MetricsRegistry()
+        analyze_joinability_lsh(
+            portal.code,
+            tables,
+            0.7,
+            meter=WorkMeter(None, metrics=metrics),
+        )
+        assert metrics.value("join.candidate_pairs") == expected
+
+
+class TestNoSignatures:
+    def test_joinability_hashes_no_value(self, monkeypatch):
+        """The production join path computes no MinHash signature."""
+        calls = []
+        vector = MinHasher.vector
+
+        def counting(self, h):
+            calls.append(h)
+            return vector(self, h)
+
+        monkeypatch.setattr(MinHasher, "vector", counting)
+        study = Study.build(StudyConfig(scale=0.03, seed=2))
+        for portal in study:
+            portal.joinability(0.9)
+            portal.joinability(0.7)
+        assert calls == []
+        # The counter does see hashing: the signatures no analysis uses.
+        study.portal("US").join_signatures()
+        assert calls
 
 
 class TestSignatureUnits:
-    def test_unit_signatures_match_inline(self, study):
-        """Worker-computed signatures align with the profile order."""
-        portal = study.portal("CA")
-        tables = portal.screened_tables()
-        table_signatures = {
-            i: compute_table_signatures(
-                t.clean, t.resource_id, seed=study.config.seed
-            )
-            for i, t in enumerate(tables)
-        }
-        via_units = analyze_joinability_lsh(
-            portal.code, tables, 0.9,
-            table_signatures=table_signatures, seed=study.config.seed,
-        )
-        inline = analyze_joinability_lsh(
-            portal.code, tables, 0.9, seed=study.config.seed
-        )
-        assert via_units.pairs == inline.pairs
-
-    def test_alignment_rejects_mismatches(self):
-        tables = _corpus_from_value_sets([{f"v{i}" for i in range(12)}])
-        profiles, _ = build_profiles(tables)
-        good = compute_table_signatures(tables[0].clean, "r0")
-        aligned = align_signatures(profiles, {0: good})
-        assert aligned[0] is not None
-        # A renamed column (stale unit from another corpus) must not
-        # band-filter with the wrong signature — it degrades to None.
-        bad = TableJoinSignatures(
-            table_id="r0",
-            columns=tuple(
-                type(c)(
-                    column_name="other",
-                    num_unique=c.num_unique,
-                    signature=c.signature,
-                )
-                for c in good.columns
-            ),
-        )
-        assert align_signatures(profiles, {0: bad})[0] is None
-        assert align_signatures(profiles, {})[0] is None
-
-    def test_payload_round_trip(self, study):
-        portal = study.portal("SG")
-        table = portal.screened_tables()[0]
-        signatures = compute_table_signatures(
-            table.clean, table.resource_id, seed=study.config.seed
-        )
-        assert (
-            TableJoinSignatures.from_payload(signatures.to_payload())
-            == signatures
-        )
-
     def test_signature_meter_ticks(self):
         tables = _corpus_from_value_sets([{f"v{i}" for i in range(15)}])
         metrics = MetricsRegistry()
@@ -248,16 +222,3 @@ class TestTruncation:
         profiles, _ = build_profiles(tables)
         with pytest.raises(BudgetExceeded):
             generate_candidates(profiles, 0.9, WorkMeter(2))
-
-
-class TestLshParams:
-    def test_default_geometry(self):
-        assert DEFAULT_LSH_PARAMS.num_perm == 64
-        assert DEFAULT_LSH_PARAMS.bands == 32
-        assert DEFAULT_LSH_PARAMS.rows_per_band == 2
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            LshParams(num_perm=64, bands=48)
-        with pytest.raises(ValueError):
-            LshParams(num_perm=8, bands=16)

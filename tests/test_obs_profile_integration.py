@@ -37,7 +37,7 @@ STAGE_BUDGET = 200_000
 #: Stage names of the guarded analysis units; their spans' self ops are
 #: exactly the ticks the profiler attributes (ingest spans are metered
 #: outside the analysis executors and stay out of the profile).
-ANALYSIS_STAGES = ("screen", "joinsig", "union", "fd")
+ANALYSIS_STAGES = ("screen", "union", "fd")
 
 
 def _is_analysis_stage(stage: str) -> bool:
@@ -138,9 +138,7 @@ class TestReconciliation:
             if _is_analysis_stage(path.split(SEP)[2])
         }
         stages = {path.split(SEP)[2] for path in analysis}
-        assert {
-            "screen", "fd", "joinsig", "pairs@0.9", "pairs@0.7", "union"
-        } <= stages
+        assert {"screen", "fd", "pairs@0.9", "pairs@0.7", "union"} <= stages
         assert analysis == under_base
 
     def test_every_frame_path_is_rooted_at_study(self, runs):

@@ -237,7 +237,7 @@ class TestJournalReplay:
         replayed_outcomes = [o for o in outcomes if o.replayed]
         assert replayed_outcomes
         assert all(
-            o.stage in ("screen", "fd", "joinsig")
+            o.stage in ("screen", "fd")
             for o in replayed_outcomes
         )
         trace = load_trace(tmp_path / "second.jsonl")

@@ -14,6 +14,7 @@ from repro.resilience import (
     StageRecord,
     StageStatus,
     StudyJournal,
+    UnitRequest,
     WorkMeter,
 )
 
@@ -35,7 +36,7 @@ def spend(ticks):
 class TestGuard:
     def test_ok_within_budget(self):
         executor = AnalysisExecutor("SG", stage_budget=100)
-        result, outcome = executor.guard("stage", "t1", spend(40))
+        result, outcome = executor.guard("stage", "t1", UnitRequest(spend(40)))
         assert result == 40
         assert outcome.status is StageStatus.OK
         assert outcome.ticks == 40
@@ -46,7 +47,7 @@ class TestGuard:
         executor = AnalysisExecutor(
             "SG", stage_budget=10, quarantine_dir=tmp_path
         )
-        result, outcome = executor.guard("stage", "t1", spend(50))
+        result, outcome = executor.guard("stage", "t1", UnitRequest(spend(50)))
         assert result is None
         assert outcome.status is StageStatus.QUARANTINED
         assert "work budget exhausted" in outcome.detail
@@ -62,9 +63,11 @@ class TestGuard:
         result, outcome = executor.guard(
             "pairs",
             PORTAL_WIDE,
-            spend(50),
-            on_budget=StageStatus.TRUNCATED,
-            fallback=lambda: "degraded",
+            UnitRequest(
+                spend(50),
+                on_budget=StageStatus.TRUNCATED,
+                fallback=lambda: "degraded",
+            ),
         )
         assert result == "degraded"
         assert outcome.status is StageStatus.TRUNCATED
@@ -77,8 +80,9 @@ class TestGuard:
         _, outcome = executor.guard(
             "fd",
             "t1",
-            spend(40),
-            classify=lambda _result: StageStatus.TRUNCATED,
+            UnitRequest(
+                spend(40), classify=lambda _result: StageStatus.TRUNCATED
+            ),
         )
         assert outcome.status is StageStatus.TRUNCATED
         assert not executor.is_quarantined("t1")
@@ -89,7 +93,7 @@ class TestGuard:
         def explode(meter):
             raise ZeroDivisionError("boom")
 
-        result, outcome = executor.guard("stage", "t1", explode)
+        result, outcome = executor.guard("stage", "t1", UnitRequest(explode))
         assert result is None
         assert outcome.status is StageStatus.FAILED
         assert outcome.detail == "ZeroDivisionError: boom"
@@ -100,8 +104,8 @@ class TestGuard:
 
     def test_status_counts_and_ticks(self):
         executor = AnalysisExecutor("SG", stage_budget=10)
-        executor.guard("stage", "a", spend(5))
-        executor.guard("stage", "b", spend(50))
+        executor.guard("stage", "a", UnitRequest(spend(5)))
+        executor.guard("stage", "b", UnitRequest(spend(50)))
         counts = executor.status_counts()
         assert counts[StageStatus.OK] == 1
         assert counts[StageStatus.QUARANTINED] == 1
@@ -116,9 +120,7 @@ class TestJournalReplay:
             executor.guard(
                 "fd",
                 "t1",
-                spend(40),
-                encode=lambda r: {"ticks": r},
-                journal_stage=True,
+                UnitRequest(spend(40), encode=lambda r: {"ticks": r}),
             )
 
         calls = []
@@ -132,9 +134,9 @@ class TestJournalReplay:
             result, outcome = executor.guard(
                 "fd",
                 "t1",
-                must_not_run,
-                decode=lambda payload: payload["ticks"],
-                journal_stage=True,
+                UnitRequest(
+                    must_not_run, decode=lambda payload: payload["ticks"]
+                ),
             )
         assert calls == []
         assert result == 40
@@ -149,13 +151,13 @@ class TestJournalReplay:
             executor = AnalysisExecutor(
                 "SG", stage_budget=10, journal=journal
             )
-            executor.guard("screen", "t1", spend(50), journal_stage=True)
+            executor.guard("screen", "t1", UnitRequest(spend(50)))
             assert executor.is_quarantined("t1")
 
         with StudyJournal(path, FINGERPRINT) as journal:
             executor = AnalysisExecutor("SG", stage_budget=10, journal=journal)
             _, outcome = executor.guard(
-                "screen", "t1", spend(0), journal_stage=True
+                "screen", "t1", UnitRequest(spend(0))
             )
         assert outcome.replayed
         assert outcome.status is StageStatus.QUARANTINED
@@ -165,10 +167,12 @@ class TestJournalReplay:
         path = tmp_path / "study-SG.jsonl"
         with StudyJournal(path, FINGERPRINT) as journal:
             executor = AnalysisExecutor("SG", journal=journal)
-            executor.guard("pairs", PORTAL_WIDE, spend(5))
+            executor.guard("pairs", PORTAL_WIDE, UnitRequest(spend(5)))
         with StudyJournal(path, FINGERPRINT) as journal:
             executor = AnalysisExecutor("SG", journal=journal)
-            _, outcome = executor.guard("pairs", PORTAL_WIDE, spend(5))
+            _, outcome = executor.guard(
+                "pairs", PORTAL_WIDE, UnitRequest(spend(5))
+            )
         assert not outcome.replayed
 
 
@@ -220,11 +224,12 @@ class TestSettle:
                 executor.guard(
                     "fd",
                     table_id,
-                    spend(40),
-                    encode=lambda r: {"n": r},
-                    decode=lambda payload: ("decoded", payload["n"]),
-                    journal_stage=True,
-                    fallback=lambda: "fallback",
+                    UnitRequest(
+                        spend(40),
+                        encode=lambda r: {"n": r},
+                        decode=lambda payload: ("decoded", payload["n"]),
+                        fallback=lambda: "fallback",
+                    ),
                 )[0]
                 for table_id in ("t1", "t2", "t3")
             ]
@@ -434,4 +439,6 @@ class TestStudyJournal:
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        AnalysisExecutor("SG", stage_budget=0).guard("s", "t", spend(1))
+        AnalysisExecutor("SG", stage_budget=0).guard(
+            "s", "t", UnitRequest(spend(1))
+        )

@@ -42,7 +42,6 @@ from repro.resilience.pool import (
 )
 from repro.resilience.units import (
     FD_STAGE,
-    JOINSIG_STAGE,
     SCREEN_STAGE,
     PlannedUnit,
     plan_portal_units,
@@ -140,22 +139,12 @@ class TestPlan:
             for unit in plan_portal_units(portal.code, portal.report)
         ]
 
-    def test_joinsig_unit_per_clean_table(self, study):
+    def test_plan_has_only_screen_and_fd_units(self, study):
         for portal in study:
-            units = plan_portal_units(portal.code, portal.report)
-            joinsigs = [u for u in units if u.stage == JOINSIG_STAGE]
-            assert {u.table_id for u in joinsigs} == {
-                t.resource_id
-                for t in portal.report.clean_tables
-                if t.clean is not None
+            stages = {
+                u.stage for u in plan_portal_units(portal.code, portal.report)
             }
-            # Signature building waits for (and dies with) the screen.
-            for unit in joinsigs:
-                assert unit.depends_on == (
-                    portal.code,
-                    SCREEN_STAGE,
-                    unit.table_id,
-                )
+            assert stages == {SCREEN_STAGE, FD_STAGE}
 
 
 class TestEquivalence:
@@ -587,16 +576,13 @@ class TestSupervisorEscalation:
         assert supervisor.counters["pool.units_completed"] == 2
 
     def test_wave_two_runs_only_units_behind_an_ok_screen(self, tmp_path):
-        """A table's fd and joinsig units join wave two only when its
-        screen ended OK in wave one or in the study journal: a screen
-        the pool poisoned, one journaled QUARANTINED and one that never
-        ran hold them back.  Wave two runs on the same fleet."""
+        """A table's fd unit joins wave two only when its screen ended
+        OK in wave one or in the study journal: a screen the pool
+        poisoned, one journaled QUARANTINED and one that never ran hold
+        it back.  Wave two runs on the same fleet."""
 
         def dependents(table_id):
-            return [
-                PlannedUnit("SG", stage, table_id)
-                for stage in (FD_STAGE, JOINSIG_STAGE)
-            ]
+            return [PlannedUnit("SG", FD_STAGE, table_id)]
 
         journal = StudyJournal(tmp_path / "study-SG.jsonl", {"seed": SEED})
         for table_id, status in (

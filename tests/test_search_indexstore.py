@@ -46,8 +46,12 @@ class TestFingerprint:
         assert fp["seed"] == 2
         assert fp["scale"] == 0.08
         assert fp["min_unique"] == 10
-        assert fp["num_perm"] == 64
-        assert fp["bands"] == 32
+        # Version 2: no MinHash geometry, since no signature feeds the
+        # pair search.
+        assert INDEX_VERSION == 2
+        assert set(fp) == {
+            "version", "portal", "threshold", "seed", "scale", "min_unique"
+        }
 
     def test_differs_across_seeds(self):
         other = StudyConfig(scale=0.08, seed=3)

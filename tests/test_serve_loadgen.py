@@ -5,13 +5,13 @@ import json
 
 import pytest
 
+from repro.obs.quantiles import percentile_nearest_rank
 from repro.serve.loadgen import (
     MIXES,
     ClientClass,
     LoadConfig,
     bench_record,
     check_invariants,
-    percentile_nearest_rank,
     render_report,
     report_to_json,
     run_load,
