@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench smoke-trace smoke-shard smoke-resume smoke-serve smoke-index smoke-profile experiments fidelity
+.PHONY: test lint bench-smoke bench smoke-trace smoke-shard smoke-resume smoke-serve smoke-index smoke-profile experiments fidelity verify-sweep
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -33,6 +33,14 @@ experiments:
 # writing fidelity.json alongside the text report.
 fidelity:
 	$(PYTHON) -m repro.experiments.cli fidelity --out fidelity.json
+
+# The standing differential sweep CI's drift-gate job runs: each fast
+# path it covers against its oracle over a whole scale-0.3, seed-7
+# study.  Today that is FUN against TANE on every FD-filtered table:
+# the same FDs in FUN's emission order, the same lhs_cards.  It writes
+# no file and exits non-zero on any mismatch.
+verify-sweep:
+	$(PYTHON) -m repro.experiments.sweep 0.3 7
 
 # A small guarded run with tracing enabled, then the attribution
 # report over the resulting trace — exercises run --trace-out and

@@ -16,8 +16,8 @@ from .partitions import (
     cardinality,
     determines,
     encode_columns,
-    partition_of,
     refine,
+    strip,
 )
 
 __all__ = [
@@ -36,6 +36,6 @@ __all__ = [
     "planted_fd_keys",
     "score_all",
     "score_fd",
-    "partition_of",
     "refine",
+    "strip",
 ]

@@ -3,19 +3,34 @@
 Enumerates every LHS up to the size bound and checks the cardinality
 criterion directly.  Exponentially slower than :mod:`repro.fd.fun` but
 trivially correct, so the property tests compare the two on random
-tables and the ablation bench compares their runtimes.
+tables and the ablation bench compares their runtimes.  It counts
+``|pi_X|`` as the number of distinct value tuples of X, so of FUN's
+partition kernel it shares only
+:func:`~repro.fd.partitions.encode_columns`: a defect in FUN's
+``strip``, ``refine`` or ``determines`` cannot reach both engines.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+from typing import Sequence
 
 from ..dataframe import Table
 from ..resilience.budget import BudgetExceeded, WorkMeter
 from .fun import DEFAULT_MAX_LHS, _commit
 from .model import FD, FDSet
-from .partitions import cardinality, encode_columns, partition_of
+from .partitions import Labels, encode_columns
+
+
+def distinct_count(encoded: list[Labels], positions: Sequence[int]) -> int:
+    """``|pi_X|`` for the columns at *positions*: distinct value tuples.
+
+    The empty set has one class.
+    """
+    if not positions:
+        return 1
+    return len(set(zip(*(encoded[p] for p in positions))))
 
 
 def discover_fds_naive(
@@ -49,7 +64,7 @@ def discover_fds_naive(
     all_encoded = encode_columns(table)
     encoded = [all_encoded[p] for p in positions]
     n_attrs = len(names)
-    single_cards = [cardinality(encoded[a]) for a in range(n_attrs)]
+    single_cards = [distinct_count(encoded, (a,)) for a in range(n_attrs)]
 
     # A column is "constant" only when repetition proves it: in a 1-row
     # table every column is a candidate key, so FDs from it are trivial.
@@ -83,8 +98,7 @@ def discover_fds_naive(
                 lhs_set = frozenset(lhs)
                 if meter is not None:
                     meter.tick(n_rows, op="fd.partition")
-                lhs_labels = partition_of(encoded, list(lhs))
-                lhs_card = cardinality(lhs_labels)
+                lhs_card = distinct_count(encoded, lhs)
                 if lhs_card == n_rows:
                     continue  # candidate key or superkey: trivial
                 for rhs in usable:
@@ -94,7 +108,7 @@ def discover_fds_naive(
                         continue  # a smaller LHS already determines rhs
                     if meter is not None:
                         meter.tick(n_rows, op="fd.partition")
-                    joint = cardinality(partition_of(encoded, list(lhs) + [rhs]))
+                    joint = distinct_count(encoded, lhs + (rhs,))
                     if joint == lhs_card:
                         pending_lhs.append((rhs, lhs_set))
                         lhs_names = frozenset(names[a] for a in lhs_set)

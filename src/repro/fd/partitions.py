@@ -1,58 +1,94 @@
-"""Partition (equivalence-class) machinery for FD discovery.
+"""Partition (equivalence-class) kernel of FUN's FD discovery.
 
-Both FUN and the naive checker reduce FD validity to cardinality
-comparisons over attribute-set partitions: ``X -> A`` holds iff
-``|pi_{X ∪ A}| == |pi_X|``.  A partition is represented as a dense label
-vector: row *i* carries the integer id of its equivalence class, which
-makes refinement (adding one more column) a single dictionary pass.
-FUN asks the same question through :func:`determines`, which answers
-it without building ``pi_{X ∪ A}`` and stops at the first conflict.
+FD validity reduces to cardinality comparisons over attribute-set
+partitions: ``X -> A`` holds iff ``|pi_{X ∪ A}| == |pi_X|``.
 
-Nulls participate as ordinary (per-column distinct) values, the common
-convention in FD profilers.
+*First-row labels.*  :func:`encode_columns` numbers each value of a
+column by the first row that holds it, so a column's encoding is its
+own partition: row *i* carries the smallest row of its class.  Such a
+label belongs to the partition, not to how it was built.
+
+*Stripped partitions* (Huhtala et al., 1999).  FUN stores the partition
+of an attribute set X as ``(rows, firsts)``: the ascending rows of X's
+classes with two or more rows, each paired with its class's first-row
+label.  A row alone in its class under X stays alone under every
+superset of X, so no later refinement or check reads it again, and
+``|pi_X| = n_rows - len(rows) + (classes among rows)``.
+
+*Why the base does not matter.*  Refining the stripped partition of
+any (k-1)-subset of a k-set by the missing column numbers each class by
+its smallest row, so every subset yields the same labels and FUN may
+start from the one with the fewest rows.  :func:`determines` walks the
+stripped rows in ascending order and stops at the first row whose
+value differs from its class's first row's value.  That is the row
+where a scan of all rows, remembering each class's first value,
+stops: rows it skips are alone in their class or open one, and
+neither can conflict.
+
+:func:`refine` and :func:`determines` each make one pass that runs in
+C (``map`` over bound methods), and neither reads a row that is alone
+in its class.  Nulls participate as ordinary (per-column distinct)
+values, the common convention in FD profilers.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import eq, ne
 from typing import Sequence
 
 from ..dataframe import Table
 
-#: Label vector type: one class id per row.
+#: Label vector type: one class label per row.
 Labels = list[int]
+
+#: A stripped partition: ascending rows of shared classes, and each
+#: row's class's first row.
+Partition = tuple[Labels, Labels]
 
 
 def encode_columns(table: Table) -> list[Labels]:
-    """Value-id vectors for every column of *table*.
+    """First-row labels of every column of *table*.
 
-    Each column's cells are mapped to dense integers (nulls get their own
-    id), so all later work handles small ints instead of raw values.
+    Each cell maps to the first row holding a value of the same type
+    that compares equal (nulls included).  The ``(type, value)`` key
+    keeps ``True``, ``1`` and ``1.0`` distinct: they are different
+    cells in FD semantics (different spellings in the CSV).
     """
     encoded: list[Labels] = []
     for column in table.columns:
+        values = column.values
         ids: dict = {}
-        vector: Labels = []
-        for value in column.values:
-            # bool is an int subclass; keep True distinct from 1.
-            key = (type(value).__name__, value)
-            identifier = ids.get(key)
-            if identifier is None:
-                identifier = len(ids)
-                ids[key] = identifier
-            vector.append(identifier)
-        encoded.append(vector)
+        keys = zip(map(type, values), values)
+        encoded.append(list(map(ids.setdefault, keys, range(len(values)))))
     return encoded
 
 
-def refine(labels: Labels, column: Labels) -> tuple[Labels, int]:
-    """Refine the partition *labels* by *column*.
+def strip(rows: Sequence[int], firsts: Sequence[int]) -> Partition:
+    """Keep only the rows whose class has two or more rows.
 
-    Returns the new labels and their number of classes, counted by the
-    same pass that numbers them.
+    *firsts* are first-row labels aligned with *rows*.  A row whose
+    label is not itself shares its class with that label's row, so the
+    labels of such rows name exactly the classes to keep.  Kept labels
+    are unchanged.
+    """
+    shared = set(compress(firsts, map(ne, firsts, rows)))
+    keep = list(map(shared.__contains__, firsts))
+    return list(compress(rows, keep)), list(compress(firsts, keep))
+
+
+def refine(
+    rows: Sequence[int], firsts: Sequence[int], column: Labels
+) -> tuple[Labels, int]:
+    """Refine the stripped partition ``(rows, firsts)`` of X by *column*.
+
+    Returns the first-row labels of ``X ∪ {B}`` aligned with *rows*,
+    and the number of its classes among *rows*, counted by the same
+    pass.  The result is not stripped: see :func:`strip`.
     """
     mapping: dict[tuple[int, int], int] = {}
-    setdefault = mapping.setdefault
-    refined = [setdefault(key, len(mapping)) for key in zip(labels, column)]
+    keys = zip(firsts, map(column.__getitem__, rows))
+    refined = list(map(mapping.setdefault, keys, rows))
     return refined, len(mapping)
 
 
@@ -61,30 +97,16 @@ def cardinality(labels: Labels) -> int:
     return len(set(labels)) if labels else 0
 
 
-def determines(labels: Labels, column: Labels) -> bool:
-    """Whether *column* is constant within every class of *labels*.
+def determines(
+    rows: Sequence[int], firsts: Sequence[int], column: Labels
+) -> bool:
+    """Whether *column* is constant within every class of ``(rows, firsts)``.
 
-    The same answer as ``refine(labels, column)[1] ==
-    cardinality(labels)``, i.e. whether ``X -> A`` holds for the
-    partition ``pi_X`` and column ``A``, but it stops at the first row
-    whose value differs from its class's first value.  Most candidate
-    FDs fail, usually long before the last row.
+    The same answer as "refining by *column* adds no class", i.e.
+    whether ``X -> A`` holds for the partition ``pi_X`` and column
+    ``A``, but it returns at the first row whose value differs from its
+    class's first row's value.  Most candidate FDs fail, usually long
+    before the last row.
     """
-    first: dict[int, int] = {}
-    for label, value in zip(labels, column):
-        seen = first.get(label)
-        if seen is None:
-            first[label] = value
-        elif seen != value:
-            return False
-    return True
-
-
-def partition_of(columns: Sequence[Labels], positions: Sequence[int]) -> Labels:
-    """Label vector of an arbitrary attribute set, built by refinement."""
-    if not positions:
-        return [0] * (len(columns[0]) if columns else 0)
-    labels = list(columns[positions[0]])
-    for position in positions[1:]:
-        labels, _ = refine(labels, columns[position])
-    return labels
+    get = column.__getitem__
+    return all(map(eq, map(get, firsts), map(get, rows)))

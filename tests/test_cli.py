@@ -436,6 +436,33 @@ class TestDriftCommands:
         clear_cache()
         return run_dir
 
+    def test_unit_ticks_and_outcomes_per_portal(self, tmp_path):
+        """The budget currency on a real run: each portal's unit ticks
+        and outcome tallies, read from the trace.  A kernel change that
+        moves one tick, or one truncation point, moves these."""
+        import json
+        from collections import Counter, defaultdict
+
+        run_dir = self._trace_run(tmp_path, "a")
+        ticks: Counter = Counter()
+        outcomes: dict[str, Counter] = defaultdict(Counter)
+        with open(run_dir / "trace.jsonl") as handle:
+            for line in handle:
+                record = json.loads(line)
+                if record.get("type") == "span" and record["kind"] == "unit":
+                    portal = record["attrs"]["portal"]
+                    ticks[portal] += record["ops"]
+                    outcomes[portal][record["status"]] += 1
+        assert dict(ticks) == {
+            "SG": 22_160, "CA": 149_766, "UK": 777_569, "US": 620_758,
+        }
+        assert outcomes == {
+            "SG": {"ok": 12},
+            "CA": {"ok": 25, "truncated": 1},
+            "UK": {"ok": 47, "truncated": 11},
+            "US": {"ok": 19, "truncated": 6, "quarantined": 6},
+        }
+
     def test_equal_seed_runs_diff_empty(self, capsys, tmp_path):
         run_a = self._trace_run(tmp_path, "a")
         run_b = self._trace_run(tmp_path, "b")

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.dataframe import Column, Table
-from repro.fd import FD, discover_fds, discover_fds_naive
+from repro.fd import FD, discover_fds, discover_fds_naive, encode_columns
+from repro.fd.naive import distinct_count
 
 
 class TestFDModel:
@@ -86,6 +87,24 @@ class TestDiscovery:
         )
         found = {(tuple(sorted(fd.lhs)), fd.rhs) for fd in discover_fds(table)}
         assert (("a",), "b") in found
+
+
+class TestDistinctCount:
+    """The naive checker's ``|pi_X|``: distinct value tuples of X."""
+
+    def test_multi_column(self):
+        table = Table(
+            "t",
+            [
+                Column("a", [1, 1, 2, 2]),
+                Column("b", ["x", "y", "x", "x"]),
+            ],
+        )
+        assert distinct_count(encode_columns(table), [0, 1]) == 3
+
+    def test_empty_set_is_single_class(self):
+        table = Table("t", [Column("a", [1, 2, 3])])
+        assert distinct_count(encode_columns(table), []) == 1
 
 
 class TestFunEqualsNaive:

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from repro.dataframe import Column, Table
 from repro.fd import discover_fds, discover_fds_naive
-from repro.fd.partitions import cardinality, encode_columns, partition_of
+from repro.fd.naive import distinct_count
+from repro.fd.partitions import encode_columns
 
 
 @st.composite
@@ -48,10 +49,8 @@ def test_discovered_fds_hold_and_are_minimal(table):
     for fd in fds:
         lhs_positions = [position[a] for a in sorted(fd.lhs)]
         rhs_position = position[fd.rhs]
-        lhs_card = cardinality(partition_of(encoded, lhs_positions))
-        joint_card = cardinality(
-            partition_of(encoded, lhs_positions + [rhs_position])
-        )
+        lhs_card = distinct_count(encoded, lhs_positions)
+        joint_card = distinct_count(encoded, lhs_positions + [rhs_position])
         # Validity: adding the RHS does not refine the partition.
         assert joint_card == lhs_card
         # Non-key LHS: the FD would otherwise be trivial.
@@ -59,10 +58,8 @@ def test_discovered_fds_hold_and_are_minimal(table):
         # Minimality: every maximal proper subset fails to determine RHS.
         for dropped in fd.lhs:
             subset = [position[a] for a in sorted(fd.lhs - {dropped})]
-            sub_card = cardinality(partition_of(encoded, subset))
-            sub_joint = cardinality(
-                partition_of(encoded, subset + [rhs_position])
-            )
+            sub_card = distinct_count(encoded, subset)
+            sub_joint = distinct_count(encoded, subset + [rhs_position])
             assert sub_joint > sub_card
 
 
@@ -85,8 +82,6 @@ def test_fd_set_closed_under_row_deletion_is_superset(table):
         # The same dependency must still hold on the subset's data
         # (check directly; its minimal form may differ).
         lhs_positions = [position[a] for a in sorted(fd.lhs)]
-        lhs_card = cardinality(partition_of(encoded, lhs_positions))
-        joint = cardinality(
-            partition_of(encoded, lhs_positions + [position[fd.rhs]])
-        )
+        lhs_card = distinct_count(encoded, lhs_positions)
+        joint = distinct_count(encoded, lhs_positions + [position[fd.rhs]])
         assert joint == lhs_card
