@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench smoke-trace smoke-shard smoke-resume smoke-serve smoke-index smoke-profile experiments fidelity verify-sweep
+.PHONY: test lint bench-smoke bench smoke-trace smoke-shard smoke-resume smoke-serve smoke-profile experiments fidelity verify-sweep
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -36,9 +36,11 @@ fidelity:
 
 # The standing differential sweep CI's drift-gate job runs: each fast
 # path it covers against its oracle over a whole scale-0.3, seed-7
-# study.  Today that is FUN against TANE on every FD-filtered table:
-# the same FDs in FUN's emission order, the same lhs_cards.  It writes
-# no file and exits non-zero on any mismatch.
+# study.  Today that is FUN against TANE on every FD-filtered table
+# (the same FDs in FUN's emission order, the same lhs_cards), and the
+# prefix-filtered pair search against all-pairs on every portal at
+# both thresholds (the same pairs, stats and neighbour maps).  It
+# writes no file and exits non-zero on any mismatch.
 verify-sweep:
 	$(PYTHON) -m repro.experiments.sweep 0.3 7
 
@@ -127,19 +129,6 @@ smoke-serve:
 	cmp smoke-serve-a.jsonl smoke-serve-b.jsonl
 	$(PYTHON) -m repro.experiments.cli serve-report smoke-serve-a.jsonl \
 		--fail-on-exhausted
-
-# The join-index gate CI runs: build the persisted MinHash-LSH join
-# index under a pooled chaos build (seeded worker kills), verifying
-# every stored pair set byte-for-byte against the exact all-pairs
-# search (build-index exits non-zero on any mismatch), then serve the
-# smoke load mix from a lake backed by those artifacts.
-smoke-index:
-	$(PYTHON) -m repro.experiments.cli -q build-index --out smoke-join-index \
-		--scale 0.08 --seed 2 --workers 4 --chaos-kill-rate 0.2 \
-		--shard-dir smoke-index-shards --verify --bench-root .
-	$(PYTHON) -m repro.experiments.cli -q loadtest \
-		--scale 0.08 --seed 2 --mix smoke --join-index-dir smoke-join-index \
-		--report smoke-index-load.json --trace-out smoke-index-serve.jsonl
 
 # The profiler determinism gate CI runs: the same guarded run profiled
 # serially and profiled under a pooled chaos schedule (seeded worker

@@ -79,11 +79,6 @@ class StudyConfig:
     #: Directory for per-worker shard journals; None keeps them in a
     #: temporary directory that is discarded after the merge.
     shard_dir: str | None = None
-    #: Directory of persisted join indexes (see
-    #: :mod:`repro.search.indexstore`); when set, ``DataLake`` loads
-    #: each portal's pair set from disk instead of recomputing it, and
-    #: writes back on a miss.  None keeps joinability purely in-memory.
-    join_index_dir: str | None = None
 
     def __post_init__(self):
         if self.scale <= 0:

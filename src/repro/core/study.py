@@ -211,31 +211,6 @@ class PortalStudy:
                 self._cache[key] = analysis
         return self._cache[key]
 
-    def peek_joinability(
-        self, threshold: float | None = None
-    ) -> "JoinabilityAnalysis | None":
-        """The cached analysis at *threshold*, or None if not computed."""
-        threshold = (
-            self.config.jaccard_threshold if threshold is None else threshold
-        )
-        return self._cache.get(("joinability", threshold))
-
-    def adopt_joinability(
-        self, analysis: "JoinabilityAnalysis", threshold: float | None = None
-    ) -> None:
-        """Install an externally reconstructed analysis into the cache.
-
-        The loader path of :mod:`repro.search.indexstore`: a data lake
-        that verified a persisted index against freshly built profiles
-        hands the reconstructed analysis here, so every later
-        ``joinability()`` call serves it without recomputing the pair
-        search.
-        """
-        threshold = (
-            self.config.jaccard_threshold if threshold is None else threshold
-        )
-        self._cache[("joinability", threshold)] = analysis
-
     def labeled_join_sample(
         self, threshold: float | None = None
     ) -> list["LabeledPair"]:
@@ -406,7 +381,6 @@ class Study:
         config: StudyConfig,
         *,
         obs: Observer | None = None,
-        pool_stages: tuple[str, ...] | None = None,
     ) -> "Study":
         """Generate and ingest every configured portal.
 
@@ -477,7 +451,7 @@ class Study:
             # in this process, exactly as at --workers 1.
             from ..resilience.pool import run_pool
 
-            run_pool(portals, config, obs, stages=pool_stages)
+            run_pool(portals, config, obs)
         return cls(config=config, portals=portals, obs=obs)
 
     def __iter__(self):

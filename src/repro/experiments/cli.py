@@ -90,7 +90,7 @@ def _add_corpus_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
-    """The worker-pool knobs shared by run and build-index."""
+    """The worker-pool knobs of ``run``."""
     defaults = StudyConfig()
     parser.add_argument(
         "--workers",
@@ -132,19 +132,6 @@ def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_join_index_dir_flag(parser: argparse.ArgumentParser) -> None:
-    """The persisted-index directory shared by serve/loadtest."""
-    parser.add_argument(
-        "--join-index-dir",
-        default=None,
-        help=(
-            "directory of persisted join indexes (see 'build-index'); "
-            "when set, the lake loads pair sets from disk and writes "
-            "back on a miss"
-        ),
-    )
-
-
 def _add_json_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json",
@@ -162,19 +149,6 @@ def _add_top_flag(
         type=_positive_int,
         default=default,
         help=f"how many {what} to list (default {default})",
-    )
-
-
-def _add_bench_root_flag(
-    parser: argparse.ArgumentParser, bench_file: str
-) -> None:
-    parser.add_argument(
-        "--bench-root",
-        default=None,
-        help=(
-            f"append this run's record to {bench_file} under this "
-            "directory (joins the bench-report regression gate)"
-        ),
     )
 
 
@@ -280,39 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_pool_flags(run_parser)
-    index_parser = subparsers.add_parser(
-        "build-index",
-        help=(
-            "build the persistent join index (exact prefix-filtered "
-            "pair search) and write it to disk for later runs to load"
-        ),
-    )
-    index_parser.set_defaults(handler=_run_build_index)
-    index_parser.add_argument(
-        "--out",
-        required=True,
-        help="directory the per-(portal, threshold) index files go to",
-    )
-    _add_corpus_flags(index_parser)
-    index_parser.add_argument(
-        "--thresholds",
-        default="0.9,0.7",
-        help=(
-            "comma-separated Jaccard thresholds to index "
-            "(default '0.9,0.7')"
-        ),
-    )
-    _add_pool_flags(index_parser)
-    index_parser.add_argument(
-        "--verify",
-        action="store_true",
-        help=(
-            "re-derive every pair set with the exact all-pairs walk "
-            "and fail (exit 1) on any mismatch"
-        ),
-    )
-    _add_json_flag(index_parser)
-    _add_bench_root_flag(index_parser, "BENCH_join.json")
     fidelity_parser = subparsers.add_parser(
         "fidelity",
         help="PASS/NEAR/DIVERGENT scoreboard of paper fidelity",
@@ -396,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: the library defaults; /statz shows the verdict)"
         ),
     )
-    _add_join_index_dir_flag(serve_parser)
     load_parser = subparsers.add_parser(
         "loadtest",
         help="run the deterministic load harness against the served lake",
@@ -436,8 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the canonical JSON load report to this file",
     )
     _add_json_flag(load_parser)
-    _add_bench_root_flag(load_parser, "BENCH_serve.json")
-    _add_join_index_dir_flag(load_parser)
+    load_parser.add_argument(
+        "--bench-root",
+        default=None,
+        help=(
+            "append this run's record to BENCH_serve.json under this "
+            "directory (joins the bench-report regression gate)"
+        ),
+    )
     serve_report_parser = subparsers.add_parser(
         "serve-report",
         help="RED tables, SLO verdict, and exemplars from a serve trace",
@@ -546,11 +492,7 @@ def config_from_args(args: argparse.Namespace) -> StudyConfig:
 def lake_config_from_args(args: argparse.Namespace) -> StudyConfig:
     """Translate parsed ``serve``/``loadtest`` arguments into a study
     configuration; only these commands build a lake."""
-    return StudyConfig(
-        scale=args.scale,
-        seed=args.seed,
-        join_index_dir=args.join_index_dir,
-    )
+    return StudyConfig(scale=args.scale, seed=args.seed)
 
 
 def log_outcome_summary(study) -> None:
@@ -709,164 +651,6 @@ def _run_bench_report(args: argparse.Namespace) -> int:
         print(baseline.render_bench_report(verdicts))
     regressed = any(verdict.regressed for verdict in verdicts)
     return 1 if (regressed and args.fail_on_regression) else 0
-
-
-def _run_build_index(args: argparse.Namespace) -> int:
-    """The ``build-index`` subcommand: persist the join index.
-
-    Builds one study, computes the prefix-filtered (exact-verified) pair
-    set per (portal, threshold), and writes each to a fingerprinted
-    index file under ``--out``.  ``--verify`` re-derives every pair set
-    with the quadratic all-pairs walk and exits 1 on any mismatch —
-    the fidelity contract, checked end to end.
-    """
-    import time
-
-    from ..core.study import Study
-    from ..joinability.pairs import analyze_joinability
-    from ..obs import Observer
-    from ..obs.metrics import MetricsRegistry
-    from ..resilience.budget import WorkMeter
-    from ..resilience.units import SCREEN_STAGE
-    from ..search.indexstore import JoinIndexStore, StoredJoinIndex
-
-    log = get_log()
-    try:
-        thresholds = [
-            float(part)
-            for part in args.thresholds.split(",")
-            if part.strip()
-        ]
-    except ValueError:
-        thresholds = []
-    if not thresholds or not all(0.0 < t <= 1.0 for t in thresholds):
-        log.error("bad-thresholds", value=args.thresholds)
-        return 2
-    config = StudyConfig(
-        scale=args.scale,
-        seed=args.seed,
-        workers=args.workers,
-        unit_retries=args.unit_retries,
-        chaos_kill_rate=args.chaos_kill_rate,
-        shard_dir=args.shard_dir,
-        join_index_dir=args.out,
-    )
-    obs = Observer(None)
-    started = time.perf_counter()
-    # The index needs screening, never FD discovery — a pooled build
-    # plans only screen units.
-    study = Study.build(
-        config,
-        obs=obs,
-        pool_stages=(SCREEN_STAGE,) if config.workers > 1 else None,
-    )
-    store = JoinIndexStore(args.out)
-    written: list[dict] = []
-    mismatches = 0
-    exact_metrics = MetricsRegistry()
-    try:
-        for portal in study:
-            for threshold in thresholds:
-                analysis = portal.joinability(threshold)
-                if analysis.truncated:
-                    log.warn(
-                        "join-index-truncated",
-                        portal=portal.code,
-                        threshold=threshold,
-                    )
-                    continue
-                if args.verify:
-                    meter = WorkMeter(None, metrics=exact_metrics)
-                    exact = analyze_joinability(
-                        portal.code,
-                        portal.screened_tables(),
-                        threshold,
-                        config.min_unique_values,
-                        meter,
-                    )
-                    if list(exact.pairs) != list(analysis.pairs):
-                        mismatches += 1
-                        log.error(
-                            "join-index-mismatch",
-                            portal=portal.code,
-                            threshold=threshold,
-                            lsh_pairs=len(analysis.pairs),
-                            exact_pairs=len(exact.pairs),
-                        )
-                        continue
-                store.save(
-                    StoredJoinIndex.from_analysis(
-                        config, portal.code, threshold, analysis
-                    )
-                )
-                written.append(
-                    {
-                        "portal": portal.code,
-                        "threshold": threshold,
-                        "pairs": len(analysis.pairs),
-                        "path": str(store.path(portal.code, threshold)),
-                    }
-                )
-    finally:
-        study.close()
-    seconds = time.perf_counter() - started
-    lsh_candidates = float(obs.metrics.value("join.candidate_pairs"))
-    exact_candidates = float(exact_metrics.value("join.candidate_pairs"))
-    doc = {
-        "out": args.out,
-        "scale": args.scale,
-        "seed": args.seed,
-        "workers": args.workers,
-        "thresholds": thresholds,
-        "indexes": written,
-        "lsh_candidates": lsh_candidates,
-        "verified": bool(args.verify),
-        "exact_candidates": exact_candidates if args.verify else None,
-        "mismatches": mismatches,
-    }
-    if args.bench_root is not None:
-        record = {
-            "experiment": "join",
-            "scale": args.scale,
-            "seed": args.seed,
-            "workers": config.workers,
-            "seconds": seconds,
-            "total_ops": sum(
-                snap["value"]
-                for name, snap in obs.metrics.snapshot().items()
-                if name.startswith("ops.")
-                and isinstance(snap, dict)
-                and "value" in snap
-            ),
-            "join_candidates": lsh_candidates,
-            "join_verify_ops": float(obs.metrics.value("ops.join.jaccard")),
-        }
-        path = baseline.append_record("join", record, root=args.bench_root)
-        log.info("bench-recorded", path=str(path))
-    if args.as_json:
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        lines = [
-            f"join index -> {args.out}  (scale {args.scale}, seed "
-            f"{args.seed}, workers {args.workers})"
-        ]
-        for entry in written:
-            lines.append(
-                f"  {entry['portal']} @ {entry['threshold']:g}: "
-                f"{entry['pairs']} pairs"
-            )
-        lines.append(f"candidate pairs (lsh): {lsh_candidates:.0f}")
-        if args.verify:
-            lines.append(
-                f"candidate pairs (all-pairs): {exact_candidates:.0f}"
-            )
-            lines.append(
-                "verify: OK (pair sets identical)"
-                if mismatches == 0
-                else f"verify: FAILED ({mismatches} mismatching pair sets)"
-            )
-        print("\n".join(lines))
-    return 1 if mismatches else 0
 
 
 def _run_serve(args: argparse.Namespace) -> int:

@@ -33,8 +33,7 @@ wall-clock benchmark calls
 :meth:`~repro.core.study.PortalStudy.join_signatures` and wraps
 :func:`compute_table_signatures` by name; delete it with the next
 benchmark change.  The module name and :func:`analyze_joinability_lsh`
-stay for the same reason.  :mod:`repro.search.indexstore` persists the
-verified pair set as the on-disk join index the data lake serves from.
+stay for the same reason.
 """
 
 from __future__ import annotations

@@ -238,12 +238,9 @@ def assemble_joinability(
 ) -> JoinabilityAnalysis:
     """Table 6's statistics bundle from an already-found pair set.
 
-    Shared by the all-pairs path, the prefix-filtered path, and the on-disk
-    index loader (:mod:`repro.search.indexstore`), which reconstructs an
-    analysis from persisted pairs without re-running the pair search —
-    the derived stats are a pure function of ``(profiles, pairs)``, so
-    all three entry points produce identical analyses for identical
-    pair sets.
+    Shared by the all-pairs path and the prefix-filtered path: the
+    derived stats are a pure function of ``(profiles, pairs)``, so both
+    entry points produce identical analyses for identical pair sets.
     """
     column_neighbors: dict[int, list[int]] = defaultdict(list)
     table_neighbors: dict[int, set[int]] = defaultdict(set)

@@ -56,10 +56,9 @@ def write_atomic(path: str | pathlib.Path, text: str) -> None:
     """Write *text* to *path* through ``<name>.tmp`` and an atomic rename.
 
     The one temp-then-rename writer of every whole-file artifact
-    (quarantine records, profiles, join indexes, bench histories): a
-    process killed mid-write leaves the previous file, or none, and at
-    most a stray temp file — never a torn *path*.  Creates the parent
-    directory.
+    (quarantine records, profiles, bench histories): a process killed
+    mid-write leaves the previous file, or none, and at most a stray
+    temp file — never a torn *path*.  Creates the parent directory.
     """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -74,7 +74,7 @@ from ..obs.profile import Profiler
 from .budget import WorkMeter
 from .executor import CompletedUnit, StageStatus, compute_unit
 from .journal import Journal, MergeConflict, StageRecord, config_fingerprint
-from .units import UNIT_STAGES, PlannedUnit, plan_portal_units, unit_request
+from .units import PlannedUnit, plan_portal_units, unit_request
 
 #: Chaos kills land on a tick drawn from ``[1, CHAOS_KILL_TICKS)``.
 CHAOS_KILL_TICKS = 2_000
@@ -556,21 +556,17 @@ def _journaled_status(portals, key: tuple[str, str, str]) -> str | None:
     return None if record is None else record.status
 
 
-def plan_study_units(
-    portals,
-    stages: tuple[str, ...] = UNIT_STAGES,
-) -> list[PlannedUnit]:
+def plan_study_units(portals) -> list[PlannedUnit]:
     """Every per-table unit the study's portals will run, in study order.
 
     Units already present in a portal's canonical study journal are
     excluded — exactly the units the serial path will replay rather
-    than recompute.  *stages* restricts planning, e.g. to ``(screen,)``
-    for a pure index build.
+    than recompute.
     """
     return [
         unit
         for portal in portals.values()
-        for unit in plan_portal_units(portal.code, portal.report, stages)
+        for unit in plan_portal_units(portal.code, portal.report)
         if _journaled_status(portals, unit.key) is None
     ]
 
@@ -593,9 +589,7 @@ def _wave_two(plan, portals, completed: dict[tuple, str]) -> list[PlannedUnit]:
     ]
 
 
-def run_pool(
-    portals, config, obs=None, stages: tuple[str, ...] | None = None
-) -> None:
+def run_pool(portals, config, obs=None) -> None:
     """Execute the study's per-table units across worker processes.
 
     *portals* is the ``code -> PortalStudy`` map of a freshly built
@@ -604,13 +598,9 @@ def run_pool(
     whose screen ended OK.  On return, every finished unit sits in its
     executor's ``precomputed`` map awaiting lazy adoption; units behind
     a screen that did not end OK are never planned, matching what the
-    serial path would never have computed.  *stages* defaults to every
-    per-table stage; precomputed units no analysis asks for are never
-    adopted, so an over-planned stage is waste, never drift.
+    serial path would never have computed.
     """
-    plan = plan_study_units(
-        portals, UNIT_STAGES if stages is None else stages
-    )
+    plan = plan_study_units(portals)
     if not plan:
         return
     keep_shards = config.shard_dir is not None

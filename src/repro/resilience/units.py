@@ -81,8 +81,8 @@ def plan_portal_units(
     per cleaned table and one ``fd`` unit per cleaned table passing the
     paper's §4.2 size filter.  Whether an ``fd`` unit actually executes
     still depends on its screen outcome (see
-    :attr:`PlannedUnit.depends_on`).  *stages* restricts the plan —
-    e.g. ``build-index`` plans no ``fd`` units.
+    :attr:`PlannedUnit.depends_on`).  *stages* restricts the plan: the
+    serial path plans one stage at a time.
     """
     units: list[PlannedUnit] = []
     if SCREEN_STAGE in stages:

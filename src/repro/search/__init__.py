@@ -5,13 +5,6 @@ keyword search over the catalogs, join suggestions filtered by the §5.3
 usefulness signals, and union suggestions ranked by relatedness.
 """
 
-from .indexstore import (
-    INDEX_VERSION,
-    JoinIndexStore,
-    LoadResult,
-    StoredJoinIndex,
-    index_fingerprint,
-)
 from .lake import (
     DataLake,
     DatasetHit,
@@ -25,15 +18,10 @@ __all__ = [
     "DataLake",
     "DatasetHit",
     "ExternalJoinHit",
-    "INDEX_VERSION",
-    "JoinIndexStore",
     "JoinSuggestion",
-    "LoadResult",
     "STOPWORDS",
     "SearchHit",
-    "StoredJoinIndex",
     "TextIndex",
     "UnionSuggestion",
-    "index_fingerprint",
     "tokenize",
 ]

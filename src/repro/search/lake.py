@@ -21,24 +21,14 @@ from ..dataframe import Table
 from ..ingest.pipeline import IngestedTable
 from ..joinability.coltypes import SemanticType
 from ..joinability.expansion import pair_expansion_ratio
-from ..joinability.index import build_profiles, normalize_value
+from ..joinability.index import normalize_value
 from ..joinability.labeling import key_combination, pair_semantic_type
-from ..joinability.pairs import (
-    JoinabilityAnalysis,
-    JoinablePair,
-    assemble_joinability,
-)
+from ..joinability.pairs import JoinabilityAnalysis, JoinablePair
 from ..joinability.topk import TopKOverlapSearcher
 from ..obs.log import get_log
 from ..resilience.budget import BudgetExceeded, WorkMeter
 from ..resilience.executor import StageStatus
 from ..unionability.ranking import rank_union_partners
-from .indexstore import (
-    HIT,
-    JoinIndexStore,
-    StoredJoinIndex,
-    index_fingerprint,
-)
 from .textindex import TextIndex
 
 
@@ -97,7 +87,7 @@ class UnionSuggestion:
 class DataLake:
     """Search and integration suggestions over a built study."""
 
-    def __init__(self, study: Study, *, metrics=None, index_store=None):
+    def __init__(self, study: Study, *, metrics=None):
         self._study = study
         self._metrics = metrics
         self._index = TextIndex()
@@ -108,16 +98,8 @@ class DataLake:
         self._pair_maps: dict[str, dict[int, list[JoinablePair]]] = {}
         #: portal -> resource_id -> table index (memoized lookup).
         self._resource_tables: dict[str, dict[str, int]] = {}
-        #: How each portal's join index resolved: status -> count.
-        self.index_loads: dict[str, int] = {}
-        if index_store is None and study.config.join_index_dir is not None:
-            index_store = JoinIndexStore(study.config.join_index_dir)
-        self._index_store = index_store
         for portal in study:
             self._index_portal(portal)
-        if self._index_store is not None:
-            for portal in study:
-                self._load_join_index(portal)
 
     def _note_skip(self, portal_code: str, entity: str, reason: str) -> None:
         """Record one skipped indexing unit: a log line plus a counter.
@@ -194,78 +176,6 @@ class DataLake:
                 self._note_skip(portal.code, doc_id, str(exc))
                 continue
             self._dataset_titles[doc_id] = (portal.code, dataset.title)
-
-    # ------------------------------------------------------------------
-    # persistent join index
-    # ------------------------------------------------------------------
-    def _note_index(self, portal_code: str, status: str, detail: str) -> None:
-        """Record one join-index load resolution: metric + log + tally."""
-        self.index_loads[status] = self.index_loads.get(status, 0) + 1
-        if self._metrics is not None:
-            self._metrics.inc(f"lake.index.{status}")
-        get_log().info(
-            "lake-join-index",
-            portal=portal_code,
-            status=status,
-            detail=detail,
-        )
-
-    def _load_join_index(self, portal: PortalStudy) -> None:
-        """Serve the portal's joinability from disk instead of rebuilding.
-
-        A ``hit`` reconstructs the analysis from the persisted pair set
-        over freshly built profiles — integrity-checked against the
-        stored per-profile distinct counts — and installs it in the
-        portal's cache, so ``portal.joinability()`` never runs the pair
-        search.  A ``miss`` (absent/torn) or ``stale`` (fingerprint
-        mismatch) computes joinability now and writes the index back,
-        making the artifact self-healing.  Any surprise is telemetry,
-        never a raise: a degraded study still serves.
-        """
-        threshold = self._study.config.jaccard_threshold
-        if portal.peek_joinability(threshold) is not None:
-            return
-        try:
-            fingerprint = index_fingerprint(
-                self._study.config, portal.code, threshold
-            )
-            loaded = self._index_store.load(
-                portal.code, threshold, fingerprint
-            )
-            status, reason = loaded.status, loaded.reason
-            if loaded.status == HIT:
-                tables = portal.screened_tables()
-                profiles, total_columns = build_profiles(
-                    tables, min_unique=self._study.config.min_unique_values
-                )
-                checks = tuple(p.num_unique for p in profiles)
-                if checks != loaded.index.column_check:
-                    status, reason = "stale", "column check"
-                else:
-                    analysis = assemble_joinability(
-                        portal.code,
-                        tables,
-                        profiles,
-                        total_columns,
-                        list(loaded.index.pairs),
-                    )
-                    portal.adopt_joinability(analysis, threshold)
-                    self._note_index(
-                        portal.code, "hit", f"{len(analysis.pairs)} pairs"
-                    )
-                    return
-            self._note_index(portal.code, status, reason)
-            analysis = portal.joinability(threshold)
-            if not analysis.truncated:
-                self._index_store.save(
-                    StoredJoinIndex.from_analysis(
-                        self._study.config, portal.code, threshold, analysis
-                    )
-                )
-        except Exception as exc:  # noqa: BLE001 — serving must survive
-            self._note_skip(
-                portal.code, "join-index", f"{type(exc).__name__}: {exc}"
-            )
 
     def _pairs_for_table(
         self, portal_code: str, analysis: JoinabilityAnalysis, table_index: int

@@ -141,10 +141,6 @@ class LakeService:
             else None
         )
         self.lake = DataLake(study, metrics=self.metrics)
-        if self.lake.index_loads:
-            # One startup line summarizing how many persisted join
-            # indexes were reused vs rebuilt (see repro.search.indexstore).
-            get_log().info("serve-join-index", **self.lake.index_loads)
         self.api = QueryApi(study, self.lake)
         self.admission = AdmissionController(
             self.config.admission, self.clock, metrics=self.metrics

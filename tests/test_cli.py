@@ -4,12 +4,7 @@ import pytest
 
 from repro.core.study import _build_client
 from repro.experiments import clear_cache
-from repro.experiments.cli import (
-    build_parser,
-    config_from_args,
-    lake_config_from_args,
-    main,
-)
+from repro.experiments.cli import build_parser, config_from_args, main
 from repro.portal import BlobStore, HttpClient
 from repro.resilience import ResilientHttpClient
 
@@ -198,50 +193,20 @@ class TestParser:
         assert args.as_json is True
         assert args.bench_root == str(tmp_path)
 
-    def test_join_index_defaults_to_lsh(self):
-        for command in ("serve", "loadtest"):
-            config = lake_config_from_args(
-                build_parser().parse_args([command])
-            )
-            assert config.join_index_dir is None
-
-    def test_join_index_flags_reach_config(self, tmp_path):
-        for command in ("serve", "loadtest"):
-            config = lake_config_from_args(
+    def test_run_rejects_join_index_dir(self, capsys, tmp_path):
+        """Joinable pairs are computed, never loaded: no command takes
+        a join-index directory, and no command builds one."""
+        for command in (["run", "table06"], ["serve"], ["loadtest"]):
+            with pytest.raises(SystemExit):
                 build_parser().parse_args(
-                    [command, "--join-index-dir", str(tmp_path)]
+                    [*command, "--join-index-dir", str(tmp_path)]
                 )
+            assert "unrecognized arguments: --join-index-dir" in (
+                capsys.readouterr().err
             )
-            assert config.join_index_dir == str(tmp_path)
-
-    def test_run_rejects_join_index_dir(self, tmp_path):
-        """Only the lake reads persisted indexes, and ``run`` never
-        builds one: the flag is kept on serve/loadtest only."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "table06", "--join-index-dir", str(tmp_path)]
-            )
-
-    def test_build_index_command_parses(self, tmp_path):
-        args = build_parser().parse_args(
-            [
-                "build-index",
-                "--out", str(tmp_path),
-                "--scale", "0.08",
-                "--seed", "2",
-                "--thresholds", "0.9,0.7",
-                "--workers", "4",
-                "--chaos-kill-rate", "0.2",
-                "--verify",
-                "--json",
-            ]
-        )
-        assert args.command == "build-index"
-        assert args.out == str(tmp_path)
-        assert args.thresholds == "0.9,0.7"
-        assert args.workers == 4
-        assert args.chaos_kill_rate == 0.2
-        assert args.verify is True
+            build_parser().parse_args(["build-index", "--out", str(tmp_path)])
+        assert "invalid choice: 'build-index'" in capsys.readouterr().err
 
 
 class TestMain:
@@ -338,81 +303,6 @@ class TestMain:
         empty.write_text("")
         assert main(["profile-report", str(empty)]) == 0
         assert "no spans" in capsys.readouterr().out
-
-
-class TestBuildIndex:
-    def test_build_verify_and_bench_record(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "idx"
-        code = main(
-            [
-                "-q",
-                "build-index",
-                "--out", str(out),
-                "--scale", "0.08",
-                "--seed", "2",
-                "--thresholds", "0.9,0.7",
-                "--verify",
-                "--json",
-                "--bench-root", str(tmp_path),
-            ]
-        )
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["mismatches"] == 0
-        assert doc["verified"] is True
-        # The candidate drop the index exists for.
-        assert doc["lsh_candidates"] * 5 <= doc["exact_candidates"]
-        # 4 portals x 2 thresholds, all on disk.
-        assert len(doc["indexes"]) == 8
-        assert len(sorted(out.glob("join-*.json"))) == 8
-        record = json.loads(
-            (tmp_path / "BENCH_join.json").read_text()
-        )[-1]
-        assert record["join_candidates"] == doc["lsh_candidates"]
-        assert record["total_ops"] > 0
-
-    def test_bad_thresholds_rejected(self, capsys, tmp_path):
-        code = main(
-            [
-                "-q",
-                "build-index",
-                "--out", str(tmp_path),
-                "--thresholds", "0.9,nope",
-            ]
-        )
-        assert code == 2
-
-    def test_loadtest_serves_built_index(self, capsys, tmp_path):
-        out = tmp_path / "idx"
-        assert (
-            main(
-                [
-                    "-q", "build-index",
-                    "--out", str(out),
-                    "--scale", "0.08", "--seed", "2",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        clear_cache()
-        code = main(
-            [
-                "loadtest",
-                "--scale", "0.08",
-                "--seed", "2",
-                "--mix", "smoke",
-                "--join-index-dir", str(out),
-            ]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        # The lake loaded every portal's pair set from disk.
-        assert "lake-join-index" in captured.err
-        assert "status=hit" in captured.err
-        assert "SLO" in captured.out or "outcome" in captured.out
 
 
 class TestDriftCommands:

@@ -1,4 +1,6 @@
-"""The differential sweep (``make verify-sweep``) and its FD pair."""
+"""The differential sweep (``make verify-sweep``): its FD and join pairs."""
+
+import dataclasses
 
 import pytest
 
@@ -6,6 +8,7 @@ from repro.core.config import StudyConfig
 from repro.core.study import Study
 from repro.experiments import sweep
 from repro.fd import FDSet, discover_fds, discover_fds_tane
+from repro.joinability.lshindex import analyze_joinability_lsh
 
 SMALL = ("0.03", "2")
 
@@ -27,7 +30,7 @@ def _reshaped(engine, reshape):
     return run
 
 
-def test_main_passes_when_fun_equals_tane():
+def test_main_passes_when_both_pairs_agree():
     assert sweep.main(list(SMALL)) == 0
 
 
@@ -47,3 +50,23 @@ def test_missing_tane_fd_is_a_mismatch(monkeypatch, small_study):
     )
     _, mismatched = sweep.fd_mismatches(small_study)
     assert mismatched
+
+
+def test_dropped_prefix_pair_is_a_mismatch(monkeypatch, small_study):
+    compared, mismatched = sweep.pair_mismatches(small_study)
+    assert compared == 2 * len(small_study.portals) and not mismatched
+    with_pairs = [
+        f"{portal.code}@{threshold}"
+        for portal in small_study
+        for threshold in (0.9, 0.7)
+        if portal.joinability(threshold).pairs
+    ]
+    assert with_pairs
+
+    def dropping(*args):
+        analysis = analyze_joinability_lsh(*args)
+        return dataclasses.replace(analysis, pairs=analysis.pairs[:-1])
+
+    monkeypatch.setattr(sweep, "analyze_joinability_lsh", dropping)
+    _, mismatched = sweep.pair_mismatches(small_study)
+    assert mismatched == with_pairs

@@ -139,7 +139,7 @@ class TestMinHash:
 
     def test_coefficients_derived_from_sha256_stream(self):
         """Pinned values: the hasher must be stable across Python
-        versions (persisted index signatures depend on it), so the
+        versions (the ablation's candidate counts depend on it), so the
         coefficients come from sha256, not ``random.Random``."""
         import hashlib
 

@@ -138,6 +138,31 @@ class TestDataLake:
             assert 0.0 < suggestion.jaccard <= 1.0
             assert suggestion.partner_resource != resource
 
+    def test_pairs_for_table_are_its_pairs_in_analysis_order(
+        self, lake, study
+    ):
+        """The memoized per-table list is exactly the pairs touching
+        the table, in ``analysis.pairs`` order: the ranking contract."""
+        touched = 0
+        for portal in study:
+            analysis = portal.joinability()
+            for table_index in range(len(analysis.tables)):
+                expected = [
+                    pair
+                    for pair in analysis.pairs
+                    if table_index
+                    in (
+                        analysis.profiles[pair.left].table_index,
+                        analysis.profiles[pair.right].table_index,
+                    )
+                ]
+                assert (
+                    lake._pairs_for_table(portal.code, analysis, table_index)
+                    == expected
+                )
+                touched += bool(expected)
+        assert touched
+
     def test_suggest_joins_unknown_resource(self, lake):
         with pytest.raises(KeyError):
             lake.suggest_joins("US", "nope")
