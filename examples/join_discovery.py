@@ -45,7 +45,6 @@ def main() -> None:
     print()
 
     suggestions = []
-    counts_cache: dict = {}
     for pair in analysis.pairs:
         left = analysis.profiles[pair.left]
         right = analysis.profiles[pair.right]
@@ -67,7 +66,7 @@ def main() -> None:
             key_combo=key_combination(left, right),
             semantic_type=pair_semantic_type(left, right),
             size_bucket=size_bucket(mine.num_rows) or "10-100",
-            expansion_ratio=pair_expansion_ratio(analysis, pair, counts_cache),
+            expansion_ratio=pair_expansion_ratio(analysis, pair),
         )
         suggestions.append((labeled, mine, partner))
 

@@ -167,11 +167,18 @@ class PortalStudy:
         Prefix- and size-filters candidates before the exact Jaccard
         verify; the pair set is byte-identical to the all-pairs walk
         (:func:`~repro.joinability.pairs.analyze_joinability`, kept as
-        the oracle), only the op counts differ.
+        the oracle), only the op counts differ.  Every threshold's unit
+        searches from the portal's one
+        :class:`~repro.joinability.lshindex.JoinSearchState`: the first
+        unit to finish building it leaves it for the rest, which charge
+        the same ticks without rebuilding.
         """
         # Looked up at call time so a wrapper installed on the module
         # attribute sees every call.
-        from ..joinability.lshindex import analyze_joinability_lsh
+        from ..joinability.lshindex import (
+            JoinSearchState,
+            analyze_joinability_lsh,
+        )
         from ..joinability.pairs import empty_joinability_analysis
 
         threshold = (
@@ -186,6 +193,9 @@ class PortalStudy:
                 portal=self.code,
             ):
                 tables = self.screened_tables()
+                state = self._cache.setdefault(
+                    "join-state", JoinSearchState()
+                )
                 analysis, _ = self.executor.guard(
                     f"pairs@{threshold}",
                     PORTAL_WIDE,
@@ -196,6 +206,7 @@ class PortalStudy:
                             threshold=threshold,
                             min_unique=self.config.min_unique_values,
                             meter=meter,
+                            state=state,
                         ),
                         classify=lambda a: (
                             StageStatus.TRUNCATED

@@ -6,15 +6,18 @@ compares each fast path it covers with its oracle over the whole
 study, logging ``sweep-ok`` and exiting 0, or logging
 ``sweep-mismatch`` and exiting 1.
 
-It covers two pairs.  The FD pair: on every FD-filtered table (§4.2's
+It covers three pairs.  The FD pair: on every FD-filtered table (§4.2's
 size filter), FUN's list must equal TANE's FD set in FUN's documented
 order (by ``|X|``, then the sorted positions of X, then the position of
 B, each name at its first occurrence), with equal ``lhs_cards``.  BCNF
 draws its splits from that list, so its order is part of Table 5; the
 property tests check it on small random tables, this on every table a
-study decomposes.  The join pair: on every portal, at the paper's
-threshold and the sensitivity one, the prefix-filtered search must give
-the all-pairs walk's pairs, stats and neighbour maps.
+study decomposes.  The fragment pair: every fragment FD list BCNF
+derives from its table's FDs, on every FD-filtered table with its
+unit's own RNG, must equal FUN re-run on that fragment.  The join pair:
+on every portal, the study's own analyses at the paper's threshold and
+then the sensitivity one (the second reusing the portal's search
+state) must give the all-pairs walk's pairs, stats and neighbour maps.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ from ..core.config import StudyConfig
 from ..core.study import Study
 from ..dataframe import Table
 from ..fd import FD, FDSet, discover_fds, discover_fds_tane
-from ..joinability.lshindex import analyze_joinability_lsh
 from ..joinability.pairs import (
     JACCARD_THRESHOLD,
     JACCARD_THRESHOLD_LOW,
     analyze_joinability,
 )
+from ..normalize import bcnf
 from ..obs.log import get_log
+from ..resilience.units import FD_STAGE, plan_portal_units, unit_request
 
 
 def fun_order(table: Table, fds: FDSet) -> list[FD]:
@@ -72,25 +76,69 @@ def fd_mismatches(study: Study) -> tuple[int, list[str]]:
     return compared, mismatched
 
 
-def pair_mismatches(study: Study) -> tuple[int, list[str]]:
-    """The prefix search against all-pairs on every portal of *study*.
+def fragment_mismatches(study: Study) -> tuple[int, list[str]]:
+    """Derived fragment FDs against FUN re-run on every fragment.
 
-    Returns the number of analyses compared (one per portal and
-    threshold) and the ``portal@threshold`` names of those whose pairs,
-    stats or neighbour maps differ.
+    Re-runs every ``fd`` unit of *study* (each FD-filtered table its
+    screen passed, with the unit's own BCNF RNG), so BCNF splits exactly
+    as the study did, and checks every
+    :func:`repro.normalize.bcnf.fragment_fds` result on the way.
+    Returns the number of derivations compared and the ``portal/table``
+    names of the tables with a mismatched one.
+    """
+    max_lhs = study.config.max_lhs
+    derive = bcnf.fragment_fds
+    compared = 0
+    mismatched: list[str] = []
+    name = ""
+
+    def checking(fragment: Table, fds: FDSet) -> list[FD]:
+        nonlocal compared
+        derived = derive(fragment, fds)
+        compared += 1
+        if derived != list(discover_fds(fragment, max_lhs=max_lhs)):
+            if name not in mismatched:
+                mismatched.append(name)
+        return derived
+
+    # bcnf_decompose looks fragment_fds up at call time, so the check
+    # sees every derivation of the real decomposition walk.
+    bcnf.fragment_fds = checking
+    try:
+        for portal in study:
+            screened = {t.resource_id: t.clean for t in portal.screened_tables()}
+            for planned in plan_portal_units(
+                portal.code, portal.report, (FD_STAGE,)
+            ):
+                table = screened.get(planned.table_id)
+                if table is None:
+                    continue
+                name = f"{portal.code}/{table.name}"
+                unit_request(planned, table, study.config).compute(None)
+    finally:
+        bcnf.fragment_fds = derive
+    return compared, mismatched
+
+
+def pair_mismatches(study: Study) -> tuple[int, list[str]]:
+    """The study's pair search against all-pairs on every portal.
+
+    Asks each portal for its analysis at :data:`JACCARD_THRESHOLD` and
+    then :data:`JACCARD_THRESHOLD_LOW`, so the second search reuses the
+    portal's search state as a study run does.  Returns the number of
+    analyses compared (one per portal and threshold) and the
+    ``portal@threshold`` names of those whose pairs, stats or neighbour
+    maps differ.
     """
     min_unique = study.config.min_unique_values
     compared = 0
     mismatched: list[str] = []
     for portal in study:
-        tables = portal.screened_tables()
         for threshold in (JACCARD_THRESHOLD, JACCARD_THRESHOLD_LOW):
             compared += 1
-            prefix = analyze_joinability_lsh(
-                portal.code, tables, threshold, min_unique
-            )
+            prefix = portal.joinability(threshold)
             exact = analyze_joinability(
-                portal.code, tables, threshold, min_unique
+                portal.code, portal.screened_tables(), threshold, min_unique
             )
             if (
                 prefix.pairs != exact.pairs
@@ -112,6 +160,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     status = 0
     for pair, unit, (compared, mismatched) in (
         ("fun-tane", "tables", fd_mismatches(study)),
+        ("fragment-fun", "derivations", fragment_mismatches(study)),
         ("prefix-allpairs", "analyses", pair_mismatches(study)),
     ):
         if mismatched:

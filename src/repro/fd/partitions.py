@@ -9,26 +9,31 @@ own partition: row *i* carries the smallest row of its class.  Such a
 label belongs to the partition, not to how it was built.
 
 *Stripped partitions* (Huhtala et al., 1999).  FUN stores the partition
-of an attribute set X as ``(rows, firsts)``: the ascending rows of X's
-classes with two or more rows, each paired with its class's first-row
-label.  A row alone in its class under X stays alone under every
-superset of X, so no later refinement or check reads it again, and
-``|pi_X| = n_rows - len(rows) + (classes among rows)``.
+of an attribute set X as ``(rows, firsts)``: ascending rows that
+include every row of X's classes with two or more rows, each paired
+with its class's first-row label.  :func:`strip` keeps exactly those
+rows; FUN strips a refined partition only when enough of its rows are
+alone in their class to pay for the pass, so some singletons may stay.
+A row alone in its class under X stays alone under every superset of
+X, so no later refinement or check needs it, and
+``|pi_X| = n_rows - len(rows) + (classes among rows)`` whichever
+singletons are kept: each adds one row and one class.
 
-*Why the base does not matter.*  Refining the stripped partition of
-any (k-1)-subset of a k-set by the missing column numbers each class by
-its smallest row, so every subset yields the same labels and FUN may
-start from the one with the fewest rows.  :func:`determines` walks the
-stripped rows in ascending order and stops at the first row whose
-value differs from its class's first row's value.  That is the row
-where a scan of all rows, remembering each class's first value,
-stops: rows it skips are alone in their class or open one, and
-neither can conflict.
+*Why the base does not matter.*  Refining the partition of any
+(k-1)-subset of a k-set by the missing column numbers each class by its
+smallest row, so every subset yields the same labels for the rows it
+keeps and FUN may start from the one with the fewest rows.
+:func:`determines` walks the rows in ascending order and stops at the
+first row whose value differs from its class's first row's value.
+That is the row where a scan of all rows, remembering each class's
+first value, stops: rows it skips are alone in their class or open
+one, and neither can conflict.  A kept singleton is its own first row,
+so it never conflicts either.
 
 :func:`refine` and :func:`determines` each make one pass that runs in
-C (``map`` over bound methods), and neither reads a row that is alone
-in its class.  Nulls participate as ordinary (per-column distinct)
-values, the common convention in FD profilers.
+C (``map`` over bound methods) over the kept rows only.  Nulls
+participate as ordinary (per-column distinct) values, the common
+convention in FD profilers.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from ..dataframe import Table
 #: Label vector type: one class label per row.
 Labels = list[int]
 
-#: A stripped partition: ascending rows of shared classes, and each
-#: row's class's first row.
+#: A partition: ascending rows including every row of a shared class,
+#: and each row's class's first row.
 Partition = tuple[Labels, Labels]
 
 
@@ -80,7 +85,7 @@ def strip(rows: Sequence[int], firsts: Sequence[int]) -> Partition:
 def refine(
     rows: Sequence[int], firsts: Sequence[int], column: Labels
 ) -> tuple[Labels, int]:
-    """Refine the stripped partition ``(rows, firsts)`` of X by *column*.
+    """Refine the partition ``(rows, firsts)`` of X by *column*.
 
     Returns the first-row labels of ``X ∪ {B}`` aligned with *rows*,
     and the number of its classes among *rows*, counted by the same

@@ -2,7 +2,10 @@
 
 Expansion ratio = inner-join output size / size of the larger input
 table.  Computed in closed form from the two join columns' value
-multiplicities, so hundreds of thousands of pairs are cheap.
+multiplicities, so hundreds of thousands of pairs are cheap.  A
+column's multiplicities are counted once per portal and kept in the
+analysis's ``value_counts`` memo, which both thresholds' analyses of a
+portal share.
 """
 
 from __future__ import annotations
@@ -28,15 +31,19 @@ def column_value_counts(
 
 
 def pair_expansion_ratio(
-    analysis: JoinabilityAnalysis,
-    pair: JoinablePair,
-    counts_cache: dict[int, Counter] | None = None,
+    analysis: JoinabilityAnalysis, pair: JoinablePair
 ) -> float:
-    """Expansion ratio of one joinable pair."""
+    """Expansion ratio of one joinable pair.
+
+    Reads each column's counts from ``analysis.value_counts``, counting
+    a column on first use only: Figure 8 at both thresholds, the
+    §5.3.1 sample and every served join suggestion of a portal share
+    its memo.
+    """
     left_profile = analysis.profiles[pair.left]
     right_profile = analysis.profiles[pair.right]
-    left_counts = _cached_counts(analysis, pair.left, counts_cache)
-    right_counts = _cached_counts(analysis, pair.right, counts_cache)
+    left_counts = _memoized_counts(analysis, pair.left)
+    right_counts = _memoized_counts(analysis, pair.right)
     if len(right_counts) < len(left_counts):
         left_counts, right_counts = right_counts, left_counts
     output = sum(
@@ -48,19 +55,12 @@ def pair_expansion_ratio(
     return output / larger if larger else 0.0
 
 
-def _cached_counts(
-    analysis: JoinabilityAnalysis,
-    column_id: int,
-    cache: dict[int, Counter] | None,
-) -> Counter:
-    if cache is None:
-        return column_value_counts(analysis.tables, analysis.profiles[column_id])
-    counts = cache.get(column_id)
+def _memoized_counts(analysis: JoinabilityAnalysis, column_id: int) -> Counter:
+    counts = analysis.value_counts.get(column_id)
     if counts is None:
-        counts = column_value_counts(
+        counts = analysis.value_counts[column_id] = column_value_counts(
             analysis.tables, analysis.profiles[column_id]
         )
-        cache[column_id] = counts
     return counts
 
 
@@ -74,8 +74,7 @@ class ExpansionStats:
 
 def expansion_stats(analysis: JoinabilityAnalysis) -> ExpansionStats:
     """Expansion ratios of every joinable pair in *analysis*."""
-    cache: dict[int, Counter] = {}
     ratios = tuple(
-        pair_expansion_ratio(analysis, pair, cache) for pair in analysis.pairs
+        pair_expansion_ratio(analysis, pair) for pair in analysis.pairs
     )
     return ExpansionStats(portal_code=analysis.portal_code, ratios=ratios)

@@ -85,10 +85,13 @@ def build_profiles(
 
     Returns ``(profiles, total_columns)`` where *total_columns* counts
     every column before the unique-value floor, for Table 6's
-    joinable-column percentages.  With a *meter*, each profiled column
-    charges one tick per cell; :class:`BudgetExceeded` propagates to
-    the caller (a partial profile set would silently undercount
-    joinability, so there is no clean truncation here).
+    joinable-column percentages.  With a *meter*, each column charges
+    one tick per cell; :class:`BudgetExceeded` propagates to the caller
+    (a partial profile set would silently undercount joinability, so
+    there is no clean truncation here).  Profiles depend only on the
+    tables and *min_unique*, so one portal builds them once for every
+    threshold (:class:`~repro.joinability.lshindex.JoinSearchState`)
+    and later searches charge :func:`replay_profile_ticks` instead.
     """
     profiles: list[ColumnProfile] = []
     total_columns = 0
@@ -106,6 +109,23 @@ def build_profiles(
                     profile_column(len(profiles), table_index, column)
                 )
     return profiles, total_columns
+
+
+def replay_profile_ticks(
+    tables: list[IngestedTable], meter: WorkMeter | None
+) -> None:
+    """Charge the ticks :func:`build_profiles` charges, building nothing.
+
+    One ``join.profile`` tick per cell of every column, in table order,
+    under the same frame, so a search that reuses already built
+    profiles truncates where a fresh build would.
+    """
+    if meter is None:
+        return
+    with prof_scope(meter, "dataframe", "distinct_scan"):
+        for ingested in tables:
+            for column in ingested.clean.columns:
+                meter.tick(len(column), op="join.profile")
 
 
 def build_inverted_index(

@@ -27,6 +27,13 @@ slack in the safe direction: ``ceil(t*n - 1e-9)`` can only
 under-estimate the overlap requirement (lengthening the prefix), and
 ``min + 1e-9 >= t * max`` can only admit extra candidates.
 
+Only the prefix *length* reads the threshold.  The profiles, the
+document frequencies and so each profile's token order depend only on
+the tables and the unique-value floor, so a portal's searches at 0.9
+and 0.7 share one :class:`JoinSearchState`: the first builds it, later
+ones take their prefixes from its order and charge the profile ticks
+a fresh build would (:func:`~repro.joinability.index.replay_profile_ticks`).
+
 The MinHash signature code below (:func:`compute_table_signatures` and
 its types) is not part of the pair search.  It stays only because the
 wall-clock benchmark calls
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from ..ingest.pipeline import IngestedTable
 from ..obs.profile import prof_scope
@@ -50,6 +57,7 @@ from .index import (
     ColumnProfile,
     build_profiles,
     normalize_value,
+    replay_profile_ticks,
 )
 from .minhash import MinHasher, _stable_hash
 from .pairs import (
@@ -180,38 +188,52 @@ def prefix_length(num_unique: int, threshold: float) -> int:
     return num_unique - alpha + 1
 
 
+def token_ranks(profiles: list[ColumnProfile]) -> list[list[int]]:
+    """Every profile's tokens as global ranks, ascending.
+
+    Rank order is ascending document frequency (the number of profiles
+    holding the token), ties broken by value: the order the prefix
+    filter reads.  One sort ranks every token of the portal; each
+    profile then sorts only its ints.
+    """
+    frequency: Counter = Counter()
+    for profile in profiles:
+        frequency.update(profile.values)
+    ranked = sorted(zip(frequency.values(), frequency))
+    rank = {value: index for index, (_, value) in enumerate(ranked)}
+    return [sorted(map(rank.__getitem__, p.values)) for p in profiles]
+
+
 def generate_candidates(
     profiles: list[ColumnProfile],
     threshold: float = JACCARD_THRESHOLD,
     meter: WorkMeter | None = None,
+    order: list[list[int]] | None = None,
 ) -> list[tuple[int, int]]:
     """Prefix-filtered cross-table candidate pairs, sorted.
 
     A provable superset of every pair with Jaccard >= *threshold* (see
-    module docstring).  With a *meter*, prefix construction charges one
-    tick per kept prefix token and enumeration one tick per posting
-    comparison — the directly comparable analogue of the all-pairs
-    walk's per-posting-comparison tick, just over far shorter postings.
-    A budget blowup propagates, exactly like the all-pairs overlap
-    accumulation: a partial candidate set would silently *lose* pairs.
+    module docstring).  *order* is :func:`token_ranks` of *profiles*,
+    computed here when not given.  With a *meter*, prefix construction
+    charges one tick per kept prefix token and enumeration one tick per
+    posting comparison — the directly comparable analogue of the
+    all-pairs walk's per-posting-comparison tick, just over far shorter
+    postings.  A budget blowup propagates, exactly like the all-pairs
+    overlap accumulation: a partial candidate set would silently *lose*
+    pairs.
     """
     if not profiles:
         return []
-    frequency: dict[str, int] = {}
-    for profile in profiles:
-        for value in profile.values:
-            frequency[value] = frequency.get(value, 0) + 1
-    postings: dict[str, list[int]] = defaultdict(list)
+    if order is None:
+        order = token_ranks(profiles)
+    postings: dict[int, list[int]] = defaultdict(list)
     with prof_scope(meter, "lsh", "prefix"):
-        for profile in profiles:
+        for profile, ranks in zip(profiles, order):
             length = prefix_length(profile.num_unique, threshold)
             if meter is not None:
                 meter.tick(length, op="join.prefix")
-            prefix = sorted(
-                profile.values, key=lambda v: (frequency[v], v)
-            )[:length]
-            for value in prefix:
-                postings[value].append(profile.column_id)
+            for token in ranks[:length]:
+                postings[token].append(profile.column_id)
     candidates: set[tuple[int, int]] = set()
     with prof_scope(meter, "lsh", "candidates"):
         for posting in postings.values():
@@ -232,6 +254,7 @@ def lsh_joinable_pairs_flagged(
     profiles: list[ColumnProfile],
     threshold: float = JACCARD_THRESHOLD,
     meter: WorkMeter | None = None,
+    order: list[list[int]] | None = None,
 ) -> tuple[list[JoinablePair], bool]:
     """The indexed sibling of ``joinable_pairs_flagged``: same answers.
 
@@ -241,8 +264,9 @@ def lsh_joinable_pairs_flagged(
     exact-Jaccard arithmetic, charging the same one-tick-per-candidate
     ``join.jaccard`` op.  The verify loop truncates cleanly over the
     sorted candidate list, matching the all-pairs truncation contract.
+    *order* is passed to :func:`generate_candidates`.
     """
-    candidates = generate_candidates(profiles, threshold, meter)
+    candidates = generate_candidates(profiles, threshold, meter, order)
     if meter is not None:
         meter.event("join.prefix_candidates", len(candidates))
     survivors: list[tuple[int, int]] = []
@@ -295,23 +319,78 @@ def lsh_joinable_pairs_flagged(
     return pairs, truncated
 
 
+@dataclasses.dataclass
+class JoinSearchState:
+    """What one portal's pair searches share, whatever their threshold.
+
+    Holds the :func:`build_profiles` result for the tables it was built
+    for, every profile's :func:`token_ranks`, and a memo of normalized
+    value counts by column id that expansion ratios fill lazily (every
+    analysis searched from the state holds the same dict).  It is
+    complete before its first search charges a ``join.prefix`` tick, so
+    a budget that runs out while building leaves it empty and one that
+    runs out later leaves it whole.
+    """
+
+    #: The tables and floor it was built for; None until built.
+    tables: list[IngestedTable] | None = None
+    min_unique: int = MIN_UNIQUE_VALUES
+    profiles: list[ColumnProfile] = dataclasses.field(default_factory=list)
+    total_columns: int = 0
+    order: list[list[int]] = dataclasses.field(default_factory=list)
+    value_counts: dict[int, Counter] = dataclasses.field(default_factory=dict)
+
+    def prepare(
+        self,
+        tables: list[IngestedTable],
+        min_unique: int,
+        meter: WorkMeter | None,
+    ) -> None:
+        """Build the state, or charge what building it would charge."""
+        if self.tables is None:
+            profiles, total_columns = build_profiles(
+                tables, min_unique=min_unique, meter=meter
+            )
+            self.order = token_ranks(profiles)
+            self.profiles, self.total_columns = profiles, total_columns
+            self.tables, self.min_unique = tables, min_unique
+        elif tables is not self.tables or min_unique != self.min_unique:
+            raise ValueError(
+                "a join search state serves only the tables and "
+                "unique-value floor it was built for"
+            )
+        else:
+            replay_profile_ticks(tables, meter)
+
+
 def analyze_joinability_lsh(
     portal_code: str,
     tables: list[IngestedTable],
     threshold: float = JACCARD_THRESHOLD,
     min_unique: int = MIN_UNIQUE_VALUES,
     meter: WorkMeter | None = None,
+    state: JoinSearchState | None = None,
 ) -> JoinabilityAnalysis:
     """Index-backed drop-in for ``analyze_joinability``: same analysis.
 
     The emitted pair set, stats, and neighbor maps are byte-identical
     to the all-pairs analysis, which the fidelity and diff gates
-    enforce.
+    enforce.  A portal passes its one *state* to every threshold's
+    search; without one the search builds a throwaway state, so ticks,
+    events and results are the same either way.
     """
-    profiles, total_columns = build_profiles(
-        tables, min_unique=min_unique, meter=meter
+    if state is None:
+        state = JoinSearchState()
+    state.prepare(tables, min_unique, meter)
+    pairs, truncated = lsh_joinable_pairs_flagged(
+        state.profiles, threshold, meter, state.order
     )
-    pairs, truncated = lsh_joinable_pairs_flagged(profiles, threshold, meter)
     return assemble_joinability(
-        portal_code, tables, profiles, total_columns, pairs, truncated
+        portal_code,
+        tables,
+        state.profiles,
+        state.total_columns,
+        pairs,
+        truncated,
+        value_counts=state.value_counts,
     )

@@ -10,7 +10,7 @@ candidate pair via the inverted index.
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from ..core.stats import fraction, median
 from ..ingest.pipeline import IngestedTable
@@ -167,6 +167,13 @@ class JoinabilityAnalysis:
     table_neighbors: dict[int, set[int]]
     #: Whether a work budget cut the pair search short.
     truncated: bool = False
+    #: column-profile id -> normalized value counts, filled lazily by
+    #: :func:`~repro.joinability.expansion.pair_expansion_ratio`.  Ids
+    #: name columns of *profiles*, so a portal's analyses that share
+    #: one profile list share one memo.
+    value_counts: dict[int, Counter] = dataclasses.field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def empty_joinability_analysis(
@@ -235,12 +242,15 @@ def assemble_joinability(
     total_columns: int,
     pairs: list[JoinablePair],
     truncated: bool = False,
+    value_counts: dict[int, Counter] | None = None,
 ) -> JoinabilityAnalysis:
     """Table 6's statistics bundle from an already-found pair set.
 
     Shared by the all-pairs path and the prefix-filtered path: the
     derived stats are a pure function of ``(profiles, pairs)``, so both
     entry points produce identical analyses for identical pair sets.
+    *value_counts* is the memo of another analysis over the same
+    *profiles*; without one the analysis gets its own.
     """
     column_neighbors: dict[int, list[int]] = defaultdict(list)
     table_neighbors: dict[int, set[int]] = defaultdict(set)
@@ -282,4 +292,5 @@ def assemble_joinability(
         column_neighbors=dict(column_neighbors),
         table_neighbors=dict(table_neighbors),
         truncated=truncated,
+        value_counts={} if value_counts is None else value_counts,
     )

@@ -100,7 +100,6 @@ def stratified_sample(
         by_subbucket[subbucket].append(draw)
     filled: Counter = Counter()
     labeled: list[LabeledPair] = []
-    counts_cache: dict = {}
 
     attempts_budget = per_subbucket * len(SIZE_BUCKETS) * len(KEY_COMBOS) * 60
     attempts = 0
@@ -131,9 +130,7 @@ def stratified_sample(
                     profiles[pair.left], profiles[pair.right]
                 ),
                 size_bucket=subbucket[0],
-                expansion_ratio=pair_expansion_ratio(
-                    analysis, pair, counts_cache
-                ),
+                expansion_ratio=pair_expansion_ratio(analysis, pair),
             )
         )
     plan = SamplePlan(

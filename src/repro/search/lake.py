@@ -247,14 +247,15 @@ class DataLake:
         one tick per candidate pair examined; on exhaustion the pairs
         scored so far are ranked and returned (a deterministic partial).
         Requests walk only the query table's pairs via the memoized
-        per-table map, not the whole portal's pair list.
+        per-table map, not the whole portal's pair list, and read value
+        counts from the portal's memo, so a miss counts only columns no
+        earlier request or analysis has counted.
         """
         portal = self._study.portal(portal_code)
         analysis = portal.joinability()
         table_index = self._table_index(portal_code, analysis, resource_id)
         query = analysis.tables[table_index]
         suggestions: list[JoinSuggestion] = []
-        counts_cache: dict = {}
         try:
             for pair in self._pairs_for_table(
                 portal_code, analysis, table_index
@@ -269,7 +270,7 @@ class DataLake:
                     else (right, left)
                 )
                 partner_table = analysis.tables[partner.table_index]
-                expansion = pair_expansion_ratio(analysis, pair, counts_cache)
+                expansion = pair_expansion_ratio(analysis, pair)
                 combo = key_combination(left, right)
                 semantic = pair_semantic_type(left, right)
                 same_dataset = partner_table.dataset_id == query.dataset_id

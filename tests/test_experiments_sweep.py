@@ -1,6 +1,5 @@
-"""The differential sweep (``make verify-sweep``): its FD and join pairs."""
-
-import dataclasses
+"""The differential sweep (``make verify-sweep``): its FD, fragment and
+join pairs."""
 
 import pytest
 
@@ -8,14 +7,24 @@ from repro.core.config import StudyConfig
 from repro.core.study import Study
 from repro.experiments import sweep
 from repro.fd import FDSet, discover_fds, discover_fds_tane
-from repro.joinability.lshindex import analyze_joinability_lsh
+from repro.joinability import lshindex
+from repro.joinability.index import build_profiles
+from repro.normalize import bcnf
 
 SMALL = ("0.03", "2")
+
+#: A corpus with a pair that one token missing from one column's token
+#: order loses (at SMALL every pair's prefixes share two tokens or more).
+LOSSY = ("0.08", "2")
+
+
+def _build(args) -> Study:
+    return Study.build(StudyConfig(scale=float(args[0]), seed=int(args[1])))
 
 
 @pytest.fixture(scope="module")
 def small_study():
-    return Study.build(StudyConfig(scale=float(SMALL[0]), seed=int(SMALL[1])))
+    return _build(SMALL)
 
 
 def _reshaped(engine, reshape):
@@ -62,11 +71,83 @@ def test_dropped_prefix_pair_is_a_mismatch(monkeypatch, small_study):
         if portal.joinability(threshold).pairs
     ]
     assert with_pairs
+    search = lshindex.lsh_joinable_pairs_flagged
 
     def dropping(*args):
-        analysis = analyze_joinability_lsh(*args)
-        return dataclasses.replace(analysis, pairs=analysis.pairs[:-1])
+        pairs, truncated = search(*args)
+        return pairs[:-1], truncated
 
-    monkeypatch.setattr(sweep, "analyze_joinability_lsh", dropping)
-    _, mismatched = sweep.pair_mismatches(small_study)
+    # The study's own analyses reach the planted search, so the sweep
+    # must see it on a study that has not cached them yet.
+    monkeypatch.setattr(lshindex, "lsh_joinable_pairs_flagged", dropping)
+    _, mismatched = sweep.pair_mismatches(_build(SMALL))
     assert mismatched == with_pairs
+
+
+def _lossy_token(study):
+    """``(profile, rank)``: a token whose removal from that column's
+    order leaves some pair of the column without a shared prefix
+    token."""
+    for portal in study:
+        profiles, _ = build_profiles(
+            portal.screened_tables(), study.config.min_unique_values
+        )
+        order = lshindex.token_ranks(profiles)
+        for threshold in (0.9, 0.7):
+
+            def prefix(column, ranks):
+                length = lshindex.prefix_length(
+                    profiles[column].num_unique, threshold
+                )
+                return set(ranks[:length])
+
+            for pair in portal.joinability(threshold).pairs:
+                for mine, other in ((pair.left, pair.right), (pair.right, pair.left)):
+                    theirs = prefix(other, order[other])
+                    shared = prefix(mine, order[mine]) & theirs
+                    if len(shared) != 1:
+                        continue
+                    (rank,) = shared
+                    rest = [r for r in order[mine] if r != rank]
+                    if not prefix(mine, rest) & theirs:
+                        return profiles[mine], rank
+    return None
+
+
+def test_token_missing_from_the_shared_order_fails_the_sweep(
+    monkeypatch, capsys
+):
+    """A state whose order lacks one token of one column loses a pair;
+    the sweep must name it and exit 1."""
+    lossy = _lossy_token(_build(LOSSY))
+    assert lossy is not None
+    victim, rank = lossy
+    column = victim.column_id
+    ranks = lshindex.token_ranks
+
+    def planted(profiles):
+        order = ranks(profiles)
+        if len(profiles) > column and profiles[column] == victim:
+            order[column] = [r for r in order[column] if r != rank]
+        return order
+
+    monkeypatch.setattr(lshindex, "token_ranks", planted)
+    # Only the join pair runs: the FD pairs do not read the state.
+    monkeypatch.setattr(sweep, "fd_mismatches", lambda study: (1, []))
+    monkeypatch.setattr(sweep, "fragment_mismatches", lambda study: (1, []))
+    assert sweep.main(list(LOSSY)) == 1
+    assert "sweep-mismatch pair=prefix-allpairs" in capsys.readouterr().err
+
+
+def test_fragment_derivations_match_fun(small_study):
+    compared, mismatched = sweep.fragment_mismatches(small_study)
+    assert compared > 50 and not mismatched
+
+
+def test_wrong_fragment_derivation_fails_the_sweep(monkeypatch, capsys):
+    derive = bcnf.fragment_fds
+    monkeypatch.setattr(
+        bcnf, "fragment_fds", lambda fragment, fds: derive(fragment, fds)[::-1]
+    )
+    assert sweep.main(list(SMALL)) == 1
+    assert "sweep-mismatch pair=fragment-fun" in capsys.readouterr().err

@@ -12,13 +12,14 @@ attribute the ticks to the same profiler frames.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dataframe import Column, Table
-from repro.fd import FD, FDSet, discover_fds
+from repro.fd import FD, FDSet, discover_fds, fun
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler, prof_scope
 from repro.resilience.budget import BudgetExceeded, WorkMeter
@@ -399,3 +400,49 @@ class TestFunEqualsDenseOracle:
             half = assert_same_as_dense(table, max_lhs, full["spent"] // 2)
             truncated += half["truncated"]
         assert len(tables) > 50 and truncated > len(tables) // 2
+
+
+class TestStripRule:
+    def test_strips_only_partitions_it_refines_again(self, monkeypatch, study):
+        """On the test study some level-k partitions a later level
+        refines from stay unstripped, others are stripped, and no
+        partition of the last level is stripped."""
+        level = [1]
+        events: list[tuple[str, int]] = []
+        generate = fun._generate_candidates
+
+        def generating(free_sets, k):
+            level[0] = k
+            return generate(free_sets, k)
+
+        def recording(name):
+            call = getattr(fun, name)
+
+            def recorded(*args):
+                events.append((name, level[0]))
+                return call(*args)
+
+            return recorded
+
+        monkeypatch.setattr(fun, "_generate_candidates", generating)
+        for name in ("refine", "strip", "determines"):
+            monkeypatch.setattr(fun, name, recording(name))
+        max_lhs = study.config.max_lhs
+        for portal in study:
+            for table in portal.filtered_tables():
+                level[0] = 1
+                discover_fds(table, max_lhs=max_lhs)
+        # A refine that passed the free-set and key checks is followed by
+        # a strip, or straight by its FD checks when it is kept whole.
+        stripped: Counter = Counter()
+        whole: Counter = Counter()
+        for (name, k), (after, _) in zip(events, events[1:]):
+            if name == "refine" and after == "strip":
+                stripped[k] += 1
+            elif name == "refine" and after == "determines":
+                whole[k] += 1
+        inner = range(2, max_lhs)
+        assert sum(stripped[k] for k in inner) > 0
+        assert sum(whole[k] for k in inner) > 0
+        assert whole[max_lhs] > 0
+        assert [k for name, k in events if name == "strip"].count(max_lhs) == 0

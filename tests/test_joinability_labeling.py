@@ -209,7 +209,8 @@ class TestStratifiedSampling:
 # Reference: the draw-by-draw sampling loop, which re-groups a column's
 # neighbours and re-ranks their Jaccards on every draw and spends its
 # whole budget.  It is kept verbatim, less its unused ``max_attempts``
-# parameter, as the oracle for ``stratified_sample``.
+# parameter and its private value-count cache (expansion ratios read the
+# analysis's memo), as the oracle for ``stratified_sample``.
 # ----------------------------------------------------------------------
 def reference_sample(
     analysis,
@@ -225,7 +226,6 @@ def reference_sample(
     seen_pairs: set[tuple[int, int]] = set()
     labeled: list[LabeledPair] = []
     schema_cache: dict[int, tuple] = {}
-    counts_cache: dict = {}
 
     target_total = per_subbucket * len(SIZE_BUCKETS) * len(KEY_COMBOS)
     attempts_budget = target_total * 60
@@ -282,9 +282,7 @@ def reference_sample(
                     profiles[left], profiles[right]
                 ),
                 size_bucket=bucket,
-                expansion_ratio=pair_expansion_ratio(
-                    analysis, pair, counts_cache
-                ),
+                expansion_ratio=pair_expansion_ratio(analysis, pair),
             )
         )
     plan = SamplePlan(

@@ -1,9 +1,12 @@
 """Tests for the dataset-search facade (repro.search)."""
 
+import dataclasses
+
 import pytest
 
 from repro.resilience import WorkMeter
 from repro.search import DataLake, TextIndex, tokenize
+from repro.search import lake as lake_module
 
 
 class TestTokenize:
@@ -162,6 +165,33 @@ class TestDataLake:
                 )
                 touched += bool(expected)
         assert touched
+
+    def test_suggestions_equal_those_from_cold_counts(
+        self, lake, study, monkeypatch
+    ):
+        """Expansion ratios read from the portal's value-count memo rank
+        every table's partners as counting afresh per request does."""
+
+        def every_table():
+            return {
+                (portal.code, ingested.resource_id): lake.suggest_joins(
+                    portal.code, ingested.resource_id, limit=10**6
+                )
+                for portal in study
+                for ingested in portal.joinability().tables
+            }
+
+        memoized = every_table()
+        ratio = lake_module.pair_expansion_ratio
+        monkeypatch.setattr(
+            lake_module,
+            "pair_expansion_ratio",
+            lambda analysis, pair: ratio(
+                dataclasses.replace(analysis, value_counts={}), pair
+            ),
+        )
+        assert every_table() == memoized
+        assert sum(map(len, memoized.values())) > 100
 
     def test_suggest_joins_unknown_resource(self, lake):
         with pytest.raises(KeyError):
