@@ -36,13 +36,13 @@ fidelity:
 
 # The standing differential sweep CI's drift-gate job runs: each fast
 # path it covers against its oracle over a whole scale-0.3, seed-7
-# study.  Today that is FUN against TANE on every FD-filtered table
-# (the same FDs in FUN's emission order, the same lhs_cards), every
-# derived BCNF fragment FD list against FUN re-run on the fragment,
-# and the study's pair search against all-pairs on every portal at
-# both thresholds, the second reusing the portal's search state (the
-# same pairs, stats and neighbour maps).  It writes no file and exits
-# non-zero on any mismatch.
+# study.  Today that is FUN against TANE and against the naive checker
+# on every FD-filtered table (the same FDs in FUN's emission order, the
+# same lhs_cards), every derived BCNF fragment FD list against FUN
+# re-run on the fragment, and the study's pair search against all-pairs
+# on every portal at both thresholds, the second reusing the portal's
+# search state (the same pairs, stats and neighbour maps).  It takes
+# about a minute, writes no file and exits non-zero on any mismatch.
 verify-sweep:
 	$(PYTHON) -m repro.experiments.sweep 0.3 7
 

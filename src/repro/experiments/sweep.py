@@ -6,18 +6,21 @@ compares each fast path it covers with its oracle over the whole
 study, logging ``sweep-ok`` and exiting 0, or logging
 ``sweep-mismatch`` and exiting 1.
 
-It covers three pairs.  The FD pair: on every FD-filtered table (§4.2's
-size filter), FUN's list must equal TANE's FD set in FUN's documented
-order (by ``|X|``, then the sorted positions of X, then the position of
-B, each name at its first occurrence), with equal ``lhs_cards``.  BCNF
-draws its splits from that list, so its order is part of Table 5; the
-property tests check it on small random tables, this on every table a
-study decomposes.  The fragment pair: every fragment FD list BCNF
-derives from its table's FDs, on every FD-filtered table with its
-unit's own RNG, must equal FUN re-run on that fragment.  The join pair:
-on every portal, the study's own analyses at the paper's threshold and
-then the sensitivity one (the second reusing the portal's search
-state) must give the all-pairs walk's pairs, stats and neighbour maps.
+It covers four pairs.  The FD pairs: on every FD-filtered table
+(§4.2's size filter), FUN's list must equal TANE's FD set, and the
+naive checker's, in FUN's documented order (by ``|X|``, then the
+sorted positions of X, then the position of B, each name at its first
+occurrence), with equal ``lhs_cards``.  BCNF draws its splits from that
+list, so its order is part of Table 5; the property tests check it on
+small random tables, this on every table a study decomposes.  Both
+oracles share only ``encode_columns`` with FUN, so a defect in FUN's
+lattice walk or partition kernel cannot reach them.  The fragment
+pair: every fragment FD list BCNF derives from its table's FDs, on
+every FD-filtered table with its unit's own RNG, must equal FUN re-run
+on that fragment.  The join pair: on every portal, the study's own
+analyses at the paper's threshold and then the sensitivity one (the
+second reusing the portal's search state) must give the all-pairs
+walk's pairs, stats and neighbour maps.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Sequence
 from ..core.config import StudyConfig
 from ..core.study import Study
 from ..dataframe import Table
-from ..fd import FD, FDSet, discover_fds, discover_fds_tane
+from ..fd import FD, FDSet, discover_fds, discover_fds_naive, discover_fds_tane
 from ..joinability.pairs import (
     JACCARD_THRESHOLD,
     JACCARD_THRESHOLD_LOW,
@@ -54,12 +57,16 @@ def fun_order(table: Table, fds: FDSet) -> list[FD]:
     )
 
 
-def fd_mismatches(study: Study) -> tuple[int, list[str]]:
-    """FUN against TANE on every FD-filtered table of *study*.
+def fd_mismatches(study: Study, oracle=None) -> tuple[int, list[str]]:
+    """FUN against *oracle* on every FD-filtered table of *study*.
 
-    Returns the number of tables compared and the ``portal/table``
-    names of those whose lists or ``lhs_cards`` differ.
+    *oracle* is an FD engine with FUN's signature; None means
+    :func:`~repro.fd.discover_fds_tane`.  Returns the number of tables
+    compared and the ``portal/table`` names of those whose lists (the
+    oracle's in FUN's order) or ``lhs_cards`` differ.
     """
+    if oracle is None:
+        oracle = discover_fds_tane
     max_lhs = study.config.max_lhs
     compared = 0
     mismatched: list[str] = []
@@ -67,10 +74,10 @@ def fd_mismatches(study: Study) -> tuple[int, list[str]]:
         for table in portal.filtered_tables():
             compared += 1
             fun = discover_fds(table, max_lhs=max_lhs)
-            tane = discover_fds_tane(table, max_lhs=max_lhs)
+            expected = oracle(table, max_lhs=max_lhs)
             if (
-                list(fun) != fun_order(table, tane)
-                or fun.lhs_cards != tane.lhs_cards
+                list(fun) != fun_order(table, expected)
+                or fun.lhs_cards != expected.lhs_cards
             ):
                 mismatched.append(f"{portal.code}/{table.name}")
     return compared, mismatched
@@ -160,6 +167,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     status = 0
     for pair, unit, (compared, mismatched) in (
         ("fun-tane", "tables", fd_mismatches(study)),
+        ("fun-naive", "tables", fd_mismatches(study, discover_fds_naive)),
         ("fragment-fun", "derivations", fragment_mismatches(study)),
         ("prefix-allpairs", "analyses", pair_mismatches(study)),
     ):

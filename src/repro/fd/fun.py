@@ -25,6 +25,13 @@ same answer whichever subset was the base.  Which partitions the walk
 builds, the ticks it charges and the FDs it lists do not depend on the
 representation; only the rows it scans do.
 
+The lattice bookkeeping runs on ints.  A node is its ascending
+attribute tuple, which candidate generation extends already in the
+lexicographic order the walk visits (no set, no sort), and its bitmask,
+which keys partitions, cardinalities and closures; a node's subsets are
+its mask with one bit cleared.  On small tables this bookkeeping, not
+the row scans, is most of FUN's time.
+
 The exact same minimal FDs are produced by the brute-force checker in
 :mod:`repro.fd.naive`, which the property tests cross-validate against.
 """
@@ -61,12 +68,13 @@ def discover_fds(
     Duplicate column names make FD semantics ambiguous, so the second
     occurrence onward is ignored.
 
-    With a *meter*, every partition refinement charges ``n_rows`` ticks.
-    When the budget runs out, the search stops cleanly at the last
-    *completed* lattice level: the returned set is flagged
-    ``truncated`` and contains exactly the minimal FDs of the levels it
-    finished — FDs discovered mid-level are discarded so that equal
-    budgets always yield identical results.
+    Every partition the walk builds and every FD check it makes charges
+    ``n_rows`` ticks to *meter*; without one, to a throwaway unlimited
+    meter, which has no observable effect.  When the budget runs out,
+    the search stops cleanly at the last *completed* lattice level: the
+    returned set is flagged ``truncated`` and contains exactly the
+    minimal FDs of the levels it finished — FDs discovered mid-level
+    are discarded so that equal budgets always yield identical results.
 
     FDs are listed by LHS size, then by the sorted positions of the LHS
     columns among the distinct column names, then by the RHS position.
@@ -93,6 +101,9 @@ def discover_fds(
 
     all_encoded = encode_columns(table)
     encoded = [all_encoded[p] for p in positions]
+    if meter is None:
+        # So the walk needs no meter-less branch.
+        meter = WorkMeter()
 
     try:
         with prof_scope(meter, "fun"):
@@ -109,15 +120,22 @@ def _discover_fun(
     encoded: list[Labels],
     n_rows: int,
     max_lhs: int,
-    meter: WorkMeter | None,
+    meter: WorkMeter,
 ) -> None:
     """The lattice walk of :func:`discover_fds` (inside the ``fun`` frame).
+
+    A lattice node is its ascending attribute tuple, which candidate
+    generation extends, and its int mask (bit ``a`` set for attribute
+    ``a``), which keys ``partitions`` and ``cards``; closures are masks
+    too, and a node's subsets are its mask with one bit cleared.
 
     Profiler frames follow the lattice structure — one ``levelN`` frame
     per level, the partition-kernel work nested under ``dataframe``
     frames naming the partition primitive that does it
     (``cardinality``, ``refine`` or ``determines``), e.g.
-    ``fun;level2;dataframe;determines``.
+    ``fun;level2;dataframe;determines``.  The ``refine`` and
+    ``determines`` scopes are built once per table and entered per
+    node; unprofiled, both are the shared null context.
     """
     # (FD, |pi_LHS|) pairs found at the level in progress; committed to
     # ``fds`` only when the whole level completes, so a budget blowup
@@ -125,24 +143,26 @@ def _discover_fun(
     # arbitrary lattice node.
     pending: list[tuple[FD, int]] = []
     n_attrs = len(names)
+    tick = meter.tick
+    refining = prof_scope(meter, "dataframe", "refine")
+    checking = prof_scope(meter, "dataframe", "determines")
     # Level 1 ----------------------------------------------------
     # Stripped partitions of the last level's free sets, and cards per
     # set; closures accumulate every RHS known to be determined by the
     # set or any subset (minimality checks).
-    partitions: dict[frozenset[int], Partition] = {}
-    cards: dict[frozenset[int], int] = {}
-    closures: dict[frozenset[int], set[int]] = {}
-    free_level: list[frozenset[int]] = []
+    partitions: dict[int, Partition] = {}
+    cards: dict[int, int] = {}
+    closures: dict[int, int] = {}
+    free_level: list[tuple[int, ...]] = []
 
     with prof_scope(meter, "level1"):
-        constant_attrs: set[int] = set()
+        constant = 0
         with prof_scope(meter, "dataframe", "cardinality"):
             for attr in range(n_attrs):
-                if meter is not None:
-                    meter.tick(n_rows, op="fd.cardinality")
+                tick(n_rows, "fd.cardinality")
                 card = cardinality(encoded[attr])
-                single = frozenset((attr,))
-                cards[single] = card
+                bit = 1 << attr
+                cards[bit] = card
                 if card == n_rows:
                     # Single-column candidate key: all FDs from it are
                     # trivial.
@@ -151,34 +171,32 @@ def _discover_fun(
                     # Constant column: determined by the empty set; emit
                     # the empty-LHS FD and keep it out of larger LHS
                     # exploration.
-                    constant_attrs.add(attr)
+                    constant |= bit
+                    pending.append((FD(frozenset(), names[attr]), 1))
                     continue
-                partitions[single] = strip(range(n_rows), encoded[attr])
-                closures[single] = {attr}
-                free_level.append(single)
+                partitions[bit] = strip(range(n_rows), encoded[attr])
+                free_level.append((attr,))
+        # Every check's candidate right-hand sides.
+        rhs_attrs = [a for a in range(n_attrs) if not constant >> a & 1]
 
-        for attr in sorted(constant_attrs):
-            pending.append((FD(frozenset(), names[attr]), 1))
-
-        if meter is not None:
-            meter.event("fd.level1.nodes", len(free_level))
+        meter.event("fd.level1.nodes", len(free_level))
 
         # Check level-1 FDs: X={a} -> b.
-        with prof_scope(meter, "dataframe", "determines"):
-            for single in free_level:
-                (attr,) = tuple(single)
-                rows, firsts = partitions[single]
-                closure = closures[single]
-                for rhs in range(n_attrs):
-                    if rhs == attr or rhs in constant_attrs:
+        with checking:
+            for (attr,) in free_level:
+                bit = 1 << attr
+                rows, firsts = partitions[bit]
+                closure = bit
+                for rhs in rhs_attrs:
+                    if closure >> rhs & 1:
                         continue
-                    if meter is not None:
-                        meter.tick(n_rows, op="fd.refine")
+                    tick(n_rows, "fd.refine")
                     if determines(rows, firsts, encoded[rhs]):
-                        closure.add(rhs)
+                        closure |= 1 << rhs
                         pending.append(
-                            (FD(frozenset((names[attr],)), names[rhs]), cards[single])
+                            (FD(frozenset((names[attr],)), names[rhs]), cards[bit])
                         )
+                closures[bit] = closure
     _commit(fds, pending)
 
     # Levels 2..max_lhs ------------------------------------------
@@ -187,57 +205,70 @@ def _discover_fun(
         if not current_free:
             break
         candidates = _generate_candidates(current_free, level)
-        if meter is not None:
-            meter.event(f"fd.level{level}.nodes", len(candidates))
-        next_free: list[frozenset[int]] = []
-        next_partitions: dict[frozenset[int], Partition] = {}
+        meter.event(f"fd.level{level}.nodes", len(candidates))
+        next_free: list[tuple[int, ...]] = []
+        next_partitions: dict[int, Partition] = {}
+        # Strip only a partition a later level refines from.
+        refined_again = level < max_lhs
         with prof_scope(meter, f"level{level}"):
             for candidate in candidates:
-                subsets = [candidate - {attr} for attr in candidate]
-                if any(s not in partitions for s in subsets):
-                    continue  # some subset was non-free or a key: prune
-                subset_cards = [cards[s] for s in subsets]
-                # Closure union of subsets: attributes already determined.
-                inherited: set[int] = set()
-                for subset in subsets:
+                mask = 0
+                for attr in candidate:
+                    mask |= 1 << attr
+                # Over the subsets: the closure union (attributes already
+                # determined), the largest card, and the base to refine.
+                # Every subset yields the same classes; the one with the
+                # fewest kept rows yields them fastest.
+                inherited = 0
+                top_card = 0
+                base_size = n_rows + 1
+                for attr in candidate:
+                    subset = mask ^ (1 << attr)
+                    partition = partitions.get(subset)
+                    if partition is None:
+                        break
                     inherited |= closures[subset]
-                # Every subset yields the same classes; the one with
-                # the fewest kept rows yields them fastest.
-                base_subset = min(subsets, key=lambda s: len(partitions[s][0]))
-                extra_attr = next(iter(candidate - base_subset))
-                rows, firsts = partitions[base_subset]
-                with prof_scope(meter, "dataframe", "refine"):
-                    if meter is not None:
-                        meter.tick(n_rows, op="fd.refine")
+                    subset_card = cards[subset]
+                    if subset_card > top_card:
+                        top_card = subset_card
+                    size = len(partition[0])
+                    if size < base_size:
+                        base_size = size
+                        base, extra_attr = partition, attr
+                if partition is None:
+                    continue  # some subset was non-free or a key: prune
+                rows, firsts = base
+                with refining:
+                    tick(n_rows, "fd.refine")
                     refined, classes = refine(rows, firsts, encoded[extra_attr])
                 # Rows alone under the base stay alone under the candidate.
                 card = n_rows - len(rows) + classes
-                cards[candidate] = card
-                if card in subset_cards:
+                cards[mask] = card
+                # A superset never has fewer classes than its subsets, so
+                # a subset with the candidate's card has the largest one.
+                if card == top_card:
                     continue  # not free: a subset already induces this partition
                 if card == n_rows:
                     continue  # candidate key: trivial FDs only, prune supersets
-                closure = set(candidate) | inherited
-                closures[candidate] = closure
-                # Strip only a partition a later level refines from, and
-                # only when at least 2*classes - len(rows) of its rows
-                # are alone in their class.  A kept singleton changes no
-                # count and fails no check.
-                if level < max_lhs and 2 * classes > len(rows):
+                closure = mask | inherited
+                # Strip only when at least 2*classes - len(rows) of its
+                # rows are alone in their class.  A kept singleton
+                # changes no count and fails no check.
+                if refined_again and 2 * classes > len(rows):
                     rows, firsts = strip(rows, refined)
                 else:
                     firsts = refined
-                with prof_scope(meter, "dataframe", "determines"):
-                    for rhs in range(n_attrs):
-                        if rhs in closure or rhs in constant_attrs:
+                with checking:
+                    for rhs in rhs_attrs:
+                        if closure >> rhs & 1:
                             continue
-                        if meter is not None:
-                            meter.tick(n_rows, op="fd.refine")
+                        tick(n_rows, "fd.refine")
                         if determines(rows, firsts, encoded[rhs]):
-                            closure.add(rhs)
+                            closure |= 1 << rhs
                             lhs = frozenset(names[a] for a in candidate)
                             pending.append((FD(lhs, names[rhs]), card))
-                next_partitions[candidate] = (rows, firsts)
+                closures[mask] = closure
+                next_partitions[mask] = (rows, firsts)
                 next_free.append(candidate)
         # The next level's subsets all come from this level: keep cards
         # and closures, drop the older partitions.
@@ -255,23 +286,28 @@ def _commit(fds: FDSet, pending: list[tuple[FD, int]]) -> None:
 
 
 def _generate_candidates(
-    free_sets: list[frozenset[int]], level: int
-) -> list[frozenset[int]]:
+    free_sets: list[tuple[int, ...]], level: int
+) -> list[tuple[int, ...]]:
     """Apriori candidate generation: unions of free (level-1)-sets.
 
     A candidate is kept only if produced as a union of two free sets
     sharing level-2 attributes; the caller then verifies that *all*
     maximal subsets are free.
+
+    *free_sets* are ascending attribute tuples in lexicographic order
+    (level 1 in attribute order, later levels in candidate order), so
+    the sets sharing a prefix ``free[:-1]`` are adjacent and their
+    tails ascend.  Appending ``prefix + (left, right)`` for each pair of
+    tails therefore lists the candidates in lexicographic order, the
+    order FUN walks, and each candidate once: its prefix and its last
+    two attributes name the one pair that produced it.  No set and no
+    sort are needed.
     """
-    candidates: set[frozenset[int]] = set()
-    by_prefix: dict[frozenset[int], list[int]] = {}
+    candidates: list[tuple[int, ...]] = []
+    by_prefix: dict[tuple[int, ...], list[int]] = {}
     for free in free_sets:
-        ordered = sorted(free)
-        prefix = frozenset(ordered[:-1])
-        by_prefix.setdefault(prefix, []).append(ordered[-1])
+        by_prefix.setdefault(free[:-1], []).append(free[-1])
     for prefix, tails in by_prefix.items():
-        if len(tails) < 2:
-            continue
-        for left, right in combinations(sorted(tails), 2):
-            candidates.add(prefix | {left, right})
-    return sorted(candidates, key=sorted)
+        for left, right in combinations(tails, 2):
+            candidates.append(prefix + (left, right))
+    return candidates

@@ -95,19 +95,23 @@ def _search_size(
         if product < n_rows:
             continue  # cannot possibly distinguish all rows
         positions = [position for position, _ in combo]
-        if _is_composite_key(table, positions, n_rows):
+        if _is_composite_key(table, positions):
             return tuple(table.column(p).name for p in positions)
     return None
 
 
-def _is_composite_key(table: Table, positions: list[int], n_rows: int) -> bool:
-    columns = [table.column(p).values for p in positions]
+def _is_composite_key(table: Table, positions: list[int]) -> bool:
+    """Whether no two rows share their values at *positions*.
+
+    ``zip`` builds each row's key tuple in C; the scan stops at the
+    first repeated key.
+    """
     seen: set[tuple] = set()
-    for row_index in range(n_rows):
-        key = tuple(values[row_index] for values in columns)
+    add = seen.add
+    for key in zip(*(table.column(p).values for p in positions)):
         if key in seen:
             return False
-        seen.add(key)
+        add(key)
     return True
 
 

@@ -96,16 +96,14 @@ class Profiler:
         self.flush()
         self._stack.pop()
 
-    @contextlib.contextmanager
-    def frame(self, *names: str):
-        """Context manager pushing *names* as nested frames."""
-        for name in names:
-            self.push(name)
-        try:
-            yield self
-        finally:
-            for _ in names:
-                self.pop()
+    def frame(self, *names: str) -> FrameScope:
+        """A scope pushing *names* as nested frames while it is entered.
+
+        The scope may be entered any number of times, in sequence or
+        nested, so a hot loop builds it once and enters it per
+        iteration.
+        """
+        return FrameScope(self, names)
 
     # -- aggregation ---------------------------------------------------
     @property
@@ -128,17 +126,49 @@ class Profiler:
         }
 
 
+class FrameScope:
+    """Pushes its frame names on ``__enter__``, pops them on ``__exit__``.
+
+    It holds no per-entry state, so one scope can be entered any number
+    of times, nested or in sequence; an exception passing through still
+    pops every name it pushed.
+    """
+
+    __slots__ = ("_profiler", "_names")
+
+    def __init__(self, profiler: Profiler, names: tuple[str, ...]):
+        self._profiler = profiler
+        self._names = names
+
+    def __enter__(self) -> Profiler:
+        profiler = self._profiler
+        for name in self._names:
+            profiler.push(name)
+        return profiler
+
+    def __exit__(self, *exc_info) -> None:
+        profiler = self._profiler
+        for _ in self._names:
+            profiler.pop()
+
+
+#: The scope of every unprofiled :func:`prof_scope` call.
+_NULL_SCOPE = contextlib.nullcontext(None)
+
+
 def prof_scope(meter, *names: str):
     """A profiler frame scope riding on *meter*, or a null context.
 
     *meter* may be a :class:`WorkMeter` (the scope applies to its
-    attached profiler), a bare :class:`Profiler`, or None.  Unprofiled
-    runs pay one attribute lookup and share a single null context.
+    attached profiler), a bare :class:`Profiler`, or None.  A profiled
+    scope is a :class:`FrameScope`; unprofiled runs pay one attribute
+    lookup and share one module-level null context.  Either may be
+    entered any number of times, so a hot loop builds its scopes once.
     """
     profiler = getattr(meter, "profiler", meter)
     if isinstance(profiler, Profiler) and names:
         return profiler.frame(*names)
-    return contextlib.nullcontext(None)
+    return _NULL_SCOPE
 
 
 # ----------------------------------------------------------------------
@@ -655,6 +685,7 @@ __all__ = [
     "DEFAULT_DIFF_THRESHOLD",
     "DEFAULT_MIN_TICKS",
     "PROFILE_VERSION",
+    "FrameScope",
     "Profiler",
     "collapsed_lines",
     "degradation_ledger",

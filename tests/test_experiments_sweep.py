@@ -6,7 +6,7 @@ import pytest
 from repro.core.config import StudyConfig
 from repro.core.study import Study
 from repro.experiments import sweep
-from repro.fd import FDSet, discover_fds, discover_fds_tane
+from repro.fd import FDSet, discover_fds, discover_fds_naive, discover_fds_tane
 from repro.joinability import lshindex
 from repro.joinability.index import build_profiles
 from repro.normalize import bcnf
@@ -59,6 +59,44 @@ def test_missing_tane_fd_is_a_mismatch(monkeypatch, small_study):
     )
     _, mismatched = sweep.fd_mismatches(small_study)
     assert mismatched
+
+
+def test_missing_naive_fd_is_a_mismatch(small_study):
+    compared, mismatched = sweep.fd_mismatches(small_study, discover_fds_naive)
+    assert compared > 10 and not mismatched
+    _, mismatched = sweep.fd_mismatches(
+        small_study, _reshaped(discover_fds_naive, lambda fds: fds[1:])
+    )
+    assert mismatched
+
+
+def test_wrong_naive_result_on_one_table_fails_the_sweep(
+    monkeypatch, capsys, small_study
+):
+    """The naive pair runs in ``main`` and names the one table whose
+    planted naive list lacks an FD, while the TANE pair stays ok."""
+    victim = next(
+        table.name
+        for portal in small_study
+        for table in portal.filtered_tables()
+        if len(discover_fds_naive(table, max_lhs=small_study.config.max_lhs))
+    )
+    naive = sweep.discover_fds_naive
+
+    def planted(table, max_lhs):
+        fds = naive(table, max_lhs=max_lhs)
+        if table.name != victim:
+            return fds
+        out = FDSet(fds.table_name, list(fds)[1:], fds.truncated)
+        out.lhs_cards = fds.lhs_cards
+        return out
+
+    monkeypatch.setattr(sweep, "discover_fds_naive", planted)
+    assert sweep.main(list(SMALL)) == 1
+    err = capsys.readouterr().err
+    assert "sweep-mismatch pair=fun-naive tables=" in err
+    assert "mismatched=1 " in err and f"/{victim}" in err
+    assert "sweep-ok pair=fun-tane" in err
 
 
 def test_dropped_prefix_pair_is_a_mismatch(monkeypatch, small_study):
@@ -133,7 +171,7 @@ def test_token_missing_from_the_shared_order_fails_the_sweep(
 
     monkeypatch.setattr(lshindex, "token_ranks", planted)
     # Only the join pair runs: the FD pairs do not read the state.
-    monkeypatch.setattr(sweep, "fd_mismatches", lambda study: (1, []))
+    monkeypatch.setattr(sweep, "fd_mismatches", lambda study, oracle=None: (1, []))
     monkeypatch.setattr(sweep, "fragment_mismatches", lambda study: (1, []))
     assert sweep.main(list(LOSSY)) == 1
     assert "sweep-mismatch pair=prefix-allpairs" in capsys.readouterr().err

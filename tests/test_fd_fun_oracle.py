@@ -446,3 +446,79 @@ class TestStripRule:
         assert sum(whole[k] for k in inner) > 0
         assert whole[max_lhs] > 0
         assert [k for name, k in events if name == "strip"].count(max_lhs) == 0
+
+
+# ----------------------------------------------------------------------
+# Candidate generation and budget cuts
+# ----------------------------------------------------------------------
+@st.composite
+def free_levels(draw):
+    """Free k-sets as the walk hands them to candidate generation:
+    ascending tuples in lexicographic order, any of them missing."""
+    n_attrs = draw(st.integers(1, 9))
+    size = draw(st.integers(1, 4))
+    every = list(combinations(range(n_attrs), size))
+    kept = draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
+    return [free for free, keep in zip(every, kept) if keep], size + 1
+
+
+class TestCandidateGeneration:
+    @given(free_levels())
+    @settings(max_examples=300, deadline=None)
+    def test_same_candidates_in_the_same_order(self, case):
+        """Tuples in, tuples out: the frozenset generator's candidates
+        in its sorted order, with no set and no sort."""
+        free, level = case
+        expected = _generate_candidates([frozenset(f) for f in free], level)
+        assert fun._generate_candidates(free, level) == [
+            tuple(sorted(candidate)) for candidate in expected
+        ]
+
+
+def _under(prefix: str, frames: dict[str, int]) -> dict[str, int]:
+    return {path: t for path, t in frames.items() if path.startswith(prefix)}
+
+
+class TestBudgetCutRestoresFrames:
+    def test_cut_in_a_refine_and_in_a_check(self, study):
+        """A budget cut inside a ``refine`` tick or a level-k
+        ``determines`` check leaves the profiler at the caller's frames,
+        and the next unit's ticks land on their own paths."""
+        max_lhs = study.config.max_lhs
+        tables = [t for portal in study for t in portal.filtered_tables()]
+        # A two-column LHS means the walk checked FDs at level 2.
+        table = next(
+            t
+            for t in tables
+            if any(len(fd.lhs) == 2 for fd in discover_fds(t, max_lhs=max_lhs))
+        )
+        other = tables[tables.index(table) + 1]
+        unit = Profiler()
+        with unit.frame("study", "CA", "fd"):
+            discover_fds(other, max_lhs=max_lhs, meter=WorkMeter(profiler=unit))
+        alone = unit.snapshot()
+        n_rows = table.num_rows
+        cuts: set[str] = set()
+        previous: dict[str, int] = {}
+        ticks = 1
+        while "determines" not in cuts:
+            profiler = Profiler()
+            meter = WorkMeter(ticks * n_rows - 1, profiler=profiler)
+            with profiler.frame("study", "SG", "fd"):
+                assert discover_fds(table, max_lhs=max_lhs, meter=meter).truncated
+                profiler.add(1, "probe")
+            with profiler.frame("study", "CA", "fd"):
+                next_meter = WorkMeter(profiler=profiler)
+                discover_fds(other, max_lhs=max_lhs, meter=next_meter)
+            frames = profiler.snapshot()
+            assert frames.pop("study;SG;fd;probe") == 1
+            assert _under("study;CA;", frames) == alone
+            cut_table = _under("study;SG;", frames)
+            # The cut tick is the one this budget charged past the last.
+            (cut,) = [p for p, t in cut_table.items() if previous.get(p) != t]
+            frame = cut.split(";")
+            if frame[4] != "level1" and frame[5] == "dataframe":
+                cuts.add(frame[6])
+            previous = cut_table
+            ticks += 1
+        assert cuts == {"refine", "determines"}

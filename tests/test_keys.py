@@ -1,5 +1,8 @@
 """Unit tests for repro.keys.candidates."""
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.dataframe import Column, Table
 from repro.keys import (
     NO_KEY,
@@ -7,6 +10,7 @@ from repro.keys import (
     key_size_distribution,
     single_key_columns,
 )
+from repro.keys.candidates import _is_composite_key
 
 
 class TestSingleKeys:
@@ -120,3 +124,65 @@ class TestOnGeneratedCorpus:
                     key = tuple(c[i] for c in columns)
                     assert key not in seen
                     seen.add(key)
+
+
+def tuple_loop_is_key(table: Table, positions: list[int], n_rows: int) -> bool:
+    """The per-row tuple loop the zip scan replaced, verbatim."""
+    columns = [table.column(p).values for p in positions]
+    seen: set[tuple] = set()
+    for row_index in range(n_rows):
+        key = tuple(values[row_index] for values in columns)
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+#: Cells that compare equal across types (``True == 1 == 1.0``) collide
+#: in a key tuple; ``"1"`` does not.
+KEY_CELLS = st.one_of(
+    st.integers(0, 3), st.none(), st.sampled_from([True, False, 1.0, 0.0, "1"])
+)
+
+
+@st.composite
+def keyed_tables(draw):
+    """0–12 rows (so 0 and 1 too), nulls, cross-type equal cells and
+    duplicated rows, with 1–3 distinct key positions."""
+    n_rows = draw(st.integers(0, 12))
+    n_cols = draw(st.integers(1, 4))
+    columns = [
+        draw(st.lists(KEY_CELLS, min_size=n_rows, max_size=n_rows))
+        for _ in range(n_cols)
+    ]
+    if n_rows:
+        rows = st.integers(0, n_rows - 1)
+        for src, dst in draw(st.lists(st.tuples(rows, rows), max_size=4)):
+            for values in columns:
+                values[dst] = values[src]
+    positions = draw(
+        st.lists(st.integers(0, n_cols - 1), min_size=1, max_size=3, unique=True)
+    )
+    table = Table("t", [Column(f"c{i}", v) for i, v in enumerate(columns)])
+    return table, positions
+
+
+def _case(rows):
+    table = Table.from_rows("t", ["a", "b"], rows)
+    return table, [0, 1]
+
+
+class TestZipScanEqualsTupleLoop:
+    @given(keyed_tables())
+    @settings(max_examples=300, deadline=None)
+    @example(_case([(True, None), (1, None)]))
+    @example(_case([(1.0, "x"), (True, "x"), (2, "x")]))
+    @example(_case([("1", 1), (1, 1)]))
+    @example(_case([(None, None), (None, None)]))
+    @example(_case([(None, 1)]))
+    @example(_case([]))
+    def test_same_answer(self, case):
+        table, positions = case
+        assert _is_composite_key(table, positions) == tuple_loop_is_key(
+            table, positions, table.num_rows
+        )

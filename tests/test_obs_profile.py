@@ -22,6 +22,7 @@ from repro.obs.profile import (
     render_profile_report,
     write_profile,
 )
+from repro.resilience.budget import WorkMeter
 
 
 class TestProfiler:
@@ -81,6 +82,52 @@ class TestProfiler:
             "study;CA;fd.refine": 1,
             "study;SG;screen.cell": 10,
         }
+
+
+class TestReusableScope:
+    @staticmethod
+    def _drive(prof, scope):
+        """Ticks inside *scope* entered three times: nested, then in
+        sequence; *scope* returns the scope for each entry."""
+        prof.add(1, "op")
+        with scope():
+            prof.add(2, "op")
+            with scope():
+                prof.add(4, "op")
+            prof.add(8, "op")
+        with scope():
+            prof.add(16, "op")
+        prof.add(32, "op")
+        return prof.snapshot()
+
+    def test_one_scope_entered_three_times_equals_fresh_frames(self):
+        fresh = Profiler()
+        expected = self._drive(fresh, lambda: fresh.frame("a", "b"))
+        assert expected == {"a;b;a;b;op": 4, "a;b;op": 26, "op": 33}
+        reused = Profiler()
+        scope = reused.frame("a", "b")
+        assert self._drive(reused, lambda: scope) == expected
+        meter = WorkMeter(profiler=Profiler())
+        scope = prof_scope(meter, "a", "b")
+        assert self._drive(meter.profiler, lambda: scope) == expected
+
+    def test_exception_pops_every_name(self):
+        prof = Profiler()
+        scope = prof.frame("a", "b", "c")
+        with pytest.raises(RuntimeError):
+            with scope:
+                prof.add(1, "op")
+                raise RuntimeError("cut")
+        prof.add(2, "op")
+        assert prof.snapshot() == {"a;b;c;op": 1, "op": 2}
+
+    def test_unprofiled_scopes_are_one_shared_null_context(self):
+        shared = prof_scope(None, "a")
+        assert prof_scope(WorkMeter(), "b", "c") is shared
+        assert prof_scope(Profiler()) is shared
+        with shared as entered:
+            with shared:
+                assert entered is None
 
 
 # Events: (frame stack, op name, cost).  Partitioned arbitrarily into
