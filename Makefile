@@ -12,16 +12,11 @@ lint:
 # One full-scale figure benchmark as a smoke test of the pipeline
 # (figure01 profiles table sizes, so it exercises generator -> ingest
 # -> profiling end to end without the expensive join/FD stages).
-# Extra pytest flags for the bench suite, e.g.
-# `make bench PYTEST_BENCH_FLAGS=--fail-on-regression` to gate each
-# bench against its rolling BENCH_*.json op-count baseline.
-PYTEST_BENCH_FLAGS ?=
-
 bench-smoke:
-	$(PYTHON) -m pytest benchmarks/test_bench_figure01.py --benchmark-disable -q $(PYTEST_BENCH_FLAGS)
+	$(PYTHON) -m pytest benchmarks/test_bench_figure01.py --benchmark-disable -q
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only $(PYTEST_BENCH_FLAGS)
+	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Regenerate EXPERIMENTS.md from the calibrated full-scale study
 # (scale 1.0, seed 7).  CI asserts the committed file matches, so the

@@ -6,8 +6,10 @@ full-scale study and writes the reproduced table/figure text to
 reproduction on disk next to the timing numbers.  Each run also appends
 one machine-readable record — wall-clock timing plus the deterministic
 op-count deltas from the study's metrics registry — to
-``BENCH_<id>.json`` at the repository root, so successive runs build a
-comparable history.
+``BENCH_<id>.json`` at the repository root, which ``bench-report``
+prints.  The history gates nothing: a bench's op deltas depend on which
+bench first paid for a cached stage, so the op counts that matter are
+pinned exactly by tier-1 tests on meters of their own (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -24,15 +26,6 @@ from repro.obs.metrics import Histogram
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-#: Regression-gate configuration; ``conftest.py`` overwrites these from
-#: the ``--fail-on-regression`` / ``--regression-threshold`` options.
-GATE = {
-    "fail_on_regression": False,
-    "threshold": baseline.DEFAULT_THRESHOLD,
-    "window": baseline.DEFAULT_WINDOW,
-    "min_ops": baseline.DEFAULT_MIN_OPS,
-}
 
 
 def _counter_values(study: Study) -> dict[str, float]:
@@ -76,26 +69,10 @@ def _benchmark_seconds(benchmark, fallback: float) -> float:
 def _append_bench_record(
     experiment_id: str, record: dict, *, root: pathlib.Path | None = None
 ) -> pathlib.Path:
-    """Append *record* to ``BENCH_<id>.json`` (shared baseline helper)."""
+    """Append *record* to ``BENCH_<id>.json`` (the shared writer)."""
     return baseline.append_record(
         experiment_id, record, root=root or REPO_ROOT
     )
-
-
-def _check_regression_gate(history_path: pathlib.Path) -> None:
-    """Fail the bench if the just-appended record regressed the gate."""
-    if not GATE["fail_on_regression"]:
-        return
-    verdict = baseline.evaluate_gate(
-        baseline.read_history(history_path),
-        threshold=GATE["threshold"],
-        window=GATE["window"],
-        min_ops=GATE["min_ops"],
-    )
-    if verdict is not None and verdict.regressed:
-        raise AssertionError(
-            f"bench regression gate: {verdict.experiment}: {verdict.reason}"
-        )
 
 
 def run_and_record(
@@ -127,7 +104,7 @@ def run_and_record(
         if frames_after[path] != frames_before.get(path, 0)
     }
     hotspot_list = obsprofile.hotspots(frame_deltas, top=HOTSPOT_TOP)
-    history_path = _append_bench_record(
+    _append_bench_record(
         experiment_id,
         {
             "experiment": experiment_id,
@@ -146,7 +123,6 @@ def run_and_record(
             ],
         },
     )
-    _check_regression_gate(history_path)
     OUTPUT_DIR.mkdir(exist_ok=True)
     path = OUTPUT_DIR / f"{experiment_id}.txt"
     path.write_text(result.text + "\n", encoding="utf-8")

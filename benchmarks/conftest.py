@@ -6,41 +6,12 @@ import pytest
 
 from repro.core.config import StudyConfig
 from repro.core.study import Study
-from repro.obs import Observer, baseline
-
-import _harness
+from repro.obs import Observer
 
 #: Full benchmark scale: the calibrated corpus (~800 readable tables
 #: across the four portals, ~1/100 of the real portals' table counts).
 BENCH_SCALE = 1.0
 BENCH_SEED = 7
-
-
-def pytest_addoption(parser):
-    """Regression-gate switches for the bench suite (see DESIGN.md §9)."""
-    group = parser.getgroup("bench regression gate")
-    group.addoption(
-        "--fail-on-regression",
-        action="store_true",
-        default=False,
-        help=(
-            "fail a bench whose total_ops exceeds its rolling "
-            "BENCH_*.json baseline by more than the threshold"
-        ),
-    )
-    group.addoption(
-        "--regression-threshold",
-        type=float,
-        default=baseline.DEFAULT_THRESHOLD,
-        help="relative op-count regression threshold (default 0.25)",
-    )
-
-
-def pytest_configure(config):
-    _harness.GATE["fail_on_regression"] = config.getoption(
-        "--fail-on-regression"
-    )
-    _harness.GATE["threshold"] = config.getoption("--regression-threshold")
 
 
 @pytest.fixture(scope="session")

@@ -1,19 +1,22 @@
-"""Join-index benchmarks: the LSH candidate path vs the all-pairs walk.
+"""Join benchmarks: the prefix search vs the all-pairs walk.
 
 The fidelity contract under test: both candidate generators emit
 identical ``JoinablePair`` sets at thresholds 0.9 and 0.7 — recall of
-the LSH path is 1.0 by construction, because every surviving candidate
-is verified with the same exact Jaccard arithmetic — while the LSH
-path's ``join.candidate_pairs`` stays far below the quadratic walk's.
-Each run appends a record to ``BENCH_join.json`` so the rolling-median
-regression gate catches a creep in candidate counts.
+the prefix search is 1.0 by construction, because its prefix and size
+filters drop only pairs that cannot reach the threshold and every
+surviving candidate is verified with the same exact Jaccard
+arithmetic — while its ``join.candidate_pairs`` stays far below the
+quadratic walk's.  Each run appends a record to ``BENCH_join.json`` for
+``bench-report``.  A creep in candidate counts fails the tier-1 join
+pin (``tests/test_joinability_lshindex.py::TestOpPins``), which counts
+the prefix search's candidates and ops exactly on the test study.
 """
 
 from __future__ import annotations
 
 import time
 
-from _harness import OUTPUT_DIR, _append_bench_record, _check_regression_gate
+from _harness import OUTPUT_DIR, _append_bench_record
 
 from repro.joinability import analyze_joinability, analyze_joinability_lsh
 from repro.obs.metrics import MetricsRegistry
@@ -96,11 +99,11 @@ def test_bench_join_index_exact_vs_lsh(benchmark, study):
         + "\n",
         encoding="utf-8",
     )
-    # The acceptance floor: the LSH path prunes at least 5x the
+    # The acceptance floor: the prefix search prunes at least 5x the
     # candidates the quadratic walk verifies at full scale.
     assert lsh_candidates * 5 <= exact_candidates
 
-    history_path = _append_bench_record(
+    _append_bench_record(
         "join",
         {
             "experiment": "join",
@@ -113,4 +116,3 @@ def test_bench_join_index_exact_vs_lsh(benchmark, study):
             "join_verify_ops": _counter(lsh_metrics, "ops.join.jaccard"),
         },
     )
-    _check_regression_gate(history_path)

@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser = subparsers.add_parser(
         "bench-report",
-        help="summarize BENCH_*.json histories against rolling baselines",
+        help="print the latest record of each BENCH_*.json history",
     )
     bench_parser.set_defaults(handler=_run_bench_report)
     bench_parser.add_argument(
@@ -302,18 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=".",
         help="directory holding BENCH_*.json files (default: cwd)",
     )
-    bench_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=baseline.DEFAULT_THRESHOLD,
-        help="relative op-count regression threshold (default %(default)s)",
-    )
     _add_json_flag(bench_parser)
-    bench_parser.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help="exit non-zero when any experiment regressed its baseline",
-    )
     serve_parser = subparsers.add_parser(
         "serve",
         help="serve the built study's data lake over HTTP (CKAN-shaped)",
@@ -381,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "append this run's record to BENCH_serve.json under this "
-            "directory (joins the bench-report regression gate)"
+            "directory (read back by bench-report)"
         ),
     )
     serve_report_parser = subparsers.add_parser(
@@ -639,18 +628,17 @@ def _run_diff(args: argparse.Namespace) -> int:
 
 
 def _run_bench_report(args: argparse.Namespace) -> int:
-    """The ``bench-report`` subcommand: gate BENCH_*.json histories."""
-    verdicts = baseline.gate_all(args.root, threshold=args.threshold)
+    """The ``bench-report`` subcommand: each history's latest record."""
+    records = baseline.latest_records(args.root)
     if args.as_json:
         print(
             json.dumps(
-                [verdict.as_json() for verdict in verdicts], sort_keys=True
+                [record.as_json() for record in records], sort_keys=True
             )
         )
     else:
-        print(baseline.render_bench_report(verdicts))
-    regressed = any(verdict.regressed for verdict in verdicts)
-    return 1 if (regressed and args.fail_on_regression) else 0
+        print(baseline.render_bench_report(records))
+    return 0
 
 
 def _run_serve(args: argparse.Namespace) -> int:

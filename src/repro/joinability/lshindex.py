@@ -260,7 +260,7 @@ def lsh_joinable_pairs_flagged(
 
     Prefix candidates that pass the size filter are counted in the same
     ``join.candidate_pairs`` event the all-pairs path emits — the
-    number the bench gate tracks — and verified with identical
+    number the tier-1 join pin asserts — and verified with identical
     exact-Jaccard arithmetic, charging the same one-tick-per-candidate
     ``join.jaccard`` op.  The verify loop truncates cleanly over the
     sorted candidate list, matching the all-pairs truncation contract.

@@ -155,11 +155,14 @@ class TestParser:
 
     def test_bench_report_command_parses(self):
         args = build_parser().parse_args(
-            ["bench-report", "--root", "/tmp", "--fail-on-regression"]
+            ["bench-report", "--root", "/tmp", "--json"]
         )
         assert args.command == "bench-report"
         assert args.root == "/tmp"
-        assert args.fail_on_regression is True
+        assert args.as_json is True
+        # The report gates nothing, so it has no gate flags.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench-report", "--threshold", "1"])
 
     def test_serve_command_parses(self):
         args = build_parser().parse_args(
@@ -411,34 +414,60 @@ class TestDriftCommands:
         doc = json.loads(report_path.read_text())
         assert doc["requests"]["lost"] == 0
         assert all(doc["invariants"].values())
+        # The serving op pin: `make smoke-serve`'s config, exactly.  Op
+        # counts depend only on (scale, seed, mix, code), so one more
+        # tick per request moves these; a change that moves them on
+        # purpose updates them and says so.
+        assert doc["total_ops"] == 1353
+        latency = doc["latency_ops"]
+        assert (latency["p50"], latency["p99"]) == (2, 42)
+        assert doc["outcomes"] == {
+            "ok": 238, "degraded": 79, "shed": 79, "error": 8,
+        }
         history = json.loads(
             (tmp_path / "BENCH_serve.json").read_text()
         )
         assert len(history) == 1
         assert history[0]["experiment"] == "serve"
         assert history[0]["clients"] == doc["harness"]["clients"]
+        assert history[0]["total_ops"] == 1353
 
-    def test_bench_report_gates_regression(self, capsys, tmp_path):
+    def test_bench_report_prints_latest_records(self, capsys, tmp_path):
         import json
 
-        records = [
-            {
-                "experiment": "table05",
-                "scale": 1.0,
-                "seed": 7,
-                "seconds": 1.0,
-                "ops": {},
-                "total_ops": ops,
-            }
-            for ops in (100_000, 101_000, 99_000, 200_000)
+        def record(ops, **fields):
+            return {"scale": 1.0, "seed": 7, "total_ops": ops} | fields
+
+        joins = [
+            record(
+                ops,
+                join_candidates=ops // 10,
+                join_verify_ops=ops // 20,
+                hotspots=[["study;US;pairs@0.7;lsh", ops // 2]],
+            )
+            for ops in (100_000, 200_000)
         ]
-        (tmp_path / "BENCH_table05.json").write_text(json.dumps(records))
-        assert main(["bench-report", "--root", str(tmp_path)]) == 0
-        code = main(
-            ["bench-report", "--root", str(tmp_path), "--fail-on-regression"]
+        serve = record(
+            1353, clients=48, p50_ops=2, p99_ops=42, shed_rate=0.195545,
+            availability=0.793814, slo_verdict="OK",
         )
-        assert code == 1
-        assert "REGRESSED" in capsys.readouterr().out
+        (tmp_path / "BENCH_join.json").write_text(json.dumps(joins))
+        (tmp_path / "BENCH_serve.json").write_text(json.dumps([serve]))
+        assert main(["bench-report", "--root", str(tmp_path)]) == 0
+        lines = [
+            line.split() for line in capsys.readouterr().out.splitlines()
+        ]
+        assert ["join", "200000"] in lines
+        assert ["serve", "1353"] in lines
+        assert ["join", "20000", "10000"] in lines
+        assert ["join", "100000", "50.0%", "study;US;pairs@0.7;lsh"] in lines
+        assert ["serve", "48", "2", "42", "19.6%", "79.4%", "OK"] in lines
+        assert main(["bench-report", "--root", str(tmp_path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["experiment"] for r in doc] == ["join", "serve"]
+        assert [r["total_ops"] for r in doc] == [200_000, 1353]
+        assert doc[0]["hotspots"] == [["study;US;pairs@0.7;lsh", 100_000]]
+        assert doc[1]["slo_verdict"] == "OK"
 
 
 class TestProfileCommands:

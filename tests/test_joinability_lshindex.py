@@ -169,6 +169,52 @@ class TestPairSetEquality:
         assert metrics.value("join.candidate_pairs") == expected
 
 
+class TestOpPins:
+    """The prefix search's op counts on the test study, exactly.
+
+    Op counts are a pure function of (scale, seed, code), so one extra
+    tick anywhere in the search fails here; each run charges a fresh
+    registry, so the pin depends on no history and no test order.  A
+    change that moves these counts on purpose updates them and says so.
+    """
+
+    #: (portal, threshold) -> (join.candidate_pairs, join.pairs_verified,
+    #: sum of the ops.join.* counters).
+    EXPECTED = {
+        ("SG", 0.9): (25, 10, 9_389),
+        ("SG", 0.7): (30, 12, 10_182),
+        ("CA", 0.9): (77, 52, 21_116),
+        ("CA", 0.7): (109, 77, 23_636),
+        ("UK", 0.9): (162, 113, 41_943),
+        ("UK", 0.7): (327, 180, 47_186),
+        ("US", 0.9): (165, 100, 171_962),
+        ("US", 0.7): (356, 173, 183_734),
+    }
+
+    def test_counts_per_portal_and_threshold(self, study):
+        measured = {}
+        for portal in study:
+            tables = portal.screened_tables()
+            for threshold in THRESHOLDS:
+                metrics = MetricsRegistry()
+                analyze_joinability_lsh(
+                    portal.code,
+                    tables,
+                    threshold,
+                    meter=WorkMeter(None, metrics=metrics),
+                )
+                measured[(portal.code, threshold)] = (
+                    metrics.value("join.candidate_pairs"),
+                    metrics.value("join.pairs_verified"),
+                    sum(
+                        metrics.value(name)
+                        for name in metrics.snapshot()
+                        if name.startswith("ops.join.")
+                    ),
+                )
+        assert measured == self.EXPECTED
+
+
 class TestNoSignatures:
     def test_joinability_hashes_no_value(self, monkeypatch):
         """The production join path computes no MinHash signature."""

@@ -1,18 +1,14 @@
-"""Tests for bench-history baselines, the regression gate, and the
-append semantics of the bench harness's history writer."""
+"""Tests for the bench-history reader, the ``bench-report`` rendering,
+and the append semantics of the bench harness's history writer."""
 
 import importlib.util
 import json
 import pathlib
 
-import pytest
-
 from repro.obs import baseline
 from repro.obs.baseline import (
     BenchRecord,
-    comparable_history,
-    evaluate_gate,
-    gate_all,
+    latest_records,
     read_history,
     render_bench_report,
     salvage_json_objects,
@@ -53,6 +49,17 @@ class TestSalvage:
         )
         assert [r["total_ops"] for r in salvage_json_objects(text)] == [10, 20]
 
+    def test_record_torn_after_its_ops_is_dropped_whole(self):
+        # The shape append_record writes: indented, sorted keys, a
+        # non-empty nested ``ops`` object before ``scale``.
+        records = [
+            record(10) | {"ops": {"ops.a": 10}},
+            record(20) | {"ops": {"ops.a": 20}},
+        ]
+        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        torn = text[: text.rindex('"scale"')]
+        assert salvage_json_objects(torn) == records[:1]
+
     def test_empty_and_hopeless_inputs(self):
         assert salvage_json_objects("") == []
         assert salvage_json_objects("not json at all") == []
@@ -66,7 +73,6 @@ class TestReadHistory:
         records = read_history(path)
         assert [r.total_ops for r in records] == [10, 20]
         assert records[0].experiment == "table05"
-        assert records[0].index == 0 and records[1].index == 1
 
     def test_missing_file_is_empty(self, tmp_path):
         assert read_history(tmp_path / "BENCH_nope.json") == []
@@ -91,156 +97,46 @@ class TestReadHistory:
         assert [r.total_ops for r in read_history(path)] == [10]
 
 
-class TestComparableHistory:
-    def test_filters_to_latest_configuration(self):
-        records = [
-            BenchRecord("e", 0.5, 7, 1.0, 100, 0),
-            BenchRecord("e", 1.0, 7, 1.0, 200, 1),
-            BenchRecord("e", 1.0, 3, 1.0, 300, 2),
-            BenchRecord("e", 1.0, 7, 1.0, 210, 3),
-        ]
-        assert [r.total_ops for r in comparable_history(records)] == [200, 210]
-
-    def test_empty_history(self):
-        assert comparable_history([]) == []
-
-
-class TestGate:
-    def _records(self, ops_list):
-        return [
-            BenchRecord("table05", 1.0, 7, 1.0, ops, i)
-            for i, ops in enumerate(ops_list)
-        ]
-
-    def test_no_history_returns_none(self):
-        assert evaluate_gate([]) is None
-
-    def test_first_run_has_no_baseline(self):
-        verdict = evaluate_gate(self._records([100_000]))
-        assert verdict is not None
-        assert verdict.baseline_ops is None
-        assert not verdict.regressed
-
-    def test_double_ops_regresses(self):
-        verdict = evaluate_gate(
-            self._records([100_000, 101_000, 99_000, 200_000])
-        )
-        assert verdict.regressed
-        assert verdict.baseline_ops == pytest.approx(100_000)
-        assert verdict.ops_ratio == pytest.approx(2.0)
-        assert "exceeds baseline" in verdict.reason
-
-    def test_within_threshold_passes(self):
-        verdict = evaluate_gate(self._records([100_000, 101_000, 110_000]))
-        assert not verdict.regressed
-
-    def test_improvement_passes(self):
-        verdict = evaluate_gate(self._records([100_000, 100_000, 50_000]))
-        assert not verdict.regressed
-        assert "below baseline" in verdict.reason
-
-    def test_min_ops_floor_ignores_tiny_jitter(self):
-        # 2x relative blow-up, but only 400 ops in absolute terms —
-        # under the floor, cached/near-empty benches must not gate.
-        verdict = evaluate_gate(self._records([400, 400, 800]))
-        assert not verdict.regressed
-        assert evaluate_gate(
-            self._records([400, 400, 800]), min_ops=100
-        ).regressed
-
-    def test_window_bounds_the_baseline(self):
-        ops = [1_000_000] * 10 + [100_000] * 5 + [130_000]
-        verdict = evaluate_gate(self._records(ops), window=5)
-        assert verdict.baseline_ops == pytest.approx(100_000)
-        assert verdict.regressed
-
-    def test_config_change_resets_comparability(self):
-        records = [
-            BenchRecord("e", 0.5, 7, 1.0, 100, 0),
-            BenchRecord("e", 1.0, 7, 1.0, 100_000, 1),
-        ]
-        verdict = evaluate_gate(records)
-        assert verdict.baseline_ops is None  # scale changed; no baseline
-        assert not verdict.regressed
-
-    def _join_records(self, candidates_list, total_ops=100_000):
-        return [
-            BenchRecord(
-                "join", 1.0, 7, 1.0, total_ops, i,
-                join_candidates=candidates,
-                join_verify_ops=candidates,
-            )
-            for i, candidates in enumerate(candidates_list)
-        ]
-
-    def test_candidate_creep_regresses_even_with_flat_ops(self):
-        # total_ops flat, but candidates quadrupled: the LSH filter
-        # stopped filtering and the gate must say so.
-        verdict = evaluate_gate(
-            self._join_records([2_000, 2_100, 1_900, 8_000])
-        )
-        assert verdict.regressed
-        assert "join_candidates" in verdict.reason
-        assert verdict.baseline_join_candidates == pytest.approx(2_000)
-
-    def test_stable_candidates_pass(self):
-        verdict = evaluate_gate(
-            self._join_records([2_000, 2_100, 1_900, 2_050])
-        )
-        assert not verdict.regressed
-        assert verdict.join_candidates == 2_050
-
-    def test_candidate_floor_ignores_tiny_jitter(self):
-        # 3x relative, but only 20 candidates absolute — below the
-        # DEFAULT_MIN_CANDIDATES floor, too small to mean anything.
-        verdict = evaluate_gate(self._join_records([10, 10, 30]))
-        assert not verdict.regressed
-
-    def test_records_without_join_fields_never_gate_on_them(self):
-        # Pre-index histories parse with join_candidates=0 and a zero
-        # baseline disables the candidate gate entirely.
-        verdict = evaluate_gate(self._records([100_000, 100_000, 110_000]))
-        assert not verdict.regressed
-        assert verdict.join_candidates == 0.0
-
-    def test_join_fields_parse_tolerantly(self):
-        parsed = BenchRecord.from_mapping(
-            record(5_000), experiment="table05", index=0
-        )
-        assert parsed.join_candidates == 0.0
-        assert parsed.join_verify_ops == 0.0
-        enriched = BenchRecord.from_mapping(
-            record(5_000) | {"join_candidates": 42, "join_verify_ops": 40},
-            experiment="table05",
-            index=0,
-        )
-        assert enriched.join_candidates == 42.0
-        assert enriched.join_verify_ops == 40.0
-
-
 class TestGateAllAndReport:
-    def test_gate_all_scans_root(self, tmp_path):
+    def test_latest_records_scans_root(self, tmp_path):
         write_history(
             tmp_path / "BENCH_table05.json",
             [record(100_000), record(250_000)],
         )
-        write_history(
-            tmp_path / "BENCH_figure01.json",
-            [record(50_000, experiment="figure01")] * 3,
+        # A torn history still shows its salvaged latest record.
+        text = json.dumps(
+            [record(50_000, experiment="figure01")] * 2
+            + [record(60_000, experiment="figure01")],
+            indent=2,
         )
-        verdicts = gate_all(tmp_path)
-        assert [v.experiment for v in verdicts] == ["figure01", "table05"]
-        assert [v.regressed for v in verdicts] == [False, True]
+        (tmp_path / "BENCH_figure01.json").write_text(text[:-40])
+        latest = latest_records(tmp_path)
+        assert [r.experiment for r in latest] == ["figure01", "table05"]
+        assert [r.total_ops for r in latest] == [50_000, 250_000]
 
-    def test_report_renders_verdicts(self, tmp_path):
+    def test_report_renders_latest_records(self, tmp_path):
         write_history(
             tmp_path / "BENCH_table05.json",
-            [record(100_000), record(250_000)],
+            [
+                record(100_000),
+                record(250_000)
+                | {
+                    "join_candidates": 2_871,
+                    "join_verify_ops": 2_870,
+                    "hotspots": [["study;US;pairs@0.7;lsh", 125_000]],
+                },
+            ],
         )
-        text = render_bench_report(gate_all(tmp_path))
-        assert "table05" in text
-        assert "REGRESSED" in text
-        assert "regressions: 1" in text
+        text = render_bench_report(latest_records(tmp_path))
+        lines = text.splitlines()
+        assert lines[1].split() == ["table05", "250000"]
+        assert "100000" not in text
+        join = next(
+            i for i, line in enumerate(lines) if line.startswith("join")
+        )
+        assert lines[join + 1].split() == ["table05", "2871", "2870"]
+        assert "125000  50.0%  study;US;pairs@0.7;lsh" in text
+        assert "baseline" not in text and "regress" not in text
 
     def test_report_with_no_history(self):
         assert "no bench history" in render_bench_report([])
@@ -287,33 +183,9 @@ class TestAppendBenchRecord:
         )
         assert isinstance(loaded, list) and len(loaded) == 1
 
-    def test_gate_fires_through_harness(self, tmp_path):
-        harness = _load_harness()
-        write_history(
-            tmp_path / "BENCH_table05.json",
-            [record(100_000), record(101_000), record(99_000)],
-        )
-        path = harness._append_bench_record(
-            "table05", record(200_000), root=tmp_path
-        )
-        harness.GATE["fail_on_regression"] = True
-        try:
-            with pytest.raises(AssertionError, match="regression gate"):
-                harness._check_regression_gate(path)
-        finally:
-            harness.GATE["fail_on_regression"] = False
-
-    def test_gate_quiet_when_disabled(self, tmp_path):
-        harness = _load_harness()
-        write_history(
-            tmp_path / "BENCH_table05.json",
-            [record(100_000), record(200_000)],
-        )
-        harness._check_regression_gate(tmp_path / "BENCH_table05.json")
-
 
 class TestServingMetrics:
-    """Serving-bench fields on records, the gate key, and the report."""
+    """Serving-bench fields on records and the report's serving line."""
 
     def _serve_record(self, total_ops, *, clients=48, shed=0.25):
         return record(total_ops, experiment="serve") | {
@@ -325,7 +197,7 @@ class TestServingMetrics:
 
     def test_from_mapping_parses_serving_fields(self):
         parsed = BenchRecord.from_mapping(
-            self._serve_record(1000), experiment="serve", index=0
+            self._serve_record(1000), experiment="serve"
         )
         assert parsed.clients == 48
         assert parsed.p50_ops == 5.0
@@ -333,56 +205,36 @@ class TestServingMetrics:
         assert parsed.shed_rate == 0.25
 
     def test_compute_records_default_to_zero(self):
-        parsed = BenchRecord.from_mapping(
-            record(1000), experiment="table05", index=0
-        )
+        parsed = BenchRecord.from_mapping(record(1000), experiment="table05")
         assert parsed.clients == 0
         assert parsed.p50_ops == parsed.p99_ops == parsed.shed_rate == 0.0
-
-    def test_client_population_splits_comparability(self):
-        records = [
-            BenchRecord("serve", 1.0, 7, 1.0, 100, 0, clients=48),
-            BenchRecord("serve", 1.0, 7, 1.0, 900, 1, clients=224),
-            BenchRecord("serve", 1.0, 7, 1.0, 110, 2, clients=48),
-        ]
-        assert [r.total_ops for r in comparable_history(records)] == [
-            100,
-            110,
-        ]
-        # The 224-client soak never gates against the 48-client smokes.
-        verdict = evaluate_gate(records[:2])
-        assert verdict.baseline_ops is None
-        assert verdict.clients == 224
-
-    def test_verdict_carries_serving_fields(self, tmp_path):
-        for ops in (1000, 1010):
-            baseline.append_record(
-                "serve", self._serve_record(ops), root=tmp_path
-            )
-        (verdict,) = gate_all(tmp_path)
-        assert verdict.clients == 48
-        assert verdict.shed_rate == 0.25
-        assert verdict.as_json()["p99_ops"] == 190.0
+        assert parsed.join_candidates == parsed.join_verify_ops == 0.0
+        assert parsed.hotspots == ()
 
     def test_report_renders_serving_block(self, tmp_path):
         baseline.append_record(
-            "serve", self._serve_record(1000), root=tmp_path
+            "serve",
+            self._serve_record(1000)
+            | {"availability": 0.793814, "slo_verdict": "OK"},
+            root=tmp_path,
         )
         write_history(
             tmp_path / "BENCH_table05.json", [record(100_000)]
         )
-        text = render_bench_report(gate_all(tmp_path))
+        text = render_bench_report(latest_records(tmp_path))
         assert "clients" in text and "shed" in text
-        assert "25.0%" in text
         # Compute benches stay out of the serving block.
         serving_block = text.split("serving")[1]
         assert "table05" not in serving_block
+        assert serving_block.splitlines()[1].split() == [
+            "serve", "48", "5", "190", "25.0%", "79.4%", "OK",
+        ]
 
     def test_report_omits_serving_block_without_serve_runs(self, tmp_path):
         write_history(
             tmp_path / "BENCH_table05.json", [record(100_000)]
         )
-        assert "clients" not in render_bench_report(gate_all(tmp_path))
+        assert "clients" not in render_bench_report(latest_records(tmp_path))
 
 
 class TestAppendRecordShared:
@@ -404,10 +256,3 @@ class TestAppendRecordShared:
     def test_atomic_replace_leaves_no_temp_file(self, tmp_path):
         baseline.append_record("serve", record(10), root=tmp_path)
         assert list(tmp_path.iterdir()) == [tmp_path / "BENCH_serve.json"]
-
-
-class TestDefaultsExist:
-    def test_module_defaults(self):
-        assert 0 < baseline.DEFAULT_THRESHOLD < 1
-        assert baseline.DEFAULT_WINDOW >= 2
-        assert baseline.DEFAULT_MIN_OPS > 0

@@ -413,6 +413,37 @@ class TestOutcomeAccounting:
         )
         assert total == len(requests)
 
+    def test_ops_through_handle_are_pinned(self, study):
+        """The op pin of ``handle``, the path the HTTP server takes (the
+        load harness drives admission and the ladder itself).  Exact,
+        like every op pin: a change that moves these says so."""
+        service = make_service(study)
+        requests = [
+            Request("/api/3/action/package_list", {"limit": "3"}, {}, "a"),
+            Request(
+                "/api/3/action/package_show",
+                {"id": "CA:ca-doc-00001"},
+                {},
+                "a",
+            ),
+            Request(
+                "/api/3/action/package_search", {"q": "fisheries"}, {}, "b"
+            ),
+            search_request("b"),
+            search_request("c"),  # a fresh cache hit
+            Request("/nope", {}, {}, "c"),
+        ]
+        responses = [service.handle(request) for request in requests]
+        assert [(r.status, r.ops) for r in responses] == [
+            (200, 3), (200, 2), (200, 14), (200, 2), (200, 1), (404, 1),
+        ]
+        ops = {
+            name: service.metrics.value(name)
+            for name in service.metrics.snapshot()
+            if name.startswith("ops.")
+        }
+        assert ops == {"ops.search.score": 4, "ops.serve.catalog": 17}
+
     def test_config_is_frozen(self, service):
         with pytest.raises(dataclasses.FrozenInstanceError):
             service.config.deadline_ops = 1
