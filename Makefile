@@ -34,10 +34,13 @@ fidelity:
 # study.  Today that is FUN against TANE and against the naive checker
 # on every FD-filtered table (the same FDs in FUN's emission order, the
 # same lhs_cards), every derived BCNF fragment FD list against FUN
-# re-run on the fragment, and the study's pair search against all-pairs
+# re-run on the fragment, the study's pair search against all-pairs
 # on every portal at both thresholds, the second reusing the portal's
-# search state (the same pairs, stats and neighbour maps).  It takes
-# about a minute, writes no file and exits non-zero on any mismatch.
+# search state (the same pairs, stats and neighbour maps), and the
+# study built again with two pool workers against the serial one (the
+# same rendered experiments, the same status, ticks, budget and detail
+# for every executor unit).  It takes about 80 s, writes no file and
+# exits non-zero on any mismatch.
 verify-sweep:
 	$(PYTHON) -m repro.experiments.sweep 0.3 7
 
@@ -130,8 +133,9 @@ smoke-serve:
 # The profiler determinism gate CI runs: the same guarded run profiled
 # serially and profiled under a pooled chaos schedule (seeded worker
 # kills) must write byte-identical profile artifacts, and a second
-# chaos run must reproduce the first byte for byte.  The report and
-# the diff gate must both parse the artifact cleanly.
+# chaos run must reproduce the first byte for byte.  The report must
+# parse the artifact, and `diff` must read the serial and chaos
+# profiles as profiles and find every frame's ticks equal (exit 0).
 smoke-profile:
 	$(PYTHON) -m repro.experiments.cli -q run table05 \
 		--scale 0.08 --seed 2 --stage-budget 40000 \
@@ -148,5 +152,5 @@ smoke-profile:
 	cmp smoke-profile-serial.json smoke-profile-chaos-a.json
 	cmp smoke-profile-chaos-a.json smoke-profile-chaos-b.json
 	$(PYTHON) -m repro.experiments.cli profile-report smoke-profile-serial.json
-	$(PYTHON) -m repro.experiments.cli -q profile-diff \
+	$(PYTHON) -m repro.experiments.cli -q diff \
 		smoke-profile-serial.json smoke-profile-chaos-a.json

@@ -117,7 +117,6 @@ def run_and_record(
                 v for k, v in ops.items() if k.startswith("ops.")
             ),
             "join_candidates": ops.get("join.candidate_pairs", 0),
-            "join_verify_ops": ops.get("ops.join.jaccard", 0),
             "hotspots": [
                 [path, ticks] for path, ticks in hotspot_list
             ],

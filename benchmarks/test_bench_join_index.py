@@ -113,6 +113,5 @@ def test_bench_join_index_exact_vs_lsh(benchmark, study):
             "seconds": elapsed,
             "total_ops": _total_ops(lsh_metrics),
             "join_candidates": lsh_candidates,
-            "join_verify_ops": _counter(lsh_metrics, "ops.join.jaccard"),
         },
     )

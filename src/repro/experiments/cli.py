@@ -9,9 +9,9 @@ Examples::
     ogdp-repro profile-report trace.jsonl --top 5
     ogdp-repro run all --profile-out profile.json
     ogdp-repro profile-report profile.json --top 15
-    ogdp-repro profile-diff baseline.json candidate.json
     ogdp-repro fidelity --json --out fidelity.json
     ogdp-repro diff runs/a runs/b
+    ogdp-repro diff baseline.json candidate.json
     ogdp-repro bench-report
     ogdp-repro serve --scale 0.25 --port 8323
     ogdp-repro loadtest --mix smoke --report load.json
@@ -32,13 +32,9 @@ from ..core.config import StudyConfig
 from ..obs import baseline
 from ..obs.log import QUIET, configure_log, get_log
 from ..obs.profile import (
-    DEFAULT_DIFF_THRESHOLD,
-    DEFAULT_MIN_TICKS,
     collapsed_lines,
-    diff_profiles,
     load_any_profile,
     profile_report_json,
-    render_profile_diff,
     render_profile_report,
 )
 from .corpus import get_study
@@ -267,25 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the JSON document to this file (e.g. fidelity.json)",
     )
     diff_parser = subparsers.add_parser(
-        "diff",
-        help="compare two runs' traces/metrics/fidelity for drift",
+        "diff", help="compare two runs' traces, profiles and fidelity exactly"
     )
     diff_parser.set_defaults(handler=_run_diff)
     diff_parser.add_argument(
-        "run_a", help="first run: a trace file or a run directory"
-    )
-    diff_parser.add_argument(
-        "run_b", help="second run: a trace file or a run directory"
-    )
-    diff_parser.add_argument(
-        "--rel-tol",
-        type=float,
-        default=0.0,
+        "run_a",
         help=(
-            "relative tolerance for op-count and metric comparisons "
-            "(default 0.0 = exact; equal seeds must diff empty)"
+            "first run: a trace file, a profile artifact, or a directory "
+            "holding trace.jsonl, profile.json and/or fidelity.json"
         ),
     )
+    diff_parser.add_argument("run_b", help="second run, in the same forms")
     _add_json_flag(diff_parser)
     diff_parser.add_argument(
         "--out",
@@ -424,37 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
             "('path ticks' per line) for flamegraph.pl / speedscope"
         ),
     )
-    profile_diff_parser = subparsers.add_parser(
-        "profile-diff",
-        help="per-frame tick deltas between two profiles (regression gate)",
-    )
-    profile_diff_parser.set_defaults(handler=_run_profile_diff)
-    profile_diff_parser.add_argument(
-        "run_a", help="baseline: a profile artifact or a trace file"
-    )
-    profile_diff_parser.add_argument(
-        "run_b", help="candidate: a profile artifact or a trace file"
-    )
-    profile_diff_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_DIFF_THRESHOLD,
-        help=(
-            "relative per-frame tick growth that counts as a "
-            "regression (default %(default)s)"
-        ),
-    )
-    profile_diff_parser.add_argument(
-        "--min-ticks",
-        type=_positive_int,
-        default=DEFAULT_MIN_TICKS,
-        help=(
-            "frames below this many ticks on both sides never trip "
-            "the gate (default %(default)s)"
-        ),
-    )
-    _add_json_flag(profile_diff_parser)
-    _add_top_flag(profile_diff_parser, 20, "of the largest deltas")
     return parser
 
 
@@ -609,15 +566,13 @@ def _run_fidelity(args: argparse.Namespace) -> int:
 
 def _run_diff(args: argparse.Namespace) -> int:
     """The ``diff`` subcommand: 0 = no drift, 1 = drift, 2 = unreadable."""
-    from ..obs.diff import RunLoadError, diff_runs, load_run, render_diff
+    from ..obs.diff import diff_runs, load_run, render_diff
 
     try:
-        run_a = load_run(args.run_a)
-        run_b = load_run(args.run_b)
-    except RunLoadError as exc:
+        report = diff_runs(load_run(args.run_a), load_run(args.run_b))
+    except (OSError, ValueError) as exc:
         get_log().error("diff-unreadable", message=str(exc))
         return 2
-    report = diff_runs(run_a, run_b, rel_tol=args.rel_tol)
     if args.out is not None:
         _write_json(args.out, report.as_json(), "diff-written")
     if args.as_json:
@@ -714,24 +669,6 @@ def _run_profile_report(args: argparse.Namespace) -> int:
     else:
         print(render_profile_report(doc, top=args.top, trace=trace))
     return 0
-
-
-def _run_profile_diff(args: argparse.Namespace) -> int:
-    """The ``profile-diff`` subcommand: 0 = clean, 1 = regressed, 2 = bad."""
-    docs = []
-    for source in (args.run_a, args.run_b):
-        loaded = _load_input(source, load_any_profile, "profile")
-        if loaded is None:
-            return 2
-        docs.append(loaded[0])
-    diff = diff_profiles(
-        docs[0], docs[1], threshold=args.threshold, min_ticks=args.min_ticks
-    )
-    if args.as_json:
-        print(json.dumps(diff, sort_keys=True))
-    else:
-        print(render_profile_diff(diff, top=args.top))
-    return 1 if diff["regressed"] else 0
 
 
 def _run_loadtest(args: argparse.Namespace) -> int:

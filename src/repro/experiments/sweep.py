@@ -6,7 +6,7 @@ compares each fast path it covers with its oracle over the whole
 study, logging ``sweep-ok`` and exiting 0, or logging
 ``sweep-mismatch`` and exiting 1.
 
-It covers four pairs.  The FD pairs: on every FD-filtered table
+It covers five pairs.  The FD pairs: on every FD-filtered table
 (§4.2's size filter), FUN's list must equal TANE's FD set, and the
 naive checker's, in FUN's documented order (by ``|X|``, then the
 sorted positions of X, then the position of B, each name at its first
@@ -20,11 +20,15 @@ every FD-filtered table with its unit's own RNG, must equal FUN re-run
 on that fragment.  The join pair: on every portal, the study's own
 analyses at the paper's threshold and then the sensitivity one (the
 second reusing the portal's search state) must give the all-pairs
-walk's pairs, stats and neighbour maps.
+walk's pairs, stats and neighbour maps.  The pool pair: the same study
+built again with ``workers=2`` must render every experiment to the
+same text as the serial study, and every executor unit must end with
+the same status, ticks, budget and detail.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from typing import Sequence
 
@@ -40,6 +44,7 @@ from ..joinability.pairs import (
 from ..normalize import bcnf
 from ..obs.log import get_log
 from ..resilience.units import FD_STAGE, plan_portal_units, unit_request
+from .registry import run_all
 
 
 def fun_order(table: Table, fds: FDSet) -> list[FD]:
@@ -157,6 +162,40 @@ def pair_mismatches(study: Study) -> tuple[int, list[str]]:
     return compared, mismatched
 
 
+def _outcomes(study: Study) -> dict[tuple[str, str, str], tuple]:
+    """``(portal, stage, table_id) -> (status, ticks, budget, detail)``.
+
+    A map, not the outcome logs: the sweep's other pairs ask a study
+    for its stages in another order than ``run_all`` does.
+    """
+    return {
+        (portal.code, o.stage, o.table_id): (
+            o.status, o.ticks, o.budget, o.detail
+        )
+        for portal in study
+        for o in portal.executor.outcomes
+    }
+
+
+def pooled_mismatches(study: Study) -> tuple[int, list[str]]:
+    """*study* against the same study built with two pool workers.
+
+    Runs every experiment on both studies, then compares the rendered
+    texts and every executor unit's outcome.  Returns the number of
+    outputs compared (texts plus units) and the names of those that
+    differ: an experiment id, or ``portal/stage/table_id``.
+    """
+    pooled = Study.build(dataclasses.replace(study.config, workers=2))
+    results = list(zip(run_all(study), run_all(pooled)))
+    serial, other = _outcomes(study), _outcomes(pooled)
+    units = sorted(set(serial) | set(other))
+    mismatched = [a.experiment_id for a, b in results if a.text != b.text]
+    mismatched += [
+        "/".join(unit) for unit in units if serial.get(unit) != other.get(unit)
+    ]
+    return len(results) + len(units), mismatched
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the sweep; the exit status is 1 on any mismatch."""
     args = list(sys.argv[1:] if argv is None else argv)
@@ -170,6 +209,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ("fun-naive", "tables", fd_mismatches(study, discover_fds_naive)),
         ("fragment-fun", "derivations", fragment_mismatches(study)),
         ("prefix-allpairs", "analyses", pair_mismatches(study)),
+        ("pooled-serial", "outputs", pooled_mismatches(study)),
     ):
         if mismatched:
             log.error(

@@ -24,6 +24,10 @@ process itself:
   every span's ops into the profiler's ``study;<portal>;<stage>`` base
   frames and adds the unit-outcome tally, the top-N most expensive
   tables, and the degradation ledger.
+* :mod:`repro.obs.diff` — the one comparison of two runs, behind
+  ``ogdp-repro diff``: exact op and frame deltas, outcome transitions,
+  metric drift and fidelity verdict moves, over whichever traces,
+  profiles and fidelity files both runs hold.
 
 Everything is opt-in: with no :class:`Observer` configured the hooks
 collapse to ``is None`` checks and study outputs are byte-identical to

@@ -49,10 +49,9 @@ class BenchRecord:
     slo_verdict: str = ""
     #: Join candidate-generation accounting (see
     #: :mod:`repro.joinability.lshindex`): how many candidate pairs
-    #: entered the exact Jaccard verify, and how many verifies ran.
-    #: Records written before the fields existed default to 0.
+    #: entered the exact Jaccard verify, one verify each.  Records
+    #: written before the field existed default to 0.
     join_candidates: float = 0.0
-    join_verify_ops: float = 0.0
     #: Hottest profiler frame paths of the recording run, as
     #: ``(path, ticks)`` pairs (see :mod:`repro.obs.profile`).  Records
     #: written before the profiler existed, or by unprofiled runs,
@@ -78,7 +77,6 @@ class BenchRecord:
                 availability=float(raw.get("availability", 1.0)),
                 slo_verdict=str(raw.get("slo_verdict", "")),
                 join_candidates=float(raw.get("join_candidates", 0.0)),
-                join_verify_ops=float(raw.get("join_verify_ops", 0.0)),
                 hotspots=_parse_hotspots(raw.get("hotspots", ())),
             )
         except (KeyError, TypeError, ValueError):
@@ -199,14 +197,9 @@ def render_bench_report(records: list[BenchRecord]) -> str:
     joining = [r for r in records if r.join_candidates > 0]
     if joining:
         lines.append("")
-        lines.append(
-            f"{'join index':<16} {'candidates':>10} {'verify ops':>10}"
-        )
+        lines.append(f"{'join index':<16} {'candidates':>10}")
         for r in joining:
-            lines.append(
-                f"{r.experiment:<16} {r.join_candidates:>10.0f} "
-                f"{r.join_verify_ops:>10.0f}"
-            )
+            lines.append(f"{r.experiment:<16} {r.join_candidates:>10.0f}")
     profiled = [r for r in records if r.hotspots]
     lines.append("")
     if profiled:

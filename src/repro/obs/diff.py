@@ -1,35 +1,40 @@
 """Run-to-run drift detection (``ogdp-repro diff RUN_A RUN_B``).
 
 Two runs of the pipeline with equal seeds and equal configuration must
-be *indistinguishable*: byte-identical traces, metric blocks, and
-fidelity scoreboards.  This module turns that invariant into a checkable
-contract — it compares two runs' artifacts and reports every place they
-drift apart, so CI can gate on "equal seeds ⇒ empty diff" and a poisoned
-or regressed run names exactly which units changed outcome.
+be *indistinguishable*: byte-identical traces, profiles, metric blocks
+and fidelity scoreboards.  This module turns that invariant into a
+checkable contract — it compares two runs' artifacts exactly and
+reports every place they drift apart, so CI can gate on "equal seeds ⇒
+empty diff" and a poisoned or regressed run names exactly which units
+and frames changed.
 
-A *run* is either a trace file written by ``run --trace-out`` or a
-directory holding ``trace.jsonl`` and (optionally) ``fidelity.json``.
-The comparison covers:
+A *run* is a trace file written by ``run --trace-out``, a profile
+artifact written by ``run --profile-out``, or a directory holding any
+of ``trace.jsonl``, ``profile.json`` and ``fidelity.json``.  The diff
+compares whatever both runs hold:
 
-* **operation deltas** — per-portal, per-stage self-op totals from the
-  trace's span tree (the ``study;<portal>;<stage>`` frames
-  ``ogdp-repro profile-report`` prints for a trace);
-* **outcome transitions** — per ``(portal, stage, table)`` executor
-  unit, the terminal status in A vs. B (``ok → truncated``,
-  ``ok → quarantined``, appearing/disappearing units, …);
-* **quarantine-set changes** — tables quarantined in one run only;
-* **metric drift** — counter values and histogram buckets from
-  the traces' metric blocks, beyond an optional relative tolerance
+* from traces — **op deltas**, the per-portal, per-stage self-op
+  totals of the span tree (the ``study;<portal>;<stage>`` frames
+  ``ogdp-repro profile-report`` prints for a trace); **outcome
+  transitions**, per ``(portal, stage, table)`` executor unit, the
+  terminal status in A vs. B (``ok → truncated``, ``ok →
+  quarantined``, appearing/disappearing units, …); **quarantine-set
+  changes**, tables quarantined in one run only; and **metric drift**,
+  counter values and histogram buckets from the metric blocks
   (``pool.*`` worker-scheduling counters are excluded, like
   wall-clock: they describe how the run was executed, not what it
   computed);
-* **fidelity changes** — per-experiment and per-check verdict moves,
-  when both runs carry a fidelity file.
+* from profiles — **frame deltas**, per frame path, in the same
+  ``{frame, a, b, delta}`` shape as op deltas;
+* from fidelity files — per-experiment and per-check **verdict
+  changes**.
 
-Wall-clock values never participate: any timing field a span carries
-is ignored, so an old trace with timings still diffs clean against an
-equal-seed run.  Exit codes (see the CLI): 0 = no drift, 1 = drift,
-2 = artifacts unreadable.
+A trace header and a profile's ``meta`` are context: their changes are
+reported but never count as drift.  Wall-clock values never
+participate: any timing field a span carries is ignored, so an old
+trace with timings still diffs clean against an equal-seed run.  Exit
+codes (see the CLI): 0 = no drift, 1 = drift, 2 = artifacts unreadable
+or no artifact kind in common.
 """
 
 from __future__ import annotations
@@ -38,11 +43,19 @@ import dataclasses
 import json
 import pathlib
 
-from .profile import SEP, span_portal, span_stage, trace_frames
+from .profile import (
+    SEP,
+    load_any_profile,
+    read_profile,
+    span_portal,
+    span_stage,
+    trace_frames,
+)
 from .trace import TraceData, load_trace
 
 #: Conventional artifact names inside a run directory.
 TRACE_NAME = "trace.jsonl"
+PROFILE_NAME = "profile.json"
 FIDELITY_NAME = "fidelity.json"
 
 #: Status label for a unit present in only one of the runs.
@@ -50,62 +63,83 @@ ABSENT = "absent"
 
 
 class RunLoadError(ValueError):
-    """A run path does not hold a readable trace."""
+    """A run path holds no readable run, or two runs nothing to compare."""
 
 
 @dataclasses.dataclass
 class RunArtifacts:
-    """One run's comparable artifacts."""
+    """One run's comparable artifacts (None where the run has none)."""
 
     label: str
-    trace: TraceData
-    fidelity: dict | None
+    trace: TraceData | None = None
+    profile: dict | None = None
+    fidelity: dict | None = None
+
+
+def _read_fidelity(path: pathlib.Path) -> dict:
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise RunLoadError(f"unreadable fidelity file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise RunLoadError(f"fidelity file {path} is not a JSON object")
+    return doc
 
 
 def load_run(path: str | pathlib.Path) -> RunArtifacts:
-    """Load a run from a trace file or a run directory."""
+    """Load a run from a trace file, a profile artifact or a directory.
+
+    A file is a profile when it parses as one, else a trace (as
+    ``profile-report`` tells them apart).  Raises :class:`RunLoadError`
+    for a path that holds no run, and ``OSError`` or ``ValueError`` for
+    an artifact that cannot be read.
+    """
     p = pathlib.Path(path)
-    fidelity = None
+    run = RunArtifacts(label=str(path))
     if p.is_dir():
-        trace_path = p / TRACE_NAME
-        if not trace_path.exists():
-            raise RunLoadError(f"run directory {p} has no {TRACE_NAME}")
-        fidelity_path = p / FIDELITY_NAME
-        if fidelity_path.exists():
-            try:
-                fidelity = json.loads(
-                    fidelity_path.read_text(encoding="utf-8")
-                )
-            except ValueError as exc:
-                raise RunLoadError(
-                    f"unreadable fidelity file {fidelity_path}: {exc}"
-                ) from exc
+        if (p / TRACE_NAME).exists():
+            run.trace = load_trace(p / TRACE_NAME)
+        if (p / PROFILE_NAME).exists():
+            run.profile = read_profile(p / PROFILE_NAME)
+        if (p / FIDELITY_NAME).exists():
+            run.fidelity = _read_fidelity(p / FIDELITY_NAME)
+        if run.trace is None and run.profile is None and run.fidelity is None:
+            raise RunLoadError(
+                f"run directory {p} holds none of {TRACE_NAME}, "
+                f"{PROFILE_NAME}, {FIDELITY_NAME}"
+            )
     elif p.exists():
-        trace_path = p
+        doc, trace = load_any_profile(p)
+        if trace is None:
+            run.profile = doc
+        else:
+            run.trace = trace
     else:
         raise RunLoadError(f"no such run: {p}")
-    return RunArtifacts(
-        label=str(path), trace=load_trace(trace_path), fidelity=fidelity
-    )
+    return run
 
 
 @dataclasses.dataclass
 class DiffReport:
     """Everything that differs between two runs.
 
-    ``header_changes`` are informational (configuration context);
-    every other list contributes to :attr:`drift_count`.
+    Only the artifact kinds both runs hold are compared (``compared``);
+    the lists of the others stay empty.  ``header_changes`` are
+    informational (configuration context); every other list
+    contributes to :attr:`drift_count`.
     """
 
     run_a: str
     run_b: str
-    header_changes: list[dict]
-    op_deltas: list[dict]
-    outcome_transitions: list[dict]
-    quarantine_added: list[dict]
-    quarantine_removed: list[dict]
-    metric_drift: list[dict]
-    fidelity_changes: list[dict]
+    compared: list[str]
+    header_changes: list[dict] = dataclasses.field(default_factory=list)
+    op_deltas: list[dict] = dataclasses.field(default_factory=list)
+    outcome_transitions: list[dict] = dataclasses.field(default_factory=list)
+    quarantine_added: list[dict] = dataclasses.field(default_factory=list)
+    quarantine_removed: list[dict] = dataclasses.field(default_factory=list)
+    metric_drift: list[dict] = dataclasses.field(default_factory=list)
+    frame_deltas: list[dict] = dataclasses.field(default_factory=list)
+    fidelity_changes: list[dict] = dataclasses.field(default_factory=list)
 
     @property
     def drift_count(self) -> int:
@@ -115,6 +149,7 @@ class DiffReport:
             + len(self.quarantine_added)
             + len(self.quarantine_removed)
             + len(self.metric_drift)
+            + len(self.frame_deltas)
             + len(self.fidelity_changes)
         )
 
@@ -126,41 +161,40 @@ class DiffReport:
         return {**dataclasses.asdict(self), "drift_count": self.drift_count}
 
 
-def _beyond(a: float, b: float, rel_tol: float) -> bool:
-    """Whether *a* and *b* differ beyond the relative tolerance."""
-    if a == b:
-        return False
-    if rel_tol <= 0:
-        return True
-    scale = max(abs(a), abs(b))
-    return abs(a - b) > rel_tol * scale
+def _context(run: RunArtifacts, compared: list[str]) -> dict:
+    """The compared artifacts' configuration: profile meta, trace header."""
+    context = {}
+    if "profile" in compared:
+        context.update(run.profile.get("meta", {}))
+    if "trace" in compared:
+        context.update(run.trace.header)
+    context.pop("type", None)
+    return context
 
 
-def _header_changes(a: TraceData, b: TraceData) -> list[dict]:
-    keys = (set(a.header) | set(b.header)) - {"type"}
+def _header_changes(a: dict, b: dict) -> list[dict]:
     return [
-        {"key": key, "a": a.header.get(key), "b": b.header.get(key)}
-        for key in sorted(keys)
-        if a.header.get(key) != b.header.get(key)
+        {"key": key, "a": a.get(key), "b": b.get(key)}
+        for key in sorted(set(a) | set(b))
+        if a.get(key) != b.get(key)
     ]
 
 
-def _op_deltas(a: TraceData, b: TraceData, rel_tol: float) -> list[dict]:
-    frames_a, frames_b = trace_frames(a), trace_frames(b)
+def _frame_deltas(frames_a: dict, frames_b: dict) -> list[dict]:
+    """Every frame path whose count differs, as ``{frame, a, b, delta}``."""
     deltas = []
-    for path in sorted(
-        set(frames_a) | set(frames_b), key=lambda p: p.split(SEP)
+    for frame in sorted(
+        set(frames_a) | set(frames_b), key=lambda path: path.split(SEP)
     ):
-        ops_a, ops_b = frames_a.get(path, 0), frames_b.get(path, 0)
-        if _beyond(ops_a, ops_b, rel_tol):
-            _, portal, stage = path.split(SEP, 2)
+        ticks_a = int(frames_a.get(frame, 0))
+        ticks_b = int(frames_b.get(frame, 0))
+        if ticks_a != ticks_b:
             deltas.append(
                 {
-                    "portal": portal,
-                    "stage": stage,
-                    "ops_a": ops_a,
-                    "ops_b": ops_b,
-                    "delta": ops_b - ops_a,
+                    "frame": frame,
+                    "a": ticks_a,
+                    "b": ticks_b,
+                    "delta": ticks_b - ticks_a,
                 }
             )
     return deltas
@@ -221,40 +255,29 @@ def _quarantined(trace: TraceData) -> set[tuple[str, str]]:
 EXCLUDED_METRIC_PREFIXES = ("pool.", "profile.")
 
 
-def _metric_drift(a: TraceData, b: TraceData, rel_tol: float) -> list[dict]:
+def _metric_drift(a: TraceData, b: TraceData) -> list[dict]:
     drift = []
     for name in sorted(set(a.metrics) | set(b.metrics)):
         if name.startswith(EXCLUDED_METRIC_PREFIXES):
             continue
         snap_a, snap_b = a.metrics.get(name), b.metrics.get(name)
+        if snap_a == snap_b:
+            continue
         if snap_a is None or snap_b is None:
-            drift.append(
-                {"metric": name, "a": snap_a, "b": snap_b, "why": "missing"}
-            )
-            continue
-        if snap_a.get("kind") == "histogram" or snap_b.get("kind") == "histogram":
-            if snap_a.get("counts") != snap_b.get("counts") or _beyond(
-                snap_a.get("sum", 0), snap_b.get("sum", 0), rel_tol
-            ):
-                drift.append(
-                    {"metric": name, "a": snap_a, "b": snap_b, "why": "buckets"}
-                )
-            continue
-        if _beyond(snap_a.get("value", 0), snap_b.get("value", 0), rel_tol):
-            drift.append(
-                {
-                    "metric": name,
-                    "a": snap_a.get("value"),
-                    "b": snap_b.get("value"),
-                    "why": "value",
-                }
-            )
+            entry = {"a": snap_a, "b": snap_b, "why": "missing"}
+        elif "histogram" in (snap_a.get("kind"), snap_b.get("kind")):
+            entry = {"a": snap_a, "b": snap_b, "why": "buckets"}
+        else:
+            entry = {
+                "a": snap_a.get("value"),
+                "b": snap_b.get("value"),
+                "why": "value",
+            }
+        drift.append({"metric": name, **entry})
     return drift
 
 
-def _fidelity_changes(a: dict | None, b: dict | None) -> list[dict]:
-    if a is None or b is None:
-        return []
+def _fidelity_changes(a: dict, b: dict) -> list[dict]:
     rows_a = {row["experiment"]: row for row in a.get("experiments", [])}
     rows_b = {row["experiment"]: row for row in b.get("experiments", [])}
     changes = []
@@ -294,33 +317,64 @@ def _fidelity_changes(a: dict | None, b: dict | None) -> list[dict]:
     return changes
 
 
-def diff_runs(
-    a: RunArtifacts, b: RunArtifacts, *, rel_tol: float = 0.0
-) -> DiffReport:
-    """Compare two runs; every list in the report is deterministic."""
-    quarantine_a, quarantine_b = _quarantined(a.trace), _quarantined(b.trace)
-    return DiffReport(
-        run_a=a.label,
-        run_b=b.label,
-        header_changes=_header_changes(a.trace, b.trace),
-        op_deltas=_op_deltas(a.trace, b.trace, rel_tol),
-        outcome_transitions=_outcome_transitions(a.trace, b.trace),
-        quarantine_added=[
+def diff_runs(a: RunArtifacts, b: RunArtifacts) -> DiffReport:
+    """Compare two runs exactly; every list in the report is deterministic.
+
+    Raises :class:`RunLoadError` when the runs hold no artifact kind in
+    common, since then nothing can be compared.
+    """
+    compared = [
+        kind
+        for kind in ("trace", "profile", "fidelity")
+        if getattr(a, kind) is not None and getattr(b, kind) is not None
+    ]
+    if not compared:
+        raise RunLoadError(
+            f"{a.label} and {b.label} hold no artifact kind in common"
+        )
+    report = DiffReport(run_a=a.label, run_b=b.label, compared=compared)
+    if "trace" in compared:
+        quarantine_a = _quarantined(a.trace)
+        quarantine_b = _quarantined(b.trace)
+        report.op_deltas = _frame_deltas(
+            trace_frames(a.trace), trace_frames(b.trace)
+        )
+        report.outcome_transitions = _outcome_transitions(a.trace, b.trace)
+        report.quarantine_added = [
             {"portal": portal, "table": table}
             for portal, table in sorted(quarantine_b - quarantine_a)
-        ],
-        quarantine_removed=[
+        ]
+        report.quarantine_removed = [
             {"portal": portal, "table": table}
             for portal, table in sorted(quarantine_a - quarantine_b)
-        ],
-        metric_drift=_metric_drift(a.trace, b.trace, rel_tol),
-        fidelity_changes=_fidelity_changes(a.fidelity, b.fidelity),
-    )
+        ]
+        report.metric_drift = _metric_drift(a.trace, b.trace)
+    try:
+        report.header_changes = _header_changes(
+            _context(a, compared), _context(b, compared)
+        )
+        if "profile" in compared:
+            report.frame_deltas = _frame_deltas(
+                a.profile["frames"], b.profile["frames"]
+            )
+        if "fidelity" in compared:
+            report.fidelity_changes = _fidelity_changes(
+                a.fidelity, b.fidelity
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        # Schema-less JSON: a profile meta that is no object, a frame
+        # count that is no integer or a fidelity row that is no object
+        # is unreadable input.
+        raise RunLoadError(f"malformed profile or fidelity: {exc!r}") from exc
+    return report
 
 
 def render_diff(report: DiffReport, *, limit: int = 20) -> str:
     """Human-readable drift report (sections omitted when empty)."""
-    lines = [f"diff {report.run_a} -> {report.run_b}"]
+    lines = [
+        f"diff {report.run_a} -> {report.run_b} "
+        f"({', '.join(report.compared)})"
+    ]
     for change in report.header_changes:
         lines.append(
             f"  header {change['key']}: {change['a']} -> {change['b']}"
@@ -339,14 +393,10 @@ def render_diff(report: DiffReport, *, limit: int = 20) -> str:
         if len(rows) > limit:
             lines.append(f"  ... and {len(rows) - limit} more")
 
-    section(
-        "op-count deltas",
-        report.op_deltas,
-        lambda r: (
-            f"{r['portal']}/{r['stage']}: {r['ops_a']} -> {r['ops_b']} "
-            f"({r['delta']:+d})"
-        ),
-    )
+    def frame_delta(r: dict) -> str:
+        return f"{r['frame']}: {r['a']} -> {r['b']} ({r['delta']:+d})"
+
+    section("op-count deltas", report.op_deltas, frame_delta)
     section(
         "outcome transitions",
         report.outcome_transitions,
@@ -370,6 +420,7 @@ def render_diff(report: DiffReport, *, limit: int = 20) -> str:
         report.metric_drift,
         lambda r: f"{r['metric']}: {r['a']} -> {r['b']} ({r['why']})",
     )
+    section("profile frame deltas", report.frame_deltas, frame_delta)
     section(
         "fidelity changes",
         report.fidelity_changes,

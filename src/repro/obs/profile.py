@@ -554,142 +554,12 @@ def render_profile_report(
     return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# profile diff
-# ----------------------------------------------------------------------
-#: Default relative per-frame growth beyond which the diff gate fails.
-DEFAULT_DIFF_THRESHOLD = 0.25
-
-#: Frames below this many ticks (on both sides) never trip the gate:
-#: tiny frames have huge relative swings with no cost story behind them.
-DEFAULT_MIN_TICKS = 1_000
-
-
-def diff_profiles(
-    doc_a: dict,
-    doc_b: dict,
-    threshold: float = DEFAULT_DIFF_THRESHOLD,
-    min_ticks: int = DEFAULT_MIN_TICKS,
-) -> dict:
-    """Per-frame tick deltas between two profiles, gate verdict included.
-
-    A frame *regresses* when run B spends more than ``threshold``
-    (relative) ticks over run A on it and either side is at least
-    ``min_ticks``.  Brand-new frames at or above ``min_ticks`` regress
-    by definition (there is no baseline to grow from); vanished frames
-    are reported but never fail the gate — less work is not a
-    regression.
-    """
-    frames_a = doc_a["frames"]
-    frames_b = doc_b["frames"]
-    deltas = []
-    regressions = []
-    for path in sorted(set(frames_a) | set(frames_b)):
-        ticks_a = int(frames_a.get(path, 0))
-        ticks_b = int(frames_b.get(path, 0))
-        if ticks_a == ticks_b:
-            continue
-        entry = {
-            "frame": path,
-            "a": ticks_a,
-            "b": ticks_b,
-            "delta": ticks_b - ticks_a,
-            "new": path not in frames_a,
-            "vanished": path not in frames_b,
-        }
-        deltas.append(entry)
-        if max(ticks_a, ticks_b) < min_ticks:
-            continue
-        if ticks_a == 0:
-            regressed = ticks_b >= min_ticks
-        else:
-            regressed = (ticks_b - ticks_a) / ticks_a > threshold
-        if regressed:
-            regressions.append(path)
-    total_a = sum(frames_a.values())
-    total_b = sum(frames_b.values())
-    return {
-        "total_a": total_a,
-        "total_b": total_b,
-        "total_delta": total_b - total_a,
-        "threshold": threshold,
-        "min_ticks": min_ticks,
-        "frames_changed": len(deltas),
-        "new_frames": [d["frame"] for d in deltas if d["new"]],
-        "vanished_frames": [d["frame"] for d in deltas if d["vanished"]],
-        "deltas": deltas,
-        "regressions": regressions,
-        "regressed": bool(regressions),
-    }
-
-
-def render_profile_diff(diff: dict, top: int = 20) -> str:
-    """The human-readable per-frame delta table."""
-    from ..report.render import render_table
-
-    lines = [
-        "PROFILE DIFF",
-        f"  total ticks: {diff['total_a']} -> {diff['total_b']} "
-        f"({diff['total_delta']:+d})",
-        f"  frames changed: {diff['frames_changed']}   "
-        f"new: {len(diff['new_frames'])}   "
-        f"vanished: {len(diff['vanished_frames'])}",
-        "",
-    ]
-    ranked = sorted(
-        diff["deltas"], key=lambda d: (-abs(d["delta"]), d["frame"])
-    )[:top]
-    if ranked:
-        rows = []
-        for entry in ranked:
-            note = (
-                "NEW"
-                if entry["new"]
-                else "GONE"
-                if entry["vanished"]
-                else ""
-            )
-            if entry["frame"] in diff["regressions"]:
-                note = (note + " REGRESSED").strip()
-            rows.append(
-                [
-                    entry["frame"],
-                    str(entry["a"]),
-                    str(entry["b"]),
-                    f"{entry['delta']:+d}",
-                    note,
-                ]
-            )
-        lines.append(
-            render_table(
-                "largest per-frame deltas",
-                ["frame", "a", "b", "delta", ""],
-                rows,
-            )
-        )
-    else:
-        lines.append("  (no per-frame changes)")
-    if diff["regressions"]:
-        lines.append("")
-        lines.append(
-            f"GATE: {len(diff['regressions'])} frame(s) regressed beyond "
-            f"{diff['threshold']:.0%} (min {diff['min_ticks']} ticks)"
-        )
-    else:
-        lines.append("")
-        lines.append("GATE: no frame regressions")
-    return "\n".join(lines)
-
-
 __all__ = [
-    "DEFAULT_DIFF_THRESHOLD",
-    "DEFAULT_MIN_TICKS",
     "PROFILE_VERSION",
     "FrameScope",
     "Profiler",
     "collapsed_lines",
     "degradation_ledger",
-    "diff_profiles",
     "hotspots",
     "inclusive_frames",
     "load_any_profile",
@@ -698,7 +568,6 @@ __all__ = [
     "profile_doc",
     "profile_report_json",
     "read_profile",
-    "render_profile_diff",
     "render_profile_report",
     "span_portal",
     "span_stage",

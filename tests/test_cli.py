@@ -146,12 +146,13 @@ class TestParser:
 
     def test_diff_command_parses(self):
         args = build_parser().parse_args(
-            ["diff", "runs/a", "runs/b", "--rel-tol", "0.05"]
+            ["diff", "runs/a", "runs/b", "--json", "--out", "d.json"]
         )
         assert args.command == "diff"
         assert args.run_a == "runs/a"
         assert args.run_b == "runs/b"
-        assert args.rel_tol == 0.05
+        assert args.as_json is True
+        assert args.out == "d.json"
 
     def test_bench_report_command_parses(self):
         args = build_parser().parse_args(
@@ -385,6 +386,33 @@ class TestDriftCommands:
         assert code == 2
         assert "diff-unreadable" in capsys.readouterr().err
 
+    def test_diff_non_utf8_trace_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"type": "header"}\n\xff\xfe\n')
+        assert main(["diff", str(bad), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "diff-unreadable" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "artifact, doc, message",
+        [
+            ("fidelity.json", "[1]", "not a JSON object"),
+            ("fidelity.json", '{"experiments": [1]}', "malformed"),
+            ("profile.json", '{"frames": {"study;SG": null}}', "malformed"),
+            ("profile.json", '{"frames": {}, "meta": [1]}', "malformed"),
+        ],
+    )
+    def test_diff_malformed_artifact_exits_2(
+        self, capsys, tmp_path, artifact, doc, message
+    ):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / artifact).write_text(doc)
+        code = main(["diff", str(tmp_path / "a"), str(tmp_path / "b")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "diff-unreadable" in err and message in err
+
     def test_bench_report_empty_root(self, capsys, tmp_path):
         code = main(["bench-report", "--root", str(tmp_path)])
         assert code == 0
@@ -459,7 +487,9 @@ class TestDriftCommands:
         ]
         assert ["join", "200000"] in lines
         assert ["serve", "1353"] in lines
-        assert ["join", "20000", "10000"] in lines
+        # join_verify_ops, a key older records still carry, parses and
+        # no longer shows: it always equalled the candidates.
+        assert ["join", "20000"] in lines
         assert ["join", "100000", "50.0%", "study;US;pairs@0.7;lsh"] in lines
         assert ["serve", "48", "2", "42", "19.6%", "79.4%", "OK"] in lines
         assert main(["bench-report", "--root", str(tmp_path), "--json"]) == 0
@@ -471,7 +501,7 @@ class TestDriftCommands:
 
 
 class TestProfileCommands:
-    """The profiler's CLI surface: flags, report, and diff gate."""
+    """The profiler's CLI surface: flags, report, and diff on profiles."""
 
     def _write_profile(self, path, frames):
         from repro.obs.profile import Profiler, write_profile
@@ -517,22 +547,6 @@ class TestProfileCommands:
         assert args.source == "profile.json"
         assert args.as_json is True
         assert args.top == 3
-
-    def test_profile_diff_command_parses(self):
-        args = build_parser().parse_args(
-            [
-                "profile-diff",
-                "a.json",
-                "b.json",
-                "--threshold",
-                "0.5",
-                "--min-ticks",
-                "10",
-            ]
-        )
-        assert args.command == "profile-diff"
-        assert args.threshold == 0.5
-        assert args.min_ticks == 10
 
     def test_run_writes_profile_artifact(self, capsys, tmp_path):
         import json
@@ -585,25 +599,16 @@ class TestProfileCommands:
     def test_profile_report_missing_source(self, capsys, tmp_path):
         assert main(["profile-report", str(tmp_path / "nope.json")]) == 2
 
-    def test_profile_diff_clean_and_regressed(self, capsys, tmp_path):
+    def test_diff_on_profiles_clean_and_drifted(self, capsys, tmp_path):
         base = self._write_profile(
             tmp_path / "a.json", {"study;SG;fd.refine": 10_000}
         )
         worse = self._write_profile(
-            tmp_path / "b.json", {"study;SG;fd.refine": 14_000}
+            tmp_path / "b.json", {"study;SG;fd.refine": 10_001}
         )
-        assert main(["profile-diff", base, base]) == 0
-        capsys.readouterr()
-        assert main(["profile-diff", base, worse]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-        # A custom threshold can wave the same growth through.
-        code = main(
-            ["profile-diff", base, worse, "--threshold", "0.5"]
+        assert main(["diff", base, base]) == 0
+        assert "no drift" in capsys.readouterr().out
+        assert main(["diff", base, worse]) == 1
+        assert "study;SG;fd.refine: 10000 -> 10001 (+1)" in (
+            capsys.readouterr().out
         )
-        assert code == 0
-
-    def test_profile_diff_missing_input(self, capsys, tmp_path):
-        base = self._write_profile(
-            tmp_path / "a.json", {"study;SG;fd.refine": 10}
-        )
-        assert main(["profile-diff", base, str(tmp_path / "nope")]) == 2

@@ -1,5 +1,7 @@
-"""The differential sweep (``make verify-sweep``): its FD, fragment and
-join pairs."""
+"""The differential sweep (``make verify-sweep``): its FD, fragment,
+join and pool pairs."""
+
+import dataclasses
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.fd import FDSet, discover_fds, discover_fds_naive, discover_fds_tane
 from repro.joinability import lshindex
 from repro.joinability.index import build_profiles
 from repro.normalize import bcnf
+from repro.resilience import pool
 
 SMALL = ("0.03", "2")
 
@@ -189,3 +192,24 @@ def test_wrong_fragment_derivation_fails_the_sweep(monkeypatch, capsys):
     )
     assert sweep.main(list(SMALL)) == 1
     assert "sweep-mismatch pair=fragment-fun" in capsys.readouterr().err
+
+
+def test_one_tick_in_pooled_units_is_a_mismatch(monkeypatch, capsys):
+    """A tick planted in every unit a pool worker computes, and in no
+    serial one, must fail the pool pair and name the units, while the
+    rendered texts (unbudgeted, so ticks cannot move them) agree."""
+    compute = pool.compute_unit
+
+    def planted(*args, **kwargs):
+        result, record = compute(*args, **kwargs)
+        return result, dataclasses.replace(record, ticks=record.ticks + 1)
+
+    # Patched before the pool forks its workers, which inherit it.
+    monkeypatch.setattr(pool, "compute_unit", planted)
+    _, mismatched = sweep.pooled_mismatches(_build(SMALL))
+    assert mismatched
+    assert {name.split("/")[1] for name in mismatched} == {"screen", "fd"}
+    assert sweep.main(list(SMALL)) == 1
+    err = capsys.readouterr().err
+    assert "sweep-mismatch pair=pooled-serial outputs=" in err
+    assert "sweep-ok pair=fun-tane" in err

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.experiments.cli import main
 from repro.obs.diff import (
     RunArtifacts,
     RunLoadError,
@@ -12,6 +13,7 @@ from repro.obs.diff import (
     load_run,
     render_diff,
 )
+from repro.obs.profile import Profiler, write_profile
 from repro.obs.trace import TraceData
 
 
@@ -43,6 +45,23 @@ def unit(portal, stage, table, *, ops=10, status="ok", span_id=1):
 
 def run(trace, fidelity=None, label="run"):
     return RunArtifacts(label=label, trace=trace, fidelity=fidelity)
+
+
+def write_trace(path, ops=10):
+    records = [
+        {"type": "header", "seed": 2},
+        unit("SG", "fd", "t1", ops=ops),
+        {"type": "footer", "spans": 1},
+    ]
+    path.write_text(
+        "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
+    )
+
+
+def write_profile_file(path, frames):
+    profiler = Profiler()
+    profiler.absorb(frames)
+    write_profile(path, profiler)
 
 
 BASE_SPANS = [
@@ -91,27 +110,9 @@ class TestDrift:
         report = diff_runs(
             run(make_trace(BASE_SPANS)), run(make_trace(changed))
         )
-        assert {
-            "portal": "SG",
-            "stage": "fd",
-            "ops_a": 100,
-            "ops_b": 300,
-            "delta": 200,
-        } in report.op_deltas
-
-    def test_rel_tol_suppresses_small_deltas(self):
-        changed = copy.deepcopy(BASE_SPANS)
-        changed[0]["self_ops"] = 104
-        strict = diff_runs(
-            run(make_trace(BASE_SPANS)), run(make_trace(changed))
-        )
-        loose = diff_runs(
-            run(make_trace(BASE_SPANS)),
-            run(make_trace(copy.deepcopy(changed))),
-            rel_tol=0.1,
-        )
-        assert strict.op_deltas
-        assert not loose.op_deltas
+        assert report.op_deltas == [
+            {"frame": "study;SG;fd", "a": 100, "b": 300, "delta": 200}
+        ]
 
     def test_outcome_transition_named(self):
         changed = copy.deepcopy(BASE_SPANS)
@@ -237,25 +238,15 @@ class TestDrift:
 
 
 class TestLoadRun:
-    def _write_trace(self, path):
-        records = [
-            {"type": "header", "seed": 2},
-            unit("SG", "fd", "t1"),
-            {"type": "footer", "spans": 1},
-        ]
-        path.write_text(
-            "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
-        )
-
     def test_loads_bare_trace_file(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        self._write_trace(path)
+        write_trace(path)
         artifacts = load_run(path)
         assert artifacts.fidelity is None
         assert len(artifacts.trace.spans) == 1
 
     def test_loads_run_directory_with_fidelity(self, tmp_path):
-        self._write_trace(tmp_path / "trace.jsonl")
+        write_trace(tmp_path / "trace.jsonl")
         (tmp_path / "fidelity.json").write_text('{"experiments": []}')
         artifacts = load_run(tmp_path)
         assert artifacts.fidelity == {"experiments": []}
@@ -269,7 +260,105 @@ class TestLoadRun:
             load_run(tmp_path)
 
     def test_corrupt_fidelity_raises(self, tmp_path):
-        self._write_trace(tmp_path / "trace.jsonl")
+        write_trace(tmp_path / "trace.jsonl")
         (tmp_path / "fidelity.json").write_text("{broken")
         with pytest.raises(RunLoadError):
             load_run(tmp_path)
+
+    def test_fidelity_that_is_not_an_object_raises(self, tmp_path):
+        write_trace(tmp_path / "trace.jsonl")
+        (tmp_path / "fidelity.json").write_text("[1]")
+        with pytest.raises(RunLoadError, match="not a JSON object"):
+            load_run(tmp_path)
+
+
+def make_profile(frames, **meta):
+    return {"version": 1, "frames": frames, "meta": meta}
+
+
+BASE_FRAMES = {
+    "study;SG;fd;fun;fd.refine": 10_000,
+    "study;SG;screen;screen.cell": 250,
+}
+
+
+class TestProfileDiff:
+    def test_equal_profiles_diff_empty(self):
+        report = diff_runs(
+            RunArtifacts("a", profile=make_profile(BASE_FRAMES)),
+            RunArtifacts("b", profile=make_profile(dict(BASE_FRAMES))),
+        )
+        assert report.compared == ["profile"]
+        assert not report.has_drift
+        assert "no drift" in render_diff(report)
+
+    def test_one_tick_new_and_vanished_frames_are_named(self):
+        frames_b = dict(BASE_FRAMES)
+        frames_b["study;SG;fd;fun;fd.refine"] += 1
+        del frames_b["study;SG;screen;screen.cell"]
+        frames_b["study;SG;fd;fun;fd.strip"] = 7
+        report = diff_runs(
+            RunArtifacts("a", profile=make_profile(BASE_FRAMES)),
+            RunArtifacts("b", profile=make_profile(frames_b)),
+        )
+        assert report.frame_deltas == [
+            {
+                "frame": "study;SG;fd;fun;fd.refine",
+                "a": 10_000,
+                "b": 10_001,
+                "delta": 1,
+            },
+            {"frame": "study;SG;fd;fun;fd.strip", "a": 0, "b": 7, "delta": 7},
+            {
+                "frame": "study;SG;screen;screen.cell",
+                "a": 250,
+                "b": 0,
+                "delta": -250,
+            },
+        ]
+        assert report.drift_count == 3
+        text = render_diff(report)
+        assert "profile frame deltas (3):" in text
+        assert "study;SG;fd;fun;fd.refine: 10000 -> 10001 (+1)" in text
+
+    def test_meta_changes_are_context_not_drift(self):
+        report = diff_runs(
+            RunArtifacts("a", profile=make_profile(BASE_FRAMES, seed=2)),
+            RunArtifacts("b", profile=make_profile(BASE_FRAMES, seed=3)),
+        )
+        assert not report.has_drift
+        assert report.header_changes == [{"key": "seed", "a": 2, "b": 3}]
+
+    def test_directory_with_trace_and_profile_compares_both(self, tmp_path):
+        for name, ops, ticks in (("a", 10, 100), ("b", 11, 101)):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            write_trace(run_dir / "trace.jsonl", ops=ops)
+            write_profile_file(
+                run_dir / "profile.json", {"study;SG;fd;fd.refine": ticks}
+            )
+        run_a, run_b = load_run(tmp_path / "a"), load_run(tmp_path / "b")
+        assert run_a.trace is not None and run_a.profile is not None
+        report = diff_runs(run_a, run_b)
+        assert report.compared == ["trace", "profile"]
+        assert report.op_deltas == [
+            {"frame": "study;SG;fd", "a": 10, "b": 11, "delta": 1}
+        ]
+        assert report.frame_deltas == [
+            {"frame": "study;SG;fd;fd.refine", "a": 100, "b": 101, "delta": 1}
+        ]
+
+    def test_profile_against_trace_only_run_exits_2(self, capsys, tmp_path):
+        write_profile_file(tmp_path / "p.json", BASE_FRAMES)
+        write_trace(tmp_path / "trace.jsonl")
+        with pytest.raises(RunLoadError):
+            diff_runs(
+                load_run(tmp_path / "p.json"),
+                load_run(tmp_path / "trace.jsonl"),
+            )
+        code = main(
+            ["diff", str(tmp_path / "p.json"), str(tmp_path / "trace.jsonl")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "diff-unreadable" in err and "no artifact kind in common" in err

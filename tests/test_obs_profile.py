@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.diff import RunArtifacts, diff_runs, render_diff
 from repro.obs.profile import (
-    DEFAULT_MIN_TICKS,
     Profiler,
     collapsed_lines,
-    diff_profiles,
     hotspots,
     inclusive_frames,
     load_any_profile,
@@ -18,7 +17,6 @@ from repro.obs.profile import (
     profile_doc,
     profile_report_json,
     read_profile,
-    render_profile_diff,
     render_profile_report,
     write_profile,
 )
@@ -279,49 +277,23 @@ class TestReport:
 
 
 class TestDiff:
-    def _doc(self, frames):
-        return {"frames": frames, "total_ticks": sum(frames.values())}
+    """Profiles compared through the one exact run diff."""
 
-    def test_growth_above_threshold_regresses(self):
-        diff = diff_profiles(
-            self._doc({"f": 10_000}), self._doc({"f": 14_000})
-        )
-        assert diff["regressed"]
-        assert diff["regressions"] == ["f"]
-
-    def test_growth_within_threshold_passes(self):
-        diff = diff_profiles(
-            self._doc({"f": 10_000}), self._doc({"f": 12_000})
-        )
-        assert not diff["regressed"]
-        assert diff["frames_changed"] == 1
-
-    def test_small_frames_never_trip_the_gate(self):
-        diff = diff_profiles(self._doc({"f": 10}), self._doc({"f": 900}))
-        assert not diff["regressed"]
+    def _run(self, label, frames):
+        return RunArtifacts(label, profile={"version": 1, "frames": frames})
 
     def test_new_big_frame_regresses_by_definition(self):
-        diff = diff_profiles(
-            self._doc({}), self._doc({"f": DEFAULT_MIN_TICKS})
-        )
-        assert diff["regressed"]
-        assert diff["new_frames"] == ["f"]
-
-    def test_vanished_frame_never_fails(self):
-        diff = diff_profiles(self._doc({"f": 50_000}), self._doc({}))
-        assert not diff["regressed"]
-        assert diff["vanished_frames"] == ["f"]
-
-    def test_equal_profiles_diff_empty(self):
-        doc = self._doc({"f": 123, "g": 456})
-        diff = diff_profiles(doc, doc)
-        assert diff["frames_changed"] == 0
-        assert not diff["regressed"]
+        report = diff_runs(self._run("a", {}), self._run("b", {"f": 1_000}))
+        assert report.has_drift
+        assert report.frame_deltas == [
+            {"frame": "f", "a": 0, "b": 1_000, "delta": 1_000}
+        ]
 
     def test_render_diff_smoke(self):
-        diff = diff_profiles(
-            self._doc({"f": 10_000}), self._doc({"f": 14_000})
+        report = diff_runs(
+            self._run("a", {"f": 10_000}), self._run("b", {"f": 14_000})
         )
-        text = render_profile_diff(diff)
-        assert "f" in text
-        assert "REGRESSED" in text or "regress" in text.lower()
+        text = render_diff(report)
+        assert "profile frame deltas (1):" in text
+        assert "f: 10000 -> 14000 (+4000)" in text
+        assert "total drift entries: 1" in text
