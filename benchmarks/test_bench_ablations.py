@@ -3,7 +3,6 @@
 Each ablation times (or measures the quality of) a design alternative:
 
 * FUN's free-set pruning vs. the naive exact FD search;
-* exact inverted-index Jaccard search vs. MinHash/LSH estimation;
 * the paper's Jaccard threshold 0.9 vs. the supplementary 0.7;
 * the >=10-unique-values eligibility floor on vs. off;
 * the header-inference heuristic's accuracy against ground truth.
@@ -17,7 +16,6 @@ from repro.fd import discover_fds, discover_fds_naive, discover_fds_tane
 from repro.joinability import (
     TopKOverlapSearcher,
     analyze_joinability,
-    approximate_joinable_pairs,
     brute_force_top_k,
     build_profiles,
     find_joinable_pairs,
@@ -115,27 +113,6 @@ def test_bench_join_search_exact(benchmark, study):
         rounds=1, iterations=1,
     )
     assert pairs
-
-
-def test_bench_join_search_minhash(benchmark, study):
-    tables = study.portal("US").report.clean_tables
-    profiles, _ = build_profiles(tables)
-    approx = benchmark.pedantic(
-        approximate_joinable_pairs, args=(profiles,),
-        kwargs={"threshold": 0.8}, rounds=1, iterations=1,
-    )
-    exact = {
-        (p.left, p.right) for p in find_joinable_pairs(profiles, 0.9)
-    }
-    found = {(left, right) for left, right, _ in approx}
-    recall = len(exact & found) / len(exact) if exact else 1.0
-    (OUTPUT_DIR / "ablation_minhash.txt").write_text(
-        f"exact pairs (J>=0.9): {len(exact)}\n"
-        f"minhash candidates (est>=0.8): {len(found)}\n"
-        f"recall of exact set: {recall:.3f}\n",
-        encoding="utf-8",
-    )
-    assert recall > 0.7
 
 
 def test_bench_jaccard_threshold_sensitivity(benchmark, study):

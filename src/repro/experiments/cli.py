@@ -506,6 +506,12 @@ def _write_json(path: str, doc, event: str) -> None:
     get_log().info(event, path=path)
 
 
+def _print_report(args: argparse.Namespace, doc, render) -> None:
+    """Print a report command's document: as JSON under ``--json``,
+    else as ``render(doc)``.  Every report command prints this way."""
+    print(json.dumps(doc, sort_keys=True) if args.as_json else render(doc))
+
+
 def _run_list(args: argparse.Namespace) -> int:
     """The ``list`` subcommand: every experiment id, one per line."""
     for experiment_id in experiment_ids():
@@ -557,10 +563,7 @@ def _run_fidelity(args: argparse.Namespace) -> int:
     doc = fidelity.scoreboard_json(board, meta=meta)
     if args.out is not None:
         _write_json(args.out, doc, "fidelity-written")
-    if args.as_json:
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(fidelity.render_scoreboard(board, meta=meta))
+    _print_report(args, doc, fidelity.render_scoreboard)
     return 0
 
 
@@ -569,30 +572,20 @@ def _run_diff(args: argparse.Namespace) -> int:
     from ..obs.diff import diff_runs, load_run, render_diff
 
     try:
-        report = diff_runs(load_run(args.run_a), load_run(args.run_b))
+        doc = diff_runs(load_run(args.run_a), load_run(args.run_b)).as_json()
     except (OSError, ValueError) as exc:
         get_log().error("diff-unreadable", message=str(exc))
         return 2
     if args.out is not None:
-        _write_json(args.out, report.as_json(), "diff-written")
-    if args.as_json:
-        print(json.dumps(report.as_json(), sort_keys=True))
-    else:
-        print(render_diff(report))
-    return 1 if report.has_drift else 0
+        _write_json(args.out, doc, "diff-written")
+    _print_report(args, doc, render_diff)
+    return 1 if doc["drift_count"] else 0
 
 
 def _run_bench_report(args: argparse.Namespace) -> int:
     """The ``bench-report`` subcommand: each history's latest record."""
-    records = baseline.latest_records(args.root)
-    if args.as_json:
-        print(
-            json.dumps(
-                [record.as_json() for record in records], sort_keys=True
-            )
-        )
-    else:
-        print(baseline.render_bench_report(records))
+    doc = [record.as_json() for record in baseline.latest_records(args.root)]
+    _print_report(args, doc, baseline.render_bench_report)
     return 0
 
 
@@ -627,24 +620,31 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _run_serve_report(args: argparse.Namespace) -> int:
-    """The ``serve-report`` subcommand: judge one serve trace."""
-    from ..obs.servereport import render_serve_report, serve_report_json
+    """The ``serve-report`` subcommand: judge one serve trace.
+
+    The spec is resolved on its own first, so ``slo-spec-unreadable``
+    names only a spec that cannot be read; the trace's own damage is
+    reported under ``problem:`` like any trace report's.
+    """
+    from ..obs.servereport import (
+        render_serve_report,
+        resolve_spec,
+        serve_report_json,
+    )
     from ..obs.trace import load_trace
 
     trace = _load_input(args.trace, load_trace, "trace")
     if trace is None:
         return 2
     try:
-        doc = serve_report_json(trace, slo_path=args.slo, top=args.top)
+        resolved = resolve_spec(trace, args.slo)
     except (OSError, ValueError) as exc:
         get_log().error(
             "slo-spec-unreadable", path=str(args.slo), message=str(exc)
         )
         return 2
-    if args.as_json:
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(render_serve_report(trace, slo_path=args.slo, top=args.top))
+    doc = serve_report_json(trace, resolved, top=args.top)
+    _print_report(args, doc, render_serve_report)
     if args.fail_on_exhausted and doc["slo"]["verdict"] == "EXHAUSTED":
         get_log().error("slo-exhausted", trace=args.trace)
         return 1
@@ -656,18 +656,15 @@ def _run_profile_report(args: argparse.Namespace) -> int:
     loaded = _load_input(args.source, load_any_profile, "profile")
     if loaded is None:
         return 2
-    doc, trace = loaded
+    profile, trace = loaded
     if args.collapsed is not None:
         pathlib.Path(args.collapsed).write_text(
-            "\n".join(collapsed_lines(doc["frames"])) + "\n",
+            "\n".join(collapsed_lines(profile["frames"])) + "\n",
             encoding="utf-8",
         )
         get_log().info("collapsed-written", path=args.collapsed)
-    if args.as_json:
-        print(json.dumps(profile_report_json(doc, top=args.top, trace=trace),
-                         sort_keys=True))
-    else:
-        print(render_profile_report(doc, top=args.top, trace=trace))
+    doc = profile_report_json(profile, top=args.top, trace=trace)
+    _print_report(args, doc, render_profile_report)
     return 0
 
 
@@ -713,10 +710,7 @@ def _run_loadtest(args: argparse.Namespace) -> int:
             "serve", record, root=args.bench_root
         )
         get_log().info("bench-recorded", path=str(path))
-    if args.as_json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(loadgen.render_report(report))
+    _print_report(args, report, loadgen.render_report)
     violations = loadgen.check_invariants(report, config)
     for violation in violations:
         get_log().error("load-invariant-violated", message=violation)

@@ -1,11 +1,13 @@
-"""MinHash signatures and LSH banding for approximate join search.
+"""MinHash signatures of column value sets.
 
-The exact inverted-index computation in :mod:`repro.joinability.pairs`
-is feasible because OGDPs are small (the paper's own §3.1 point).  At
-web scale, systems like LSH Ensemble [Zhu et al. 2016] — one of the
-paper's cited comparators — estimate Jaccard with MinHash instead.  We
-implement the classic construction so the ablation bench can compare
-recall and runtime against the exact index.
+The join search is exact (:mod:`repro.joinability.lshindex`: prefix
+filter, size filter, exact Jaccard verify), so no study path hashes a
+value.  :class:`MinHasher` computes the classic signatures that systems
+like LSH Ensemble [Zhu et al. 2016] — one of the paper's cited
+comparators — estimate Jaccard with; its one remaining caller is the
+signature half of :mod:`repro.joinability.lshindex`
+(``compute_table_signatures``), which the wall-clock benchmark's
+``lake`` workload times.
 """
 
 from __future__ import annotations
@@ -13,10 +15,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import struct
-from collections import defaultdict
 from typing import Callable, Iterable
-
-from .index import ColumnProfile
 
 _MERSENNE = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
@@ -122,87 +121,3 @@ class MinHasher:
     def signature(self, values: Iterable[str]) -> tuple[int, ...]:
         """MinHash signature of a value set."""
         return self.fold([self.vector(_stable_hash(v)) for v in values])
-
-
-def estimate_jaccard(left: tuple[int, ...], right: tuple[int, ...]) -> float:
-    """Jaccard estimate: fraction of agreeing signature positions."""
-    if len(left) != len(right):
-        raise ValueError("signatures must have equal length")
-    if not left:
-        return 0.0
-    agreements = sum(1 for a, b in zip(left, right) if a == b)
-    return agreements / len(left)
-
-
-@dataclasses.dataclass
-class LshIndex:
-    """Banded LSH over MinHash signatures for candidate generation."""
-
-    hasher: MinHasher
-    bands: int
-    #: band -> bucket key -> column ids
-    _buckets: dict[int, dict[tuple, list[int]]] = dataclasses.field(
-        default_factory=lambda: defaultdict(lambda: defaultdict(list))
-    )
-    _signatures: dict[int, tuple[int, ...]] = dataclasses.field(
-        default_factory=dict
-    )
-
-    @property
-    def rows_per_band(self) -> int:
-        """Signature positions hashed into each LSH band."""
-        return self.hasher.num_perm // self.bands
-
-    def add(self, column_id: int, values: Iterable[str]) -> None:
-        """Index one column's value set."""
-        signature = self.hasher.signature(values)
-        self._signatures[column_id] = signature
-        rows = self.rows_per_band
-        for band in range(self.bands):
-            key = signature[band * rows : (band + 1) * rows]
-            self._buckets[band][key].append(column_id)
-
-    def candidate_pairs(self) -> set[tuple[int, int]]:
-        """All column-id pairs sharing at least one LSH bucket."""
-        pairs: set[tuple[int, int]] = set()
-        for band_buckets in self._buckets.values():
-            for bucket in band_buckets.values():
-                if len(bucket) < 2:
-                    continue
-                ordered = sorted(bucket)
-                for i, left in enumerate(ordered):
-                    for right in ordered[i + 1 :]:
-                        pairs.add((left, right))
-        return pairs
-
-    def signature_of(self, column_id: int) -> tuple[int, ...]:
-        """The stored MinHash signature of *column_id*."""
-        return self._signatures[column_id]
-
-
-def approximate_joinable_pairs(
-    profiles: list[ColumnProfile],
-    threshold: float = 0.9,
-    num_perm: int = 128,
-    bands: int = 32,
-    seed: int = 1,
-) -> list[tuple[int, int, float]]:
-    """MinHash-LSH approximation of the joinable-pair search.
-
-    Returns ``(left, right, estimated jaccard)`` for cross-table
-    candidates whose estimate clears *threshold*.
-    """
-    hasher = MinHasher.create(num_perm=num_perm, seed=seed)
-    index = LshIndex(hasher=hasher, bands=bands)
-    for profile in profiles:
-        index.add(profile.column_id, profile.values)
-    results: list[tuple[int, int, float]] = []
-    for left, right in sorted(index.candidate_pairs()):
-        if profiles[left].table_index == profiles[right].table_index:
-            continue
-        estimate = estimate_jaccard(
-            index.signature_of(left), index.signature_of(right)
-        )
-        if estimate >= threshold:
-            results.append((left, right, estimate))
-    return results

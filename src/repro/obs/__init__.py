@@ -7,9 +7,9 @@ the work went.  This package is the measurement of the measurement
 process itself:
 
 * :mod:`repro.obs.trace` — hierarchical spans (``study → portal →
-  stage → table unit``) written to a JSONL trace file, and
-  :func:`~repro.obs.trace.load_trace`, the one torn-line-tolerant
-  reader every trace consumer uses.  Span "durations" are
+  stage → table unit``) written to a JSONL trace file, the one span
+  schema, and :func:`~repro.obs.trace.load_trace`, the one
+  torn-line-tolerant reader.  Span "durations" are
   deterministic :class:`WorkMeter` operation counts, so two
   equal-seed runs produce *byte-identical* traces.
 * :mod:`repro.obs.metrics` — a registry of counters and fixed-bucket

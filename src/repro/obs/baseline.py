@@ -187,47 +187,55 @@ def append_record(
     return path
 
 
-def render_bench_report(records: list[BenchRecord]) -> str:
-    """Human-readable report of each history's latest record."""
+def render_bench_report(records: list[dict]) -> str:
+    """The ``bench-report`` document (each history's latest record, as
+    :meth:`BenchRecord.as_json`) as text."""
+    from ..report.render import render_table
+
     if not records:
         return "no bench history found (run `make bench` first)"
-    lines = [f"{'experiment':<16} {'total ops':>12}"]
+    blocks = [render_table(
+        "Latest bench records",
+        ["experiment", "total ops"],
+        [[r["experiment"], f"{r['total_ops']:.0f}"] for r in records],
+    )]
+    joins = [
+        [r["experiment"], f"{r['join_candidates']:.0f}"]
+        for r in records if r["join_candidates"] > 0
+    ]
+    if joins:
+        blocks.append(
+            render_table("Join index", ["experiment", "candidates"], joins)
+        )
+    hottest = []
     for r in records:
-        lines.append(f"{r.experiment:<16} {r.total_ops:>12.0f}")
-    joining = [r for r in records if r.join_candidates > 0]
-    if joining:
-        lines.append("")
-        lines.append(f"{'join index':<16} {'candidates':>10}")
-        for r in joining:
-            lines.append(f"{r.experiment:<16} {r.join_candidates:>10.0f}")
-    profiled = [r for r in records if r.hotspots]
-    lines.append("")
-    if profiled:
-        lines.append(
-            f"{'hotspot':<16} {'ticks':>12} {'share':>6}  frame (latest run)"
-        )
-        for r in profiled:
-            path, ticks = r.hotspots[0]
-            share = ticks / r.total_ops if r.total_ops > 0 else 0.0
-            lines.append(
-                f"{r.experiment:<16} {ticks:>12.0f} {share:>6.1%}  {path}"
+        if r["hotspots"]:
+            path, ticks = r["hotspots"][0]
+            share = ticks / r["total_ops"] if r["total_ops"] > 0 else 0.0
+            hottest.append(
+                [r["experiment"], f"{ticks:.0f}", f"{share:.1%}", path]
             )
-    else:
-        lines.append(
-            "no profile data in the latest records (profiled bench "
-            "runs attach per-frame hotspots)"
+    blocks.append(
+        render_table(
+            "Hottest frame (latest run)",
+            ["experiment", "ticks", "share", "frame"],
+            hottest,
         )
-    serving = [r for r in records if r.clients > 0]
+        if hottest
+        else "no profile data in the latest records (profiled bench "
+        "runs attach per-frame hotspots)"
+    )
+    serving = [
+        [r["experiment"], r["clients"], f"{r['p50_ops']:.0f}",
+         f"{r['p99_ops']:.0f}", f"{r['shed_rate']:.1%}",
+         f"{r['availability']:.1%}", r["slo_verdict"] or "-"]
+        for r in records if r["clients"] > 0
+    ]
     if serving:
-        lines.append("")
-        lines.append(
-            f"{'serving':<16} {'clients':>7} {'p50 ops':>8} "
-            f"{'p99 ops':>8} {'shed':>6} {'avail':>7}  slo"
-        )
-        for r in serving:
-            lines.append(
-                f"{r.experiment:<16} {r.clients:>7} {r.p50_ops:>8.0f} "
-                f"{r.p99_ops:>8.0f} {r.shed_rate:>6.1%} "
-                f"{r.availability:>7.1%}  {r.slo_verdict or '-'}"
-            )
-    return "\n".join(lines)
+        blocks.append(render_table(
+            "Serving",
+            ["experiment", "clients", "p50 ops", "p99 ops", "shed", "avail",
+             "slo"],
+            serving,
+        ))
+    return "\n\n".join(blocks)

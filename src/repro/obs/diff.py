@@ -43,15 +43,8 @@ import dataclasses
 import json
 import pathlib
 
-from .profile import (
-    SEP,
-    load_any_profile,
-    read_profile,
-    span_portal,
-    span_stage,
-    trace_frames,
-)
-from .trace import TraceData, load_trace
+from .profile import SEP, load_any_profile, read_profile, trace_frames
+from .trace import TraceData, load_trace, span_attr, span_stage
 
 #: Conventional artifact names inside a run directory.
 TRACE_NAME = "trace.jsonl"
@@ -89,10 +82,10 @@ def _read_fidelity(path: pathlib.Path) -> dict:
 def load_run(path: str | pathlib.Path) -> RunArtifacts:
     """Load a run from a trace file, a profile artifact or a directory.
 
-    A file is a profile when it parses as one, else a trace (as
+    A file is a profile when it is a profile document, else a trace (as
     ``profile-report`` tells them apart).  Raises :class:`RunLoadError`
     for a path that holds no run, and ``OSError`` or ``ValueError`` for
-    an artifact that cannot be read.
+    an artifact that cannot be read, a malformed profile included.
     """
     p = pathlib.Path(path)
     run = RunArtifacts(label=str(path))
@@ -183,20 +176,11 @@ def _header_changes(a: dict, b: dict) -> list[dict]:
 def _frame_deltas(frames_a: dict, frames_b: dict) -> list[dict]:
     """Every frame path whose count differs, as ``{frame, a, b, delta}``."""
     deltas = []
-    for frame in sorted(
-        set(frames_a) | set(frames_b), key=lambda path: path.split(SEP)
-    ):
-        ticks_a = int(frames_a.get(frame, 0))
-        ticks_b = int(frames_b.get(frame, 0))
-        if ticks_a != ticks_b:
-            deltas.append(
-                {
-                    "frame": frame,
-                    "a": ticks_a,
-                    "b": ticks_b,
-                    "delta": ticks_b - ticks_a,
-                }
-            )
+    paths = sorted(set(frames_a) | set(frames_b), key=lambda p: p.split(SEP))
+    for path in paths:
+        a, b = frames_a.get(path, 0), frames_b.get(path, 0)
+        if a != b:
+            deltas.append({"frame": path, "a": a, "b": b, "delta": b - a})
     return deltas
 
 
@@ -205,11 +189,11 @@ def _units(trace: TraceData) -> dict[tuple[str, str, str], list[str]]:
     units: dict[tuple[str, str, str], list[str]] = {}
     for span in trace.unit_spans:
         key = (
-            span_portal(span),
+            span_attr(span, "portal"),
             span_stage(span),
-            span.get("attrs", {}).get("table", "-"),
+            span_attr(span, "table"),
         )
-        units.setdefault(key, []).append(span.get("status", "?"))
+        units.setdefault(key, []).append(span["status"])
     for statuses in units.values():
         statuses.sort()
     return units
@@ -238,9 +222,9 @@ def _outcome_transitions(a: TraceData, b: TraceData) -> list[dict]:
 def _quarantined(trace: TraceData) -> set[tuple[str, str]]:
     """(portal, table) pairs with at least one quarantined unit."""
     return {
-        (span_portal(span), span.get("attrs", {}).get("table", "-"))
+        (span_attr(span, "portal"), span_attr(span, "table"))
         for span in trace.unit_spans
-        if span.get("status") == "quarantined"
+        if span["status"] == "quarantined"
     }
 
 
@@ -278,42 +262,29 @@ def _metric_drift(a: TraceData, b: TraceData) -> list[dict]:
 
 
 def _fidelity_changes(a: dict, b: dict) -> list[dict]:
-    rows_a = {row["experiment"]: row for row in a.get("experiments", [])}
-    rows_b = {row["experiment"]: row for row in b.get("experiments", [])}
+    """Every experiment and check verdict that moved between *a* and *b*."""
+
+    def verdicts(doc: dict) -> dict:
+        found = {}
+        for row in doc.get("experiments", []):
+            found[row["experiment"], ()] = row.get("verdict")
+            for check in row.get("checks", []):
+                key = (row["experiment"], (check["metric"], check["kind"]))
+                found[key] = check.get("verdict")
+        return found
+
+    found_a, found_b = verdicts(a), verdicts(b)
     changes = []
-    for experiment in sorted(set(rows_a) | set(rows_b)):
-        row_a, row_b = rows_a.get(experiment), rows_b.get(experiment)
-        verdict_a = row_a.get("verdict") if row_a else ABSENT
-        verdict_b = row_b.get("verdict") if row_b else ABSENT
-        if verdict_a != verdict_b:
-            changes.append(
-                {
-                    "experiment": experiment,
-                    "metric": None,
-                    "from": verdict_a,
-                    "to": verdict_b,
-                }
-            )
-        checks_a = {
-            (c["metric"], c["kind"]): c.get("verdict")
-            for c in (row_a or {}).get("checks", [])
-        }
-        checks_b = {
-            (c["metric"], c["kind"]): c.get("verdict")
-            for c in (row_b or {}).get("checks", [])
-        }
-        for key in sorted(set(checks_a) | set(checks_b)):
-            check_a = checks_a.get(key, ABSENT)
-            check_b = checks_b.get(key, ABSENT)
-            if check_a != check_b:
-                changes.append(
-                    {
-                        "experiment": experiment,
-                        "metric": f"{key[0]}/{key[1]}",
-                        "from": check_a,
-                        "to": check_b,
-                    }
-                )
+    for key in sorted(set(found_a) | set(found_b)):
+        before, after = found_a.get(key, ABSENT), found_b.get(key, ABSENT)
+        if before != after:
+            experiment, check = key
+            changes.append({
+                "experiment": experiment,
+                "metric": f"{check[0]}/{check[1]}" if check else None,
+                "from": before,
+                "to": after,
+            })
     return changes
 
 
@@ -349,37 +320,37 @@ def diff_runs(a: RunArtifacts, b: RunArtifacts) -> DiffReport:
             for portal, table in sorted(quarantine_a - quarantine_b)
         ]
         report.metric_drift = _metric_drift(a.trace, b.trace)
-    try:
-        report.header_changes = _header_changes(
-            _context(a, compared), _context(b, compared)
+    report.header_changes = _header_changes(
+        _context(a, compared), _context(b, compared)
+    )
+    if "profile" in compared:
+        report.frame_deltas = _frame_deltas(
+            a.profile["frames"], b.profile["frames"]
         )
-        if "profile" in compared:
-            report.frame_deltas = _frame_deltas(
-                a.profile["frames"], b.profile["frames"]
-            )
-        if "fidelity" in compared:
+    if "fidelity" in compared:
+        try:
             report.fidelity_changes = _fidelity_changes(
                 a.fidelity, b.fidelity
             )
-    except (KeyError, TypeError, ValueError) as exc:
-        # Schema-less JSON: a profile meta that is no object, a frame
-        # count that is no integer or a fidelity row that is no object
-        # is unreadable input.
-        raise RunLoadError(f"malformed profile or fidelity: {exc!r}") from exc
+        except (AttributeError, KeyError, TypeError) as exc:
+            # A fidelity row or check that is no object, or lacks its
+            # experiment, metric or kind, is unreadable input.
+            raise RunLoadError(f"malformed fidelity: {exc!r}") from exc
     return report
 
 
-def render_diff(report: DiffReport, *, limit: int = 20) -> str:
-    """Human-readable drift report (sections omitted when empty)."""
+def render_diff(doc: dict, *, limit: int = 20) -> str:
+    """The diff document (:meth:`DiffReport.as_json`) as text; sections
+    are omitted when empty."""
     lines = [
-        f"diff {report.run_a} -> {report.run_b} "
-        f"({', '.join(report.compared)})"
+        f"diff {doc['run_a']} -> {doc['run_b']} "
+        f"({', '.join(doc['compared'])})"
     ]
-    for change in report.header_changes:
+    for change in doc["header_changes"]:
         lines.append(
             f"  header {change['key']}: {change['a']} -> {change['b']}"
         )
-    if not report.has_drift:
+    if not doc["drift_count"]:
         lines.append("  no drift: runs are equivalent")
         return "\n".join(lines)
 
@@ -396,10 +367,10 @@ def render_diff(report: DiffReport, *, limit: int = 20) -> str:
     def frame_delta(r: dict) -> str:
         return f"{r['frame']}: {r['a']} -> {r['b']} ({r['delta']:+d})"
 
-    section("op-count deltas", report.op_deltas, frame_delta)
+    section("op-count deltas", doc["op_deltas"], frame_delta)
     section(
         "outcome transitions",
-        report.outcome_transitions,
+        doc["outcome_transitions"],
         lambda r: (
             f"{r['portal']}/{r['stage']}/{r['table']}: "
             f"{r['from']} -> {r['to']}"
@@ -407,23 +378,23 @@ def render_diff(report: DiffReport, *, limit: int = 20) -> str:
     )
     section(
         "quarantine added",
-        report.quarantine_added,
+        doc["quarantine_added"],
         lambda r: f"{r['portal']}/{r['table']}",
     )
     section(
         "quarantine removed",
-        report.quarantine_removed,
+        doc["quarantine_removed"],
         lambda r: f"{r['portal']}/{r['table']}",
     )
     section(
         "metric drift",
-        report.metric_drift,
+        doc["metric_drift"],
         lambda r: f"{r['metric']}: {r['a']} -> {r['b']} ({r['why']})",
     )
-    section("profile frame deltas", report.frame_deltas, frame_delta)
+    section("profile frame deltas", doc["frame_deltas"], frame_delta)
     section(
         "fidelity changes",
-        report.fidelity_changes,
+        doc["fidelity_changes"],
         lambda r: (
             f"{r['experiment']}"
             + (f".{r['metric']}" if r["metric"] else "")
@@ -431,5 +402,5 @@ def render_diff(report: DiffReport, *, limit: int = 20) -> str:
         ),
     )
     lines.append("")
-    lines.append(f"total drift entries: {report.drift_count}")
+    lines.append(f"total drift entries: {doc['drift_count']}")
     return "\n".join(lines)

@@ -39,21 +39,19 @@ reads a clock: equal-seed runs produce byte-identical scoreboards.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Mapping, Sequence
 
-#: Verdict strings, worst-first (index = badness rank).
+from . import quantiles
+
 DIVERGENT = "DIVERGENT"
 NEAR = "NEAR"
 PASS = "PASS"
+#: Verdict strings, best first.
+VERDICTS = (PASS, NEAR, DIVERGENT)
 
-_BADNESS = {PASS: 0, NEAR: 1, DIVERGENT: 2}
-
-
-def worst(verdicts: Sequence[str]) -> str:
-    """The worst verdict of *verdicts* (PASS when empty)."""
-    if not verdicts:
-        return PASS
-    return max(verdicts, key=lambda v: _BADNESS[v])
+#: ``worst(verdicts)``: the worst of *verdicts* (PASS when empty).
+worst = functools.partial(quantiles.worst, scale=VERDICTS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,22 +202,23 @@ def _per_portal(data: Mapping, check: Check, expected: Mapping) -> dict:
     return {code: measured_value(data, check.metric, code) for code in expected}
 
 
-def _missing(check: Check, expected, measured) -> CheckResult:
-    return CheckResult(
-        metric=check.metric,
-        kind=check.kind,
-        verdict=DIVERGENT,
-        expected=expected,
-        measured=measured,
-        detail="measured value missing from result data",
-        note=check.note,
-    )
+def _missing(expected, measured) -> tuple:
+    detail = "measured value missing from result data"
+    return DIVERGENT, expected, measured, detail
 
 
-def _eval_rank(check: Check, expected: Mapping, data: Mapping) -> CheckResult:
+def _grade(error: float, pass_at: float, near_at: float) -> str:
+    """PASS within *pass_at*, NEAR within *near_at*, else DIVERGENT."""
+    if error <= pass_at:
+        return PASS
+    return NEAR if error <= near_at else DIVERGENT
+
+
+# Each evaluator returns ``(verdict, expected, measured, detail)``.
+def _eval_rank(check: Check, expected: Mapping, data: Mapping) -> tuple:
     measured = _per_portal(data, check, expected)
     if any(v is None for v in measured.values()):
-        return _missing(check, dict(expected), measured)
+        return _missing(dict(expected), measured)
     codes = list(expected)
     anchor = None
     if check.ends == "min":
@@ -239,23 +238,11 @@ def _eval_rank(check: Check, expected: Mapping, data: Mapping) -> CheckResult:
             measured_delta = measured[a] - measured[b]
             if paper_delta * measured_delta < 0:
                 inversions += 1
-    if inversions == 0:
-        verdict = PASS
-    elif inversions <= check.near_inversions:
-        verdict = NEAR
-    else:
-        verdict = DIVERGENT
-    return CheckResult(
-        metric=check.metric,
-        kind=check.kind,
-        verdict=verdict,
-        expected=dict(expected),
-        measured=measured,
-        detail=(
-            f"{inversions}/{comparable} portal pairs ordered against "
-            "the paper"
-        ),
-        note=check.note,
+    return (
+        _grade(inversions, 0, check.near_inversions),
+        dict(expected),
+        measured,
+        f"{inversions}/{comparable} portal pairs ordered against the paper",
     )
 
 
@@ -282,13 +269,17 @@ def _paper_pairs(check: Check, expected, data: Mapping):
     return [("*", expected, measured)], measured
 
 
-def _eval_relative(check: Check, expected, data: Mapping) -> CheckResult:
+def _eval_error(check: Check, expected, data: Mapping) -> tuple:
+    """A relative or absolute check: the worst portal's error, graded."""
     pairs, measured = _paper_pairs(check, expected, data)
     if not pairs or any(value is None for _, _, value in pairs):
-        return _missing(check, _jsonable(expected), _jsonable(measured))
+        return _missing(_jsonable(expected), _jsonable(measured))
+    relative = check.kind == "relative"
     worst_err, worst_at = 0.0, "-"
     for code, paper, value in pairs:
-        if paper == 0:
+        if not relative:
+            err = abs(value - paper)
+        elif paper == 0:
             err = (
                 0.0
                 if abs(value) <= check.abs_tol
@@ -298,59 +289,24 @@ def _eval_relative(check: Check, expected, data: Mapping) -> CheckResult:
             err = abs(value - paper) / abs(paper)
         if err >= worst_err:
             worst_err, worst_at = err, code
-    if worst_err <= check.pass_rel:
-        verdict = PASS
-    elif worst_err <= check.near_rel:
-        verdict = NEAR
+    if relative:
+        bounds = (check.pass_rel, check.near_rel)
+        error = f"max relative error {worst_err:.3f}"
     else:
-        verdict = DIVERGENT
-    return CheckResult(
-        metric=check.metric,
-        kind=check.kind,
-        verdict=verdict,
-        expected=_jsonable(expected),
-        measured=_jsonable(measured),
-        detail=(
-            f"max relative error {worst_err:.3f} at {worst_at} "
-            f"(pass<={check.pass_rel:g}, near<={check.near_rel:g})"
-        ),
-        note=check.note,
+        bounds = (check.pass_abs, check.near_abs)
+        error = f"max absolute error {worst_err:.4f}"
+    return (
+        _grade(worst_err, *bounds),
+        _jsonable(expected),
+        _jsonable(measured),
+        f"{error} at {worst_at} (pass<={bounds[0]:g}, near<={bounds[1]:g})",
     )
 
 
-def _eval_absolute(check: Check, expected, data: Mapping) -> CheckResult:
+def _eval_band(check: Check, expected, data: Mapping) -> tuple:
     pairs, measured = _paper_pairs(check, expected, data)
     if not pairs or any(value is None for _, _, value in pairs):
-        return _missing(check, _jsonable(expected), _jsonable(measured))
-    worst_err, worst_at = 0.0, "-"
-    for code, paper, value in pairs:
-        err = abs(value - paper)
-        if err >= worst_err:
-            worst_err, worst_at = err, code
-    if worst_err <= check.pass_abs:
-        verdict = PASS
-    elif worst_err <= check.near_abs:
-        verdict = NEAR
-    else:
-        verdict = DIVERGENT
-    return CheckResult(
-        metric=check.metric,
-        kind=check.kind,
-        verdict=verdict,
-        expected=_jsonable(expected),
-        measured=_jsonable(measured),
-        detail=(
-            f"max absolute error {worst_err:.4f} at {worst_at} "
-            f"(pass<={check.pass_abs:g}, near<={check.near_abs:g})"
-        ),
-        note=check.note,
-    )
-
-
-def _eval_band(check: Check, expected, data: Mapping) -> CheckResult:
-    pairs, measured = _paper_pairs(check, expected, data)
-    if not pairs or any(value is None for _, _, value in pairs):
-        return _missing(check, _jsonable(expected), _jsonable(measured))
+        return _missing(_jsonable(expected), _jsonable(measured))
     verdicts = []
     ratios = {}
     for code, paper, value in pairs:
@@ -366,37 +322,28 @@ def _eval_band(check: Check, expected, data: Mapping) -> CheckResult:
             verdicts.append(NEAR)
         else:
             verdicts.append(DIVERGENT)
-    return CheckResult(
-        metric=check.metric,
-        kind=check.kind,
-        verdict=worst(verdicts),
-        expected=_jsonable(expected),
-        measured=_jsonable(measured),
-        detail=(
-            f"measured/paper ratios {ratios} vs band "
-            f"[{check.lo:g}, {check.hi:g}]"
-        ),
-        note=check.note,
+    return (
+        worst(verdicts),
+        _jsonable(expected),
+        _jsonable(measured),
+        f"measured/paper ratios {ratios} vs band [{check.lo:g}, {check.hi:g}]",
     )
 
 
-def _eval_claim(check: Check, expected, data: Mapping) -> CheckResult:
+def _eval_claim(check: Check, expected, data: Mapping) -> tuple:
     if check.measure is None:
         raise ValueError(f"claim check {check.metric!r} needs a measure")
     measured = bool(check.measure(data))
     holds = measured == bool(expected)
-    return CheckResult(
-        metric=check.metric,
-        kind=check.kind,
-        verdict=PASS if holds else DIVERGENT,
-        expected=bool(expected),
-        measured=measured,
-        detail="claim holds on measured data" if holds else "claim fails",
-        note=check.note,
+    return (
+        PASS if holds else DIVERGENT,
+        bool(expected),
+        measured,
+        "claim holds on measured data" if holds else "claim fails",
     )
 
 
-def _eval_order(check: Check, expected, data: Mapping) -> CheckResult:
+def _eval_order(check: Check, expected, data: Mapping) -> tuple:
     codes = list(expected)
     if check.value_key is None:
         raise ValueError(f"order check {check.metric!r} needs value_key")
@@ -404,29 +351,23 @@ def _eval_order(check: Check, expected, data: Mapping) -> CheckResult:
         code: measured_value(data, check.value_key, code) for code in codes
     }
     if any(v is None for v in measured.values()):
-        return _missing(check, codes, measured)
+        return _missing(codes, measured)
     got = sorted(codes, key=lambda c: measured[c])
     if got == codes:
-        verdict, detail = PASS, "measured ordering matches the paper"
-    else:
-        swaps = sum(1 for a, b in zip(got, codes) if a != b) // 2
-        verdict = NEAR if swaps <= 1 else DIVERGENT
-        detail = f"measured ordering {got} vs paper {codes}"
-    return CheckResult(
-        metric=check.metric,
-        kind=check.kind,
-        verdict=verdict,
-        expected=codes,
-        measured=measured,
-        detail=detail,
-        note=check.note,
+        return PASS, codes, measured, "measured ordering matches the paper"
+    swaps = sum(1 for a, b in zip(got, codes) if a != b) // 2
+    return (
+        NEAR if swaps <= 1 else DIVERGENT,
+        codes,
+        measured,
+        f"measured ordering {got} vs paper {codes}",
     )
 
 
 _EVALUATORS = {
     "rank": _eval_rank,
-    "relative": _eval_relative,
-    "absolute": _eval_absolute,
+    "relative": _eval_error,
+    "absolute": _eval_error,
     "band": _eval_band,
     "claim": _eval_claim,
     "order": _eval_order,
@@ -448,7 +389,13 @@ def evaluate_checks(
             raise TypeError(
                 f"rank check {check.metric!r} needs a per-portal dict"
             )
-        results.append(_EVALUATORS[check.kind](check, expected, data))
+        verdict, expected, measured, detail = _EVALUATORS[check.kind](
+            check, expected, data
+        )
+        results.append(CheckResult(
+            check.metric, check.kind, verdict, expected, measured, detail,
+            check.note,
+        ))
     return results
 
 
@@ -481,17 +428,23 @@ def scoreboard_json(board: Sequence[ExperimentFidelity], *, meta: dict) -> dict:
     }
 
 
-def render_scoreboard(board: Sequence[ExperimentFidelity], *, meta: dict) -> str:
-    """The human-readable scoreboard table plus per-check annotations."""
+def render_scoreboard(doc: dict) -> str:
+    """The scoreboard document (:func:`scoreboard_json`) as text: the
+    table plus per-check annotations."""
     from ..report.render import render_table
 
-    rows = []
-    for row in board:
-        summary = ", ".join(
-            f"{check.metric}:{check.verdict}" for check in row.checks
-        )
-        rows.append([row.experiment_id, row.verdict, summary])
-    header_meta = " ".join(f"{k}={v}" for k, v in sorted(meta.items()))
+    rows = [
+        [
+            row["experiment"],
+            row["verdict"],
+            ", ".join(
+                f"{check['metric']}:{check['verdict']}"
+                for check in row["checks"]
+            ),
+        ]
+        for row in doc["experiments"]
+    ]
+    header_meta = " ".join(f"{k}={v}" for k, v in sorted(doc["meta"].items()))
     lines = [
         render_table(
             f"Fidelity scoreboard ({header_meta})",
@@ -500,17 +453,17 @@ def render_scoreboard(board: Sequence[ExperimentFidelity], *, meta: dict) -> str
         )
     ]
     notes = [
-        f"  {row.experiment_id}.{check.metric}: {check.verdict} — "
-        f"{check.detail}" + (f" ({check.note})" if check.note else "")
-        for row in board
-        for check in row.checks
-        if check.verdict != PASS
+        f"  {row['experiment']}.{check['metric']}: {check['verdict']} — "
+        f"{check['detail']}"
+        + (f" ({check['note']})" if "note" in check else "")
+        for row in doc["experiments"]
+        for check in row["checks"]
+        if check["verdict"] != PASS
     ]
     if notes:
         lines.append("")
         lines.append("non-PASS checks:")
         lines.extend(notes)
-    overall = worst([row.verdict for row in board])
     lines.append("")
-    lines.append(f"overall: {overall}")
+    lines.append(f"overall: {doc['verdict']}")
     return "\n".join(lines)

@@ -43,10 +43,18 @@ from __future__ import annotations
 import contextlib
 import json
 import pathlib
+from collections import Counter
 from typing import Mapping
 
-from .quantiles import percentile_nearest_rank
-from .trace import TraceData, load_trace, write_atomic
+from .quantiles import rank_summary
+from .trace import (
+    TraceData,
+    load_trace,
+    render_trace_head,
+    span_attr,
+    span_stage,
+    write_atomic,
+)
 
 #: Profile artifact format version.
 PROFILE_VERSION = 1
@@ -201,32 +209,50 @@ def write_profile(
     )
 
 
+class NotAProfile(ValueError):
+    """The file is no profile document: not one JSON object with frames."""
+
+
 def read_profile(path: str | pathlib.Path) -> dict:
-    """Load a profile artifact, validating the minimal shape."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+    """Load a profile artifact: the one check of a profile's shape.
+
+    Raises :class:`NotAProfile` for a file that is none, and
+    ``ValueError`` for non-integer ``frames`` or a non-object ``meta``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise NotAProfile(f"{path}: not a JSON document ({exc})") from exc
     if not isinstance(doc, dict) or "frames" not in doc:
-        raise ValueError(f"{path}: not a profile artifact (no 'frames')")
-    frames = doc["frames"]
-    if not isinstance(frames, dict):
-        raise ValueError(f"{path}: 'frames' is not an object")
+        raise NotAProfile(f"{path}: not a profile artifact (no 'frames')")
+    frames, meta = doc["frames"], doc.get("meta", {})
+    if not isinstance(frames, dict) or not all(
+        isinstance(ticks, int) and not isinstance(ticks, bool)
+        for ticks in frames.values()
+    ):
+        raise ValueError(
+            f"{path}: malformed profile: 'frames' are not integer counts"
+        )
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: malformed profile: 'meta' is not an object")
     return doc
 
 
 def load_any_profile(
     path: str | pathlib.Path,
 ) -> tuple[dict, TraceData | None]:
-    """Load *path* as a profile artifact or, failing that, as a trace.
+    """Load *path* as a profile artifact or, if it is none, as a trace.
 
     Returns the profile document and, for a trace, the parsed trace
-    it was folded from (None for a profile artifact).
+    it was folded from (None for a profile artifact).  A malformed
+    profile raises ``ValueError``; it is never read as a trace.
     """
     try:
         return read_profile(path), None
-    except ValueError:
-        # Not a profile document (JSONDecodeError included): a trace's
-        # first line parses but has no 'frames', a JSONL body fails
-        # json.load outright.  Either way, fold the spans.
+    except NotAProfile:
+        # A trace's first line parses but has no 'frames', a JSONL
+        # body fails json.load outright.  Either way, fold the spans.
         trace = load_trace(path)
         folded = Profiler()
         folded.absorb(trace_frames(trace))
@@ -236,18 +262,6 @@ def load_any_profile(
 # ----------------------------------------------------------------------
 # trace attribution
 # ----------------------------------------------------------------------
-def span_portal(span: dict) -> str:
-    """The portal a span ran for; ``-`` for spans outside a portal."""
-    return span.get("attrs", {}).get("portal", "-")
-
-
-def span_stage(span: dict) -> str:
-    """A unit span's ``attrs.stage``, else the span name."""
-    if span.get("kind") == "unit":
-        return span.get("attrs", {}).get("stage", span.get("name", "?"))
-    return span.get("name", "?")
-
-
 def trace_frames(trace: TraceData) -> dict[str, int]:
     """Every span's self ops, charged to ``study;<portal>;<stage>``.
 
@@ -260,31 +274,28 @@ def trace_frames(trace: TraceData) -> dict[str, int]:
     """
     frames: dict[str, int] = {}
     for span in trace.spans:
-        ops = span.get("self_ops", 0)
+        ops = span["self_ops"]
         if ops:
-            path = SEP.join(("study", span_portal(span), span_stage(span)))
+            path = SEP.join(
+                ("study", span_attr(span, "portal"), span_stage(span))
+            )
             frames[path] = frames.get(path, 0) + ops
     return dict(sorted(frames.items()))
 
 
 def outcome_counts(trace: TraceData) -> dict[str, int]:
     """Unit spans per terminal status (replayed units included)."""
-    counts: dict[str, int] = {}
-    for span in trace.unit_spans:
-        status = span.get("status", "?")
-        counts[status] = counts.get(status, 0) + 1
-    return counts
+    return dict(Counter(span["status"] for span in trace.unit_spans))
 
 
 def top_tables(trace: TraceData, limit: int = 10) -> list[dict]:
     """The most expensive per-table units, by operations spent."""
     per_table: dict[tuple[str, str], dict] = {}
     for span in trace.unit_spans:
-        attrs = span.get("attrs", {})
-        table = attrs.get("table", "?")
+        table = span_attr(span, "table")
         if table == "*":
             continue
-        key = (span_portal(span), table)
+        key = (span_attr(span, "portal"), table)
         entry = per_table.setdefault(
             key,
             {
@@ -295,11 +306,11 @@ def top_tables(trace: TraceData, limit: int = 10) -> list[dict]:
                 "worst_status": "ok",
             },
         )
-        entry["ops"] += span.get("self_ops", 0)
+        entry["ops"] += span["self_ops"]
         stage = span_stage(span)
         if stage not in entry["stages"]:
             entry["stages"].append(stage)
-        if span.get("status", "ok") != "ok":
+        if span["status"] != "ok":
             entry["worst_status"] = span["status"]
     ranked = sorted(
         per_table.values(),
@@ -309,37 +320,26 @@ def top_tables(trace: TraceData, limit: int = 10) -> list[dict]:
 
 
 def degradation_ledger(trace: TraceData) -> list[dict]:
-    """Every non-OK span, in execution (close) order."""
-    degraded = [
-        span
-        for span in trace.spans
-        if span.get("status", "ok") != "ok"
-    ]
-    degraded.sort(key=lambda s: s.get("close", 0))
+    """Every non-OK span, in the order they closed (the file's order)."""
     return [
         {
-            "portal": span_portal(span),
+            "portal": span_attr(span, "portal"),
             "stage": span_stage(span),
-            "table": span.get("attrs", {}).get("table", "-"),
-            "status": span.get("status"),
-            "ops": span.get("self_ops", 0),
-            "replayed": bool(span.get("attrs", {}).get("replayed", False)),
-            "detail": span.get("attrs", {}).get("detail", ""),
+            "table": span_attr(span, "table"),
+            "status": span["status"],
+            "ops": span["self_ops"],
+            "replayed": span_attr(span, "replayed"),
+            "detail": span_attr(span, "detail"),
         }
-        for span in degraded
+        for span in trace.spans
+        if span["status"] != "ok"
     ]
 
 
 def trace_report_json(trace: TraceData, top: int = 10) -> dict:
     """What a trace knows beyond its frames: the ``trace`` section."""
     return {
-        "trace": trace.path,
-        "header": {
-            k: v for k, v in trace.header.items() if k != "type"
-        },
-        "valid": trace.valid,
-        "problems": trace.problems,
-        "torn_lines": trace.torn,
+        **trace.identity(),
         "span_count": len(trace.spans),
         "total_ops": trace.total_ops,
         "unit_ops": trace.unit_ops,
@@ -393,7 +393,7 @@ def profile_report_json(
     """
     frames = doc["frames"]
     total = sum(frames.values())
-    counts = sorted(frames.values())
+    spread = rank_summary(frames.values())
 
     def ranked(by_frame: Mapping[str, int]) -> list[dict]:
         return [
@@ -409,8 +409,8 @@ def profile_report_json(
         "version": doc.get("version"),
         "total_ticks": total,
         "frame_count": len(frames),
-        "frame_ticks_p50": percentile_nearest_rank(counts, 50),
-        "frame_ticks_p99": percentile_nearest_rank(counts, 99),
+        "frame_ticks_p50": spread["p50"],
+        "frame_ticks_p99": spread["p99"],
         "hotspots": ranked(frames),
         "inclusive": ranked(inclusive_frames(frames)),
     }
@@ -421,24 +421,14 @@ def profile_report_json(
 
 def _trace_head_lines(section: dict) -> list[str]:
     """The trace's identity, damage, and op totals (or 'no spans')."""
-    header = section["header"]
-    meta = " ".join(
-        f"{key}={header[key]}"
-        for key in ("seed", "scale", "stage_budget")
-        if header.get(key) is not None
-    )
     problems = section["problems"]
     nesting = f"BROKEN ({len(problems)})" if problems else "OK"
-    lines = [
-        f"trace {section['trace']}: {section['span_count']} spans, "
-        f"nesting {nesting}" + (f", {meta}" if meta else "")
-    ]
-    if section["torn_lines"]:
-        lines.append(
-            f"  note: {section['torn_lines']} torn line(s) skipped "
-            "(file cut off mid-write?)"
-        )
-    lines.extend(f"  problem: {problem}" for problem in problems)
+    lines = render_trace_head(
+        section,
+        "trace",
+        f"{section['span_count']} spans, nesting {nesting}",
+        ("seed", "scale", "stage_budget"),
+    )
     if not section["span_count"]:
         lines.append("")
         lines.append(
@@ -506,13 +496,14 @@ def _trace_tail_lines(section: dict) -> list[str]:
     return lines
 
 
-def render_profile_report(
-    doc: dict, top: int = 20, trace: TraceData | None = None
-) -> str:
-    """The human-readable hotspot table, framed by a trace's sections."""
+def render_profile_report(summary: dict) -> str:
+    """The hotspot report document (:func:`profile_report_json`) as text.
+
+    A report on a trace frames the hotspot tables with the trace's
+    sections.
+    """
     from ..report.render import render_table
 
-    summary = profile_report_json(doc, top=top, trace=trace)
     section = summary.get("trace")
     lines: list[str] = []
     if section is not None:
@@ -563,14 +554,13 @@ __all__ = [
     "hotspots",
     "inclusive_frames",
     "load_any_profile",
+    "NotAProfile",
     "outcome_counts",
     "prof_scope",
     "profile_doc",
     "profile_report_json",
     "read_profile",
     "render_profile_report",
-    "span_portal",
-    "span_stage",
     "top_tables",
     "trace_frames",
     "trace_report_json",

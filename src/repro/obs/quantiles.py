@@ -1,18 +1,19 @@
-"""Exact nearest-rank percentiles, shared across the reporting layer.
+"""Order statistics shared by every report.
 
-Both the load harness (:mod:`repro.serve.loadgen`) and the serve
-report (:mod:`repro.obs.servereport`) judge op-cost distributions by
-*exact* nearest-rank percentiles — never histogram interpolation, so a
-percentile is always a value that actually occurred and equal-seed
-runs agree byte for byte.  The profiler's hotspot report uses the same
-arithmetic for frame-tick distributions.  One implementation lives
-here so the three cannot drift.
+The load harness (:mod:`repro.serve.loadgen`), the serve report
+(:mod:`repro.obs.servereport`) and the profiler's hotspot report judge
+op-cost distributions by *exact* nearest-rank percentiles — never
+histogram interpolation, so a percentile is always a value that
+actually occurred and equal-seed runs agree byte for byte.  The
+fidelity scoreboard and the SLO monitor fold verdicts to the worst on
+their scale.  One implementation of each lives here so no two reports
+can drift.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 def percentile_nearest_rank(values: Sequence[int], pct: float) -> int:
@@ -29,4 +30,19 @@ def percentile_nearest_rank(values: Sequence[int], pct: float) -> int:
     return values[min(rank, len(values)) - 1]
 
 
-__all__ = ["percentile_nearest_rank"]
+def rank_summary(values: Iterable[int]) -> dict:
+    """Nearest-rank ``p50``, ``p99`` and ``max`` of *values* (0 if empty)."""
+    ordered = sorted(values)
+    return {
+        "p50": percentile_nearest_rank(ordered, 50),
+        "p99": percentile_nearest_rank(ordered, 99),
+        "max": ordered[-1] if ordered else 0,
+    }
+
+
+def worst(verdicts: Iterable[str], scale: Sequence[str]) -> str:
+    """The worst of *verdicts* on *scale* (best first); its best when empty."""
+    return max(verdicts, key=scale.index, default=scale[0])
+
+
+__all__ = ["percentile_nearest_rank", "rank_summary", "worst"]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import pathlib
 
-from .quantiles import percentile_nearest_rank as _percentile
+from .quantiles import rank_summary
 from .slo import (
     RequestSample,
     SloSpec,
@@ -33,7 +33,7 @@ from .slo import (
     replay,
     spec_from_json,
 )
-from .trace import TraceData
+from .trace import TraceData, render_trace_head, span_attr
 
 #: Width of the burn-rate bars in the text timeline.
 BURN_BAR_WIDTH = 20
@@ -41,25 +41,24 @@ BURN_BAR_WIDTH = 20
 
 def request_spans(trace: TraceData) -> list[dict]:
     """The per-request spans of a serve trace, in arrival order."""
-    spans = [s for s in trace.spans if s.get("kind") == "request"]
-    spans.sort(key=lambda s: (s.get("attrs", {}).get("at", 0.0), s.get("id")))
+    spans = [s for s in trace.spans if s["kind"] == "request"]
+    spans.sort(key=lambda s: span_attr(s, "at"))
     return spans
 
 
-def trace_samples(trace: TraceData) -> list[RequestSample]:
+def trace_samples(spans: list[dict]) -> list[RequestSample]:
     """Request spans as SLO samples (the replay input)."""
-    samples = []
-    for span in request_spans(trace):
-        attrs = span.get("attrs", {})
-        samples.append(RequestSample(
-            at=float(attrs.get("at", 0.0)),
-            endpoint=str(attrs.get("endpoint", "unknown")),
-            outcome=str(attrs.get("outcome", "ok")),
-            status=int(attrs.get("status", 0)),
-            ops=int(span.get("ops", 0)),
-            stale=bool(attrs.get("stale", False)),
-        ))
-    return samples
+    return [
+        RequestSample(
+            at=float(span_attr(span, "at")),
+            endpoint=span_attr(span, "endpoint"),
+            outcome=span_attr(span, "outcome"),
+            status=span_attr(span, "status"),
+            ops=span["ops"],
+            stale=span_attr(span, "stale"),
+        )
+        for span in spans
+    ]
 
 
 def resolve_spec(
@@ -80,100 +79,80 @@ def resolve_spec(
 
 def red_tables(spans: list[dict]) -> dict[str, dict]:
     """Per-endpoint RED stats from request spans."""
-    duration = max(
-        (s.get("attrs", {}).get("at", 0.0) for s in spans), default=0.0
-    )
+    duration = max((span_attr(s, "at") for s in spans), default=0.0)
     per_endpoint: dict[str, dict] = {}
+    ops: dict[str, list[int]] = {}
     for span in spans:
-        attrs = span.get("attrs", {})
-        endpoint = attrs.get("endpoint", "unknown")
+        endpoint = span_attr(span, "endpoint")
         entry = per_endpoint.setdefault(endpoint, {
             "requests": 0,
             "ok": 0, "degraded": 0, "shed": 0, "error": 0,
-            "_ops": [],
         })
         entry["requests"] += 1
-        outcome = attrs.get("outcome", "ok")
+        outcome = span_attr(span, "outcome")
         if outcome in entry:
             entry[outcome] += 1
-        entry["_ops"].append(int(span.get("ops", 0)))
-    for entry in per_endpoint.values():
-        ordered = sorted(entry.pop("_ops"))
+        ops.setdefault(endpoint, []).append(span["ops"])
+    for endpoint, entry in per_endpoint.items():
         errors = entry["shed"] + entry["error"]
         entry["errors"] = errors
         entry["error_rate"] = round(errors / entry["requests"], 6)
         entry["rate_rps"] = (
             round(entry["requests"] / duration, 6) if duration else 0.0
         )
-        entry["ops"] = {
-            "p50": _percentile(ordered, 50),
-            "p99": _percentile(ordered, 99),
-            "max": ordered[-1] if ordered else 0,
-        }
+        entry["ops"] = rank_summary(ops[endpoint])
     return dict(sorted(per_endpoint.items()))
 
 
 def exemplar_trees(trace: TraceData, top: int = 10) -> list[dict]:
     """The sampled full span trees, slowest first, capped at *top*."""
-    children: dict[int, list[dict]] = {}
+    rungs: dict[int, list[dict]] = {}
     for span in trace.spans:
-        parent = span.get("parent")
-        if parent is not None:
-            children.setdefault(parent, []).append(span)
-    trees = []
-    for span in request_spans(trace):
-        attrs = span.get("attrs", {})
-        if not attrs.get("exemplar"):
-            continue
-        rungs = sorted(
-            children.get(span.get("id"), []),
-            key=lambda s: s.get("open", 0),
-        )
-        trees.append({
-            "endpoint": attrs.get("endpoint", "unknown"),
-            "client": attrs.get("client", "?"),
-            "outcome": attrs.get("outcome", "?"),
-            "status": attrs.get("status", 0),
-            "ops": span.get("ops", 0),
-            "at": attrs.get("at", 0.0),
-            "stale": bool(attrs.get("stale", False)),
+        if span["parent"] is not None:
+            rungs.setdefault(span["parent"], []).append(span)
+    trees = [
+        {
+            "endpoint": span_attr(span, "endpoint"),
+            "client": span_attr(span, "client"),
+            "outcome": span_attr(span, "outcome"),
+            "status": span_attr(span, "status"),
+            "ops": span["ops"],
+            "at": span_attr(span, "at"),
+            "stale": span_attr(span, "stale"),
+            # Rungs open in ladder order, the order they were written.
             "rungs": [
-                {
-                    "name": rung.get("name", "?"),
-                    "ops": rung.get("ops", 0),
-                    "attrs": {
-                        k: v
-                        for k, v in rung.get("attrs", {}).items()
-                    },
-                }
-                for rung in rungs
+                {"name": rung["name"], "ops": rung["ops"],
+                 "attrs": dict(rung["attrs"])}
+                for rung in rungs.get(span["id"], [])
             ],
-        })
+        }
+        for span in request_spans(trace)
+        if span_attr(span, "exemplar")
+    ]
     trees.sort(key=lambda t: (-t["ops"], t["at"]))
     return trees[:top]
 
 
 def serve_report_json(
     trace: TraceData,
+    resolved: tuple[SloSpec, str] | None = None,
     *,
-    slo_path: str | pathlib.Path | None = None,
     top: int = 10,
 ) -> dict:
-    """The machine-readable ``serve-report --json`` document."""
+    """The ``serve-report`` document.
+
+    *resolved* is the ``(spec, source)`` pair of :func:`resolve_spec`;
+    without it the trace is judged by its own recorded spec.
+    """
+    spec, source = resolved or resolve_spec(trace)
     spans = request_spans(trace)
-    spec, spec_source = resolve_spec(trace, slo_path)
-    monitor = replay(spec, trace_samples(trace))
     return {
-        "trace": trace.path,
-        "header": {k: v for k, v in trace.header.items() if k != "type"},
-        "valid": trace.valid,
-        "problems": trace.problems,
-        "torn_lines": trace.torn,
+        **trace.identity(),
         "requests": len(spans),
-        "request_ops": sum(s.get("ops", 0) for s in spans),
+        "request_ops": sum(s["ops"] for s in spans),
         "endpoints": red_tables(spans),
-        "slo_source": spec_source,
-        "slo": monitor.summary(),
+        "slo_source": source,
+        "slo": replay(spec, trace_samples(spans)).summary(),
         "exemplars": exemplar_trees(trace, top),
     }
 
@@ -185,32 +164,16 @@ def _burn_bar(burn: float, threshold: float) -> str:
     return "#" * length
 
 
-def render_serve_report(
-    trace: TraceData,
-    *,
-    slo_path: str | pathlib.Path | None = None,
-    top: int = 10,
-) -> str:
-    """The human-readable serving report."""
+def render_serve_report(doc: dict) -> str:
+    """The serving report document (:func:`serve_report_json`) as text."""
     from ..report.render import render_table
 
-    doc = serve_report_json(trace, slo_path=slo_path, top=top)
-    lines: list[str] = []
-    header = doc["header"]
-    meta = " ".join(
-        f"{key}={header[key]}"
-        for key in ("mix", "seed", "clients", "ops_rate")
-        if key in header and header[key] is not None
+    lines = render_trace_head(
+        doc,
+        "serve trace",
+        f"{doc['requests']} requests, {doc['request_ops']} ops",
+        ("mix", "seed", "clients", "ops_rate"),
     )
-    lines.append(
-        f"serve trace {doc['trace']}: {doc['requests']} requests, "
-        f"{doc['request_ops']} ops"
-        + (f", {meta}" if meta else "")
-    )
-    if doc["torn_lines"]:
-        lines.append(f"  note: {doc['torn_lines']} torn line(s) skipped")
-    for problem in doc["problems"]:
-        lines.append(f"  problem: {problem}")
     if not doc["requests"]:
         lines.append("")
         lines.append("no request spans: not a serve trace, or an empty run")
@@ -267,8 +230,7 @@ def render_serve_report(
     ))
 
     thresholds = {
-        o["name"]: o.get("burn_threshold", 2.0)
-        for o in slo["spec"]["objectives"]
+        o["name"]: o["burn_threshold"] for o in slo["spec"]["objectives"]
     }
     if slo["windows"]:
         lines.append("")
@@ -281,7 +243,7 @@ def render_serve_report(
                 if not objective["events"]:
                     continue
                 burn = objective["burn_rate"]
-                threshold = thresholds.get(name, 2.0)
+                threshold = thresholds[name]
                 marker = "!" if burn >= threshold else " "
                 lines.append(
                     f"  [{window['start']:>7.2f}s] {name:<14} "

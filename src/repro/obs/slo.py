@@ -38,6 +38,8 @@ import dataclasses
 import json
 import pathlib
 
+from .quantiles import worst
+
 #: Terminal verdicts, ordered from best to worst.
 VERDICT_OK = "OK"
 VERDICT_BURNING = "BURNING"
@@ -174,27 +176,36 @@ class SloSpec:
 
 
 def spec_from_json(doc: dict) -> SloSpec:
-    """Parse a declarative spec document (the ``--slo slo.json`` shape)."""
-    objectives = tuple(
-        Objective(
-            name=str(raw["name"]),
-            kind=str(raw["kind"]),
-            target=float(raw["target"]),
-            bound_ops=(
-                int(raw["bound_ops"]) if raw.get("bound_ops") is not None
-                else None
-            ),
-            endpoint=raw.get("endpoint"),
-            burn_threshold=float(raw.get("burn_threshold", 2.0)),
+    """Parse a declarative spec document (the ``--slo slo.json`` shape).
+
+    Raises ``ValueError`` for any document that is no valid spec.
+    """
+    try:
+        objectives = tuple(
+            Objective(
+                name=str(raw["name"]),
+                kind=str(raw["kind"]),
+                target=float(raw["target"]),
+                bound_ops=(
+                    int(raw["bound_ops"])
+                    if raw.get("bound_ops") is not None
+                    else None
+                ),
+                endpoint=raw.get("endpoint"),
+                burn_threshold=float(raw.get("burn_threshold", 2.0)),
+            )
+            for raw in doc.get("objectives", ())
         )
-        for raw in doc.get("objectives", ())
-    )
+        window = float(doc.get("window", 1.0))
+        min_window_events = int(doc.get("min_window_events", 1))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed SLO spec: {exc!r}") from exc
     if not objectives:
         raise ValueError("SLO spec declares no objectives")
     return SloSpec(
         objectives=objectives,
-        window=float(doc.get("window", 1.0)),
-        min_window_events=int(doc.get("min_window_events", 1)),
+        window=window,
+        min_window_events=min_window_events,
     )
 
 
@@ -222,14 +233,6 @@ def default_slos() -> SloSpec:
             Objective("staleness", KIND_STALENESS, target=0.99),
         ),
     )
-
-
-def _worst(verdicts) -> str:
-    worst = VERDICT_OK
-    for verdict in verdicts:
-        if VERDICTS.index(verdict) > VERDICTS.index(worst):
-            worst = verdict
-    return worst
 
 
 class _ObjectiveState:
@@ -375,7 +378,7 @@ class SloMonitor:
     @property
     def verdict(self) -> str:
         """The worst objective verdict (OK < BURNING < EXHAUSTED)."""
-        return _worst(state.verdict for state in self._states)
+        return worst((state.verdict for state in self._states), VERDICTS)
 
     def summary(self, *, recent_windows: int | None = None) -> dict:
         """The JSON document reports and ``/statz`` embed.

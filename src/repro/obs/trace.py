@@ -179,9 +179,65 @@ class Tracer:
         self.finish(opened)
 
 
+#: Every span field ``Tracer.finish`` writes, then every attribute a
+#: report reads (``attrs.<key>``; executor units carry the first group,
+#: serve requests the second): the type a value must have, and what a
+#: span without it reads as, the writer's default (a unit without
+#: ``stage`` reads as its name: :func:`span_stage`).  A ``null`` field
+#: reads as its default too; ``id``, ``open`` and ``close`` have none,
+#: which the nesting check reports.  A ``null`` attribute is mistyped.
+SPAN_SCHEMA = {
+    "id": (int, None), "parent": (int, None), "name": (str, "?"),
+    "kind": (str, "span"), "status": (str, "ok"), "ops": (int, 0),
+    "self_ops": (int, 0), "open": (int, None), "close": (int, None),
+    "attrs": (dict, {}),
+    "attrs.portal": (str, "-"), "attrs.stage": (str, None),
+    "attrs.table": (str, "-"), "attrs.detail": (str, ""),
+    "attrs.replayed": (bool, False),
+    "attrs.endpoint": (str, "unknown"), "attrs.client": (str, "?"),
+    "attrs.outcome": (str, "ok"), "attrs.status": (int, 0),
+    "attrs.at": ((int, float), 0.0), "attrs.stale": (bool, False),
+    "attrs.exemplar": (bool, False),
+}
+
+
+def _as_span(record: dict) -> tuple[dict | None, str | None]:
+    """*record* with every span field, or None and why it is no span."""
+    span = dict(record)
+    for name, (kind, default) in SPAN_SCHEMA.items():
+        holder, key = span, name
+        if name.startswith("attrs."):
+            holder, key = span["attrs"], name[len("attrs."):]
+        value = holder.get(key)
+        if holder is span and value is None:
+            span[key] = dict(default) if kind is dict else default
+        elif key in holder and (
+            not isinstance(value, kind)
+            or isinstance(value, bool) and kind is not bool
+        ):
+            return None, (
+                f"span {record.get('id')!r} left out: "
+                f"{name} is a {type(value).__name__}"
+            )
+    return span, None
+
+
+def span_attr(span: dict, key: str):
+    """The span's ``attrs[key]``, or what a span without it reads as."""
+    return span["attrs"].get(key, SPAN_SCHEMA["attrs." + key][1])
+
+
+def span_stage(span: dict) -> str:
+    """A unit span's ``attrs.stage``, else the span name."""
+    if span["kind"] == "unit":
+        return span["attrs"].get("stage", span["name"])
+    return span["name"]
+
+
 @dataclasses.dataclass
 class TraceData:
-    """One parsed trace file."""
+    """One parsed trace, read or built, its spans held to :data:`SPAN_SCHEMA`:
+    a mistyped record is left out of ``spans`` and named in ``problems``."""
 
     path: str
     header: dict
@@ -189,10 +245,22 @@ class TraceData:
     metrics: dict[str, dict]
     footer: dict | None
     #: Structural problems found by validation; empty = trace is sound.
-    problems: list[str]
+    problems: list[str] = dataclasses.field(default_factory=list)
     #: Torn/malformed lines skipped while reading (expected after a
     #: mid-write kill; not a validity problem on their own).
     torn: int = 0
+
+    def __post_init__(self) -> None:
+        checked = [_as_span(record) for record in self.spans]
+        self.spans = [span for span, _ in checked if span is not None]
+        self.problems = [*self.problems, *(why for _, why in checked if why)]
+        self.problems += validate_spans(self.spans)
+        footer = self.footer
+        if footer is not None and footer.get("spans") != len(checked):
+            self.problems.append(
+                f"footer declares {footer.get('spans')} spans, "
+                f"file holds {len(checked)}"
+            )
 
     @property
     def valid(self) -> bool:
@@ -201,21 +269,55 @@ class TraceData:
     @property
     def unit_spans(self) -> list[dict]:
         """Spans of executor ``(stage, table)`` units."""
-        return [s for s in self.spans if s.get("kind") == "unit"]
+        return [s for s in self.spans if s["kind"] == "unit"]
 
     @property
     def total_ops(self) -> int:
         """Every operation attributed anywhere in the trace."""
-        return sum(s.get("self_ops", 0) for s in self.spans)
+        return sum(s["self_ops"] for s in self.spans)
 
     @property
     def unit_ops(self) -> int:
         """Operations spent inside executor units (replays charge 0)."""
-        return sum(s.get("self_ops", 0) for s in self.unit_spans)
+        return sum(s["self_ops"] for s in self.unit_spans)
+
+    def identity(self) -> dict:
+        """The fields every report on this trace opens its document with."""
+        return {
+            "trace": self.path,
+            "header": {k: v for k, v in self.header.items() if k != "type"},
+            "valid": self.valid,
+            "problems": self.problems,
+            "torn_lines": self.torn,
+        }
+
+
+def render_trace_head(
+    doc: dict, title: str, what: str, keys: tuple[str, ...]
+) -> list[str]:
+    """A trace report's opening lines, from its :meth:`~TraceData.identity`.
+
+    *title* names the trace, *what* says what it holds, and the header
+    values of *keys* follow; then the torn lines and every problem.
+    """
+    header = doc["header"]
+    meta = " ".join(
+        f"{key}={header[key]}"
+        for key in keys
+        if header.get(key) is not None
+    )
+    lines = [f"{title} {doc['trace']}: {what}" + (f", {meta}" if meta else "")]
+    if doc["torn_lines"]:
+        lines.append(
+            f"  note: {doc['torn_lines']} torn line(s) skipped "
+            "(file cut off mid-write?)"
+        )
+    lines.extend(f"  problem: {problem}" for problem in doc["problems"])
+    return lines
 
 
 def load_trace(path: str | pathlib.Path) -> TraceData:
-    """Parse and validate one trace file: the only trace reader.
+    """Parse one trace file: the only trace reader.
 
     Tolerates an empty file, a torn-only file, torn or non-object
     lines (a mid-write kill) and a missing footer, and reports the
@@ -248,7 +350,7 @@ def load_trace(path: str | pathlib.Path) -> TraceData:
                 spans.append(record)
             elif rtype == "metric":
                 name = record.get("name")
-                if name is not None:
+                if isinstance(name, str):
                     metrics[name] = {
                         k: v
                         for k, v in record.items()
@@ -256,19 +358,12 @@ def load_trace(path: str | pathlib.Path) -> TraceData:
                     }
             elif rtype == "footer":
                 footer = record
-    problems = validate_spans(spans)
-    if footer is not None and footer.get("spans") != len(spans):
-        problems.append(
-            f"footer declares {footer.get('spans')} spans, "
-            f"file holds {len(spans)}"
-        )
     return TraceData(
         path=str(path),
         header=header,
         spans=spans,
         metrics=metrics,
         footer=footer,
-        problems=problems,
         torn=torn,
     )
 
@@ -283,37 +378,37 @@ def validate_spans(spans: list[dict]) -> list[str]:
     problems: list[str] = []
     by_id: dict[int, dict] = {}
     for span in spans:
-        span_id = span.get("id")
+        span_id = span["id"]
         if span_id in by_id:
             problems.append(f"duplicate span id {span_id}")
         by_id[span_id] = span
 
     seqs: list[int] = []
     for span in spans:
-        open_seq, close_seq = span.get("open"), span.get("close")
+        open_seq, close_seq = span["open"], span["close"]
         if not isinstance(open_seq, int) or not isinstance(close_seq, int):
-            problems.append(f"span {span.get('id')} missing open/close")
+            problems.append(f"span {span['id']} missing open/close")
             continue
         if open_seq >= close_seq:
             problems.append(
-                f"span {span.get('id')} closes before it opens "
+                f"span {span['id']} closes before it opens "
                 f"({open_seq} >= {close_seq})"
             )
         seqs.extend((open_seq, close_seq))
-        parent_id = span.get("parent")
+        parent_id = span["parent"]
         if parent_id is not None:
             parent = by_id.get(parent_id)
             if parent is None:
                 problems.append(
-                    f"span {span.get('id')} references missing "
+                    f"span {span['id']} references missing "
                     f"parent {parent_id}"
                 )
             elif not (
-                parent.get("open", 0) < open_seq
-                and close_seq < parent.get("close", 0)
+                (parent["open"] or 0) < open_seq
+                and close_seq < (parent["close"] or 0)
             ):
                 problems.append(
-                    f"span {span.get('id')} not nested inside "
+                    f"span {span['id']} not nested inside "
                     f"parent {parent_id}"
                 )
     if len(set(seqs)) != len(seqs):
@@ -321,13 +416,13 @@ def validate_spans(spans: list[dict]) -> list[str]:
 
     siblings: dict[int | None, list[dict]] = {}
     for span in spans:
-        siblings.setdefault(span.get("parent"), []).append(span)
+        siblings.setdefault(span["parent"], []).append(span)
     for group in siblings.values():
-        ordered = sorted(group, key=lambda s: s.get("open", 0))
+        ordered = sorted(group, key=lambda s: s["open"] or 0)
         for before, after in zip(ordered, ordered[1:]):
-            if before.get("close", 0) > after.get("open", 0):
+            if (before["close"] or 0) > (after["open"] or 0):
                 problems.append(
-                    f"sibling spans {before.get('id')} and "
-                    f"{after.get('id')} overlap"
+                    f"sibling spans {before['id']} and "
+                    f"{after['id']} overlap"
                 )
     return problems

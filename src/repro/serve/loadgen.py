@@ -39,7 +39,7 @@ import random
 from collections import deque
 
 from ..obs import Observer
-from ..obs.quantiles import percentile_nearest_rank
+from ..obs.quantiles import rank_summary
 from ..obs.slo import (
     KIND_AVAILABILITY,
     KIND_LATENCY,
@@ -578,16 +578,6 @@ def run_load(
     return report
 
 
-def _latency_stats(latencies: list[int]) -> dict:
-    ordered = sorted(latencies)
-    return {
-        "served": len(ordered),
-        "p50": percentile_nearest_rank(ordered, 50),
-        "p99": percentile_nearest_rank(ordered, 99),
-        "max": ordered[-1] if ordered else 0,
-    }
-
-
 def _build_report(
     config: LoadConfig,
     service: LakeService,
@@ -626,9 +616,10 @@ def _build_report(
         stats["shed_rate"] = round(
             stats["shed"] / stats["requests"], 6
         )
-        stats["latency_ops"] = _latency_stats(
-            class_latencies.get(name, [])
-        )
+        latencies = class_latencies.get(name, [])
+        stats["latency_ops"] = {
+            "served": len(latencies), **rank_summary(latencies)
+        }
     duration = round(clock.now(), 6)
     served = sum(1 for r in records if r.served)
     # Ops reconciliation: the server-side op cost of every non-probe
@@ -675,7 +666,10 @@ def _build_report(
         },
         "outcomes": outcome_counts,
         "status_counts": dict(sorted(status_counts.items())),
-        "latency_ops": _latency_stats(served_latencies),
+        "latency_ops": {
+            "served": len(served_latencies),
+            **rank_summary(served_latencies),
+        },
         "per_class": dict(sorted(per_class.items())),
         "per_endpoint": dict(sorted(per_endpoint.items())),
         "duration": duration,
@@ -764,6 +758,8 @@ def report_to_json(report: dict) -> str:
 
 def render_report(report: dict) -> str:
     """Human-readable load report summary."""
+    from ..report.render import render_table
+
     outcomes = report["outcomes"]
     latency = report["latency_ops"]
     lines = [
@@ -804,17 +800,24 @@ def render_report(report: dict) -> str:
             f"{availability.get('budget_used', 0.0):.0%}, "
             f"{slo['windows_evaluated']} windows)"
         )
-    lines += [
-        f"{'class':<14} {'reqs':>5} {'ok':>5} {'degr':>5} {'shed':>5} "
-        f"{'err':>4} {'p50':>8} {'p99':>8}",
-    ]
-    for name, stats in report["per_class"].items():
-        lines.append(
-            f"{name:<14} {stats['requests']:>5} {stats['ok']:>5} "
-            f"{stats['degraded']:>5} {stats['shed']:>5} {stats['error']:>4} "
-            f"{stats['latency_ops']['p50']:>8} "
-            f"{stats['latency_ops']['p99']:>8}"
-        )
+    lines.append("")
+    lines.append(render_table(
+        "Per class (latency in ops)",
+        ["class", "reqs", "ok", "degr", "shed", "err", "p50", "p99"],
+        [
+            [
+                name,
+                stats["requests"],
+                stats["ok"],
+                stats["degraded"],
+                stats["shed"],
+                stats["error"],
+                stats["latency_ops"]["p50"],
+                stats["latency_ops"]["p99"],
+            ]
+            for name, stats in report["per_class"].items()
+        ],
+    ))
     return "\n".join(lines)
 
 

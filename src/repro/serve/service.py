@@ -52,7 +52,6 @@ from .api import (
 )
 from .cache import FRESH, CacheConfig, ResponseCache
 from .tracing import (
-    DEFAULT_EXEMPLAR_K,
     RUNG_ADMISSION,
     RUNG_BACKEND,
     RUNG_BREAKER,
@@ -93,8 +92,6 @@ class ServiceConfig:
     #: The service-level objectives the error-budget monitor evaluates;
     #: None disables SLO accounting entirely.
     slo: SloSpec | None = dataclasses.field(default_factory=default_slos)
-    #: How many slowest served requests keep full span trees in a trace.
-    exemplar_k: int = DEFAULT_EXEMPLAR_K
 
 
 class AnnotatedResponse(Response):
@@ -136,7 +133,7 @@ class LakeService:
             else None
         )
         self._serve_tracer = (
-            ServeTracer(tracer, exemplar_k=self.config.exemplar_k)
+            ServeTracer(tracer)
             if tracer is not None
             else None
         )

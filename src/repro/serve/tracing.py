@@ -22,10 +22,10 @@ Span taxonomy (DESIGN.md §13)::
 **Exemplar policy.**  Rung spans are only worth bytes when a human will
 read them, so only *exemplars* keep their children: every shed and
 error request (the interesting failures are never sampled away), plus
-the top-K slowest requests by op cost (ties broken toward earlier
-arrivals).  Non-exemplar requests still write their request span — the
-RED tables and SLO replay need every request — just without the rung
-breakdown.  Top-K membership is only known once the run ends, so the
+the K = ``DEFAULT_EXEMPLAR_K`` slowest requests by op cost (ties
+broken toward earlier arrivals).  Non-exemplar requests still write
+their request span — the RED tables and SLO replay need every request
+— just without the rung breakdown.  Top-K membership is only known once the run ends, so the
 tracer buffers terminated requests and :meth:`ServeTracer.close`
 writes them all *in arrival order*: the byte stream depends only on
 the request stream, never on flush timing.
@@ -36,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 
 from ..obs.trace import Tracer
-from .api import PROBE_ENDPOINTS, canonical_endpoint
+from .api import canonical_endpoint
 
 #: Rung names, in ladder order.
 RUNG_ADMISSION = "admission"
@@ -48,7 +48,7 @@ RUNG_BACKEND = "backend"
 KIND_REQUEST = "request"
 KIND_RUNG = "rung"
 
-#: Default number of slowest requests that keep full span trees.
+#: How many slowest served requests keep full span trees.
 DEFAULT_EXEMPLAR_K = 8
 
 
@@ -94,9 +94,8 @@ class ServeTracer:
     requests by op cost.
     """
 
-    def __init__(self, tracer: Tracer, *, exemplar_k: int = DEFAULT_EXEMPLAR_K):
+    def __init__(self, tracer: Tracer):
         self._tracer = tracer
-        self._exemplar_k = max(0, exemplar_k)
         self._pending: list[_Pending] = []
         self._closed = False
 
@@ -127,7 +126,7 @@ class ServeTracer:
                   ("shed", "error")]
         # Slowest first; at equal cost the earlier arrival wins the slot.
         served.sort(key=lambda p: (-p.ops, p.seq))
-        return {p.seq for p in served[: self._exemplar_k]}
+        return {p.seq for p in served[:DEFAULT_EXEMPLAR_K]}
 
     def close(self) -> None:
         """Write every buffered request span (end of run)."""
@@ -169,11 +168,6 @@ class ServeTracer:
         self._tracer.finish(span, ops=max(0, pending.ops - rung_ops))
 
 
-def should_trace(endpoint: str) -> bool:
-    """Probes never enter the trace, the ops histograms, or the SLO."""
-    return endpoint not in PROBE_ENDPOINTS
-
-
 __all__ = [
     "DEFAULT_EXEMPLAR_K",
     "KIND_REQUEST",
@@ -185,5 +179,4 @@ __all__ = [
     "RequestTrail",
     "ServeTracer",
     "canonical_endpoint",
-    "should_trace",
 ]

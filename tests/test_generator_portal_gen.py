@@ -1,12 +1,18 @@
 """Unit/integration tests for repro.generator.portal_gen."""
 
+import dataclasses
+import enum
+import hashlib
+import json
+
 import pytest
 
-from repro.generator import generate_portal
+from repro.generator import generate_portal, poison_profile
 from repro.generator.lineage import PublicationStyle
 from repro.generator.profiles import (
     ALL_PROFILES,
     CA_PROFILE,
+    PROFILES_BY_CODE,
     SG_PROFILE,
     US_PROFILE,
 )
@@ -118,3 +124,96 @@ class TestProfiles:
         ca = CA_PROFILE.corruption
         assert sg.column_null_probability < ca.column_null_probability
         assert sg.wide_malformed_probability == 0.0
+
+
+def _plain(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def corpus_digest(generated) -> str:
+    """sha256 over one generated portal: catalog, blobs, lineage.
+
+    In order: every catalog dataset with its resources, every stored
+    blob by URL (content, failure mode, transient fault, declared
+    length), then every lineage record.
+    """
+    digest = hashlib.sha256()
+
+    def feed(*parts):
+        digest.update(
+            json.dumps(parts, default=_plain, sort_keys=True).encode()
+        )
+        digest.update(b"\n")
+
+    for dataset in generated.portal.datasets:
+        feed(
+            dataset.dataset_id,
+            dataset.title,
+            dataset.description,
+            dataset.topic,
+            dataset.organization,
+            dataset.published.isoformat(),
+            dataset.metadata_kind,
+            [
+                (r.resource_id, r.name, r.declared_format, r.url)
+                for r in dataset.resources
+            ],
+        )
+    store = generated.store
+    for url in sorted(store._blobs):
+        blob = store.get(url)
+        fault = blob.transient
+        feed(
+            url,
+            hashlib.sha256(blob.content).hexdigest(),
+            blob.failure,
+            None
+            if fault is None
+            else (fault.mode, fault.failures, fault.retry_after),
+            blob.declared_length,
+        )
+    for lineage in generated.lineage:
+        feed(dataclasses.asdict(lineage))
+    return digest.hexdigest()
+
+
+#: The corpus the tier-1 study builds (scale 0.18, seed 3) and the
+#: poisoned portals of ``make smoke-shard`` (scale 0.08, seed 2, poison
+#: rate 0.1), one digest per portal.  The generator's oracle: a change
+#: that moves the corpus on purpose updates these and says so.
+PINNED_DIGESTS = {
+    ("SG", 0.18, 3, 0.0):
+        "2be71d7bada0faf3727ceaa75e04143122fd04d26bac9478498734c7baa3b57f",
+    ("CA", 0.18, 3, 0.0):
+        "320f4b7307f88c333a74b1df55b1484caa90bef3cbef0b5d68b00627b4cc1b89",
+    ("UK", 0.18, 3, 0.0):
+        "99a25c0c643e5364b20081d95d9aa216bbbd0e1cd32cec592d96ce477f01b370",
+    ("US", 0.18, 3, 0.0):
+        "3e879891d90459d452b3ded11fbc89676d2b365d9f5193fc82e824d171831381",
+    ("SG", 0.08, 2, 0.1):
+        "a884f002ecf7d5453d25c36267fe9231fe320e8315aab9d8b95700ca7a6c5ff1",
+    ("CA", 0.08, 2, 0.1):
+        "41d8b15acbdd7ff2bce4d85bbf14588f20b4639c15a35db7c485f565d1452f72",
+    ("UK", 0.08, 2, 0.1):
+        "535ca80e7fda42a4afc4563c8608c1d9d1cf726910013ebf83ca0f12dee2f268",
+    ("US", 0.08, 2, 0.1):
+        "d049ced296f0e57721989b352b4b063d6df7b7285e6b749a1f01ef3c07cfac98",
+}
+
+
+class TestCorpusPin:
+    @pytest.mark.parametrize(
+        "code, scale, seed, poison",
+        sorted(PINNED_DIGESTS),
+        ids=str,
+    )
+    def test_portal_digest_is_pinned(self, code, scale, seed, poison):
+        profile = PROFILES_BY_CODE[code]
+        if poison:
+            profile = poison_profile(profile, poison)
+        generated = generate_portal(profile, seed=seed, scale=scale)
+        assert corpus_digest(generated) == PINNED_DIGESTS[
+            (code, scale, seed, poison)
+        ]

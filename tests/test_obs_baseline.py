@@ -28,6 +28,11 @@ def record(total_ops, *, seconds=1.0, scale=1.0, seed=7, experiment="table05"):
     }
 
 
+def latest_docs(root):
+    """The ``bench-report`` document for *root*."""
+    return [r.as_json() for r in latest_records(root)]
+
+
 def write_history(path, records):
     path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
 
@@ -127,16 +132,15 @@ class TestGateAllAndReport:
                 },
             ],
         )
-        text = render_bench_report(latest_records(tmp_path))
+        text = render_bench_report(latest_docs(tmp_path))
         lines = text.splitlines()
-        assert lines[1].split() == ["table05", "250000"]
+        # Each block is a render_table: title, rule, header, rule, rows.
+        assert lines[4].split() == ["table05", "250000"]
         assert "100000" not in text
-        join = next(
-            i for i, line in enumerate(lines) if line.startswith("join")
-        )
+        join = lines.index("Join index")
         # The record's join_verify_ops (a key of older records) parses
         # and is not shown: it always equalled the candidates.
-        assert lines[join + 1].split() == ["table05", "2871"]
+        assert lines[join + 4].split() == ["table05", "2871"]
         assert "125000  50.0%  study;US;pairs@0.7;lsh" in text
         assert "baseline" not in text and "regress" not in text
 
@@ -223,12 +227,12 @@ class TestServingMetrics:
         write_history(
             tmp_path / "BENCH_table05.json", [record(100_000)]
         )
-        text = render_bench_report(latest_records(tmp_path))
+        text = render_bench_report(latest_docs(tmp_path))
         assert "clients" in text and "shed" in text
         # Compute benches stay out of the serving block.
-        serving_block = text.split("serving")[1]
+        serving_block = text.split("Serving")[1]
         assert "table05" not in serving_block
-        assert serving_block.splitlines()[1].split() == [
+        assert serving_block.splitlines()[4].split() == [
             "serve", "48", "5", "190", "25.0%", "79.4%", "OK",
         ]
 
@@ -236,7 +240,7 @@ class TestServingMetrics:
         write_history(
             tmp_path / "BENCH_table05.json", [record(100_000)]
         )
-        assert "clients" not in render_bench_report(latest_records(tmp_path))
+        assert "clients" not in render_bench_report(latest_docs(tmp_path))
 
 
 class TestAppendRecordShared:

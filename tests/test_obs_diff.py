@@ -82,7 +82,7 @@ class TestEqualRuns:
         report = diff_runs(a, b)
         assert not report.has_drift
         assert report.drift_count == 0
-        assert "no drift" in render_diff(report)
+        assert "no drift" in render_diff(report.as_json())
 
     def test_wall_ms_is_ignored(self):
         spans = copy.deepcopy(BASE_SPANS)
@@ -217,7 +217,7 @@ class TestDrift:
         report = diff_runs(
             run(make_trace(BASE_SPANS)), run(make_trace(changed))
         )
-        text = render_diff(report)
+        text = render_diff(report.as_json())
         assert "CA/fd/t2: truncated -> quarantined" in text
         assert "total drift entries" in text
 
@@ -290,7 +290,7 @@ class TestProfileDiff:
         )
         assert report.compared == ["profile"]
         assert not report.has_drift
-        assert "no drift" in render_diff(report)
+        assert "no drift" in render_diff(report.as_json())
 
     def test_one_tick_new_and_vanished_frames_are_named(self):
         frames_b = dict(BASE_FRAMES)
@@ -317,7 +317,7 @@ class TestProfileDiff:
             },
         ]
         assert report.drift_count == 3
-        text = render_diff(report)
+        text = render_diff(report.as_json())
         assert "profile frame deltas (3):" in text
         assert "study;SG;fd;fun;fd.refine: 10000 -> 10001 (+1)" in text
 

@@ -223,7 +223,9 @@ class TestScoreboardIntegration:
             )
             for experiment_id in experiment_ids()
         ]
-        text = fid.render_scoreboard(board, meta={"seed": 3})
+        text = fid.render_scoreboard(
+            fid.scoreboard_json(board, meta={"seed": 3})
+        )
         for experiment_id in experiment_ids():
             assert experiment_id in text
         assert "overall:" in text

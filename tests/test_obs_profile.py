@@ -272,7 +272,9 @@ class TestReport:
         assert inclusive["study"] == 100
 
     def test_render_report_handles_empty(self):
-        text = render_profile_report(profile_doc(Profiler()))
+        text = render_profile_report(
+            profile_report_json(profile_doc(Profiler()))
+        )
         assert "no frames recorded" in text
 
 
@@ -293,7 +295,7 @@ class TestDiff:
         report = diff_runs(
             self._run("a", {"f": 10_000}), self._run("b", {"f": 14_000})
         )
-        text = render_diff(report)
+        text = render_diff(report.as_json())
         assert "profile frame deltas (1):" in text
         assert "f: 10000 -> 14000 (+4000)" in text
         assert "total drift entries: 1" in text

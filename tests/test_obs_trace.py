@@ -4,20 +4,31 @@ import json
 
 import pytest
 
+from repro.experiments.cli import main
 from repro.obs import Observer, maybe_span
+from repro.obs.diff import RunArtifacts, diff_runs
 from repro.obs.profile import (
+    degradation_ledger,
     load_any_profile,
+    outcome_counts,
     profile_report_json,
     render_profile_report,
+    top_tables,
 )
-from repro.obs.trace import TraceWriter, Tracer, load_trace, validate_spans
+from repro.obs.trace import (
+    TraceData,
+    TraceWriter,
+    Tracer,
+    load_trace,
+    validate_spans,
+)
 
 
 def _report(path):
     """``profile-report``'s text and JSON ``trace`` section for *path*."""
     doc, trace = load_any_profile(path)
     return (
-        render_profile_report(doc, trace=trace),
+        render_profile_report(profile_report_json(doc, trace=trace)),
         profile_report_json(doc, trace=trace)["trace"],
     )
 
@@ -243,3 +254,130 @@ class TestObserver:
         header = json.loads(path.read_text().splitlines()[0])
         assert header["seed"] == 5
         assert header["scale"] == 0.1
+
+
+def unit_span(span_id, **fields):
+    """A unit span record as ``Tracer.finish`` writes it."""
+    record = {
+        "type": "span", "id": span_id, "parent": None,
+        "open": 2 * span_id - 1, "close": 2 * span_id,
+        "name": "fd", "kind": "unit", "status": "ok",
+        "ops": 4, "self_ops": 4,
+        "attrs": {"portal": "SG", "stage": "fd", "table": f"t{span_id}"},
+    }
+    record.update(fields)
+    return record
+
+
+def built(spans):
+    return TraceData(
+        path="built", header={}, spans=spans, metrics={}, footer=None
+    )
+
+
+def write_trace(path, spans):
+    records = [{"type": "header", "seed": 2}, *spans,
+               {"type": "footer", "spans": len(spans)}]
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    return str(path)
+
+
+class TestSpanSchema:
+    """Every TraceData holds spans in the writer's schema."""
+
+    def test_missing_fields_take_the_writers_defaults(self):
+        bare = {"id": 1, "parent": None, "open": 1, "close": 2,
+                "kind": "unit"}
+        (span,) = built([bare]).spans
+        assert (span["status"], span["ops"], span["self_ops"]) == ("ok", 0, 0)
+        assert (span["name"], span["attrs"]) == ("?", {})
+        assert built([{"id": 1, "open": 1, "close": 2}]).spans[0][
+            "kind"
+        ] == "span"
+
+    def test_unit_without_status_or_table_reads_the_same_everywhere(self):
+        """outcome_counts, top_tables, the ledger and diff agree."""
+        bare = unit_span(1)
+        del bare["status"]
+        del bare["attrs"]["table"]
+        cut = unit_span(2, status="truncated")
+        del cut["attrs"]["table"]
+        trace = built([bare, cut])
+        assert outcome_counts(trace) == {"ok": 1, "truncated": 1}
+        (entry,) = top_tables(trace)
+        assert (entry["table"], entry["worst_status"]) == ("-", "truncated")
+        (row,) = degradation_ledger(trace)
+        assert (row["table"], row["status"]) == ("-", "truncated")
+        explicit = built([
+            unit_span(1, attrs={"portal": "SG", "stage": "fd", "table": "-"}),
+            unit_span(
+                2, status="truncated",
+                attrs={"portal": "SG", "stage": "fd", "table": "-"},
+            ),
+        ])
+        report = diff_runs(
+            RunArtifacts("a", trace=trace), RunArtifacts("b", trace=explicit)
+        )
+        assert not report.has_drift
+
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            ({"attrs": [1]}, "span 2 left out: attrs is a list"),
+            ({"self_ops": "3"}, "span 2 left out: self_ops is a str"),
+            ({"status": 0}, "span 2 left out: status is a int"),
+            (
+                {"attrs": {"portal": "SG", "replayed": "no"}},
+                "span 2 left out: attrs.replayed is a str",
+            ),
+        ],
+    )
+    def test_wrong_typed_record_is_left_out_and_named(
+        self, tmp_path, fields, problem
+    ):
+        path = tmp_path / "t.jsonl"
+        write_trace(path, [unit_span(1), unit_span(2, **fields)])
+        for trace in (load_trace(path), built([unit_span(1),
+                                               unit_span(2, **fields)])):
+            assert [s["id"] for s in trace.spans] == [1]
+            assert trace.problems[0] == problem
+            assert not trace.valid
+
+
+class TestReportsOnMalformedArtifacts:
+    @pytest.mark.parametrize("fields", [{"attrs": [1]}, {"self_ops": "3"}])
+    def test_profile_report_and_diff_name_the_span(
+        self, capsys, tmp_path, fields
+    ):
+        path = write_trace(
+            tmp_path / "t.jsonl", [unit_span(1), unit_span(2, **fields)]
+        )
+        assert main(["profile-report", path]) == 0
+        assert "  problem: span 2 left out: " in capsys.readouterr().out
+        assert main(["profile-report", path, "--json"]) == 0
+        section = json.loads(capsys.readouterr().out)["trace"]
+        assert section["valid"] is False
+        assert main(["diff", path, path]) == 0
+        assert "no drift" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"frames": {"study;a": "x"}}, "'frames' are not integer counts"),
+            (
+                {"frames": {"study;a": 3}, "meta": [1]},
+                "'meta' is not an object",
+            ),
+        ],
+    )
+    def test_malformed_profile_is_unreadable_to_both_readers(
+        self, capsys, tmp_path, doc, message
+    ):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["profile-report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "profile-unreadable" in err and message in err
+        assert main(["diff", str(path), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "diff-unreadable" in err and message in err

@@ -111,23 +111,3 @@ class TestLetterValueProperties:
                 assert previous[0] <= low <= summary.median
                 assert summary.median <= high <= previous[1]
                 previous = (low, high)
-
-
-class TestMinHashErrorBound:
-    def test_estimate_within_statistical_error(self):
-        """With 256 permutations the MinHash estimate should sit within
-        ~4 standard errors of true Jaccard for a range of overlaps."""
-        from repro.joinability.minhash import MinHasher, estimate_jaccard
-
-        hasher = MinHasher.create(num_perm=256, seed=3)
-        base = [f"v{i}" for i in range(200)]
-        for kept in (40, 100, 160, 200):
-            other = base[:kept] + [f"w{i}" for i in range(200 - kept)]
-            true_jaccard = kept / (400 - kept)
-            estimate = estimate_jaccard(
-                hasher.signature(base), hasher.signature(other)
-            )
-            standard_error = (
-                true_jaccard * (1 - true_jaccard) / 256
-            ) ** 0.5 or 0.01
-            assert abs(estimate - true_jaccard) <= max(4 * standard_error, 0.06)

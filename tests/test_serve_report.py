@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.experiments.cli import main
+from repro.obs import servereport
 from repro.obs.servereport import (
     red_tables,
     render_serve_report,
@@ -104,7 +105,7 @@ class TestSpecResolution:
         spec, source = resolve_spec(smoke.trace, path)
         assert spec == strict
         assert source == str(path)
-        doc = serve_report_json(smoke.trace, slo_path=path)
+        doc = serve_report_json(smoke.trace, resolve_spec(smoke.trace, path))
         assert doc["slo"]["verdict"] == "EXHAUSTED"
 
     def test_defaults_when_header_has_no_spec(self):
@@ -119,7 +120,7 @@ class TestSpecResolution:
 
 class TestRendering:
     def test_report_shows_red_slo_and_exemplars(self, smoke):
-        text = render_serve_report(smoke.trace)
+        text = render_serve_report(serve_report_json(smoke.trace))
         assert "RED by endpoint" in text
         assert "SLO verdict: OK" in text
         assert "error-budget burn by window" in text
@@ -127,7 +128,7 @@ class TestRendering:
         assert "-> admission" in text
 
     def test_storm_report_flags_burning_windows(self, storm):
-        text = render_serve_report(storm.trace)
+        text = render_serve_report(serve_report_json(storm.trace))
         assert "SLO verdict: EXHAUSTED" in text
         # At least one window crosses its burn threshold and is marked.
         assert "x!" in text.replace("x !", "x!") or "!" in text
@@ -206,3 +207,79 @@ class TestCli:
         code = main(["-q", "serve-report", str(smoke.path), "--slo", str(bad)])
         assert code == 2
         assert "slo-spec-unreadable" in capsys.readouterr().err
+
+
+def request_span(span_id, at, **fields):
+    """A request span record as the serve tracer writes it."""
+    record = {
+        "type": "span", "id": span_id, "parent": None,
+        "open": 2 * span_id - 1, "close": 2 * span_id,
+        "name": "request.package_show", "kind": "request", "status": "ok",
+        "ops": 3, "self_ops": 3,
+        "attrs": {"endpoint": "package_show", "client": "c", "status": 200,
+                  "outcome": "ok", "at": at},
+    }
+    record.update(fields)
+    return record
+
+
+class TestSpecAndTraceErrors:
+    """Only a spec failure logs slo-spec-unreadable; the trace reader
+    leaves a wrong-typed request span out and the report names it."""
+
+    @pytest.mark.parametrize(
+        "spans, problem",
+        [
+            (
+                [request_span(1, 0.1, ops="x")],
+                "span 1 left out: ops is a str",
+            ),
+            (
+                [request_span(1, "x")],
+                "span 1 left out: attrs.at is a str",
+            ),
+            (
+                [request_span(1, 0.1), request_span(2, "x")],
+                "span 2 left out: attrs.at is a str",
+            ),
+            (
+                [request_span(1, 0.1), request_span(2, 0.2, attrs=[1])],
+                "span 2 left out: attrs is a list",
+            ),
+        ],
+        ids=["ops", "at", "mixed-at", "attrs"],
+    )
+    def test_wrong_typed_request_span_is_named(
+        self, capsys, tmp_path, spans, problem
+    ):
+        path = tmp_path / "serve.jsonl"
+        records = [{"type": "header", "mix": "smoke"}, *spans]
+        path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        assert main(["serve-report", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert f"  problem: {problem}" in captured.out
+        assert "slo-spec-unreadable" not in captured.err
+
+    def test_text_report_replays_and_reads_the_spec_once(
+        self, capsys, monkeypatch, smoke, tmp_path
+    ):
+        spec_path = tmp_path / "slo.json"
+        spec_path.write_text(json.dumps(smoke.trace.header["slo"]))
+        calls = {"replay": 0, "load_spec": 0}
+
+        def counted(name):
+            real = getattr(servereport, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(servereport, name, counted(name))
+        assert main(
+            ["-q", "serve-report", str(smoke.path), "--slo", str(spec_path)]
+        ) == 0
+        assert "SLO verdict: OK" in capsys.readouterr().out
+        assert calls == {"replay": 1, "load_spec": 1}
