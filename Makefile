@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench smoke-trace smoke-shard smoke-resume smoke-serve smoke-profile experiments fidelity verify-sweep
+.PHONY: test lint bench-smoke bench smoke-trace smoke-shard smoke-resume smoke-serve smoke-profile experiments fidelity verify-sweep verify-corpus
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -48,6 +48,18 @@ fidelity:
 # exits non-zero on any mismatch.
 verify-sweep:
 	$(PYTHON) -m repro.experiments.sweep 0.3 7
+
+# The generator's byte-identity gate CI's test matrix runs on every
+# Python it covers: the corpus pins and the draw oracle (the replaced
+# random.Random calls and per-cell formatter, kept in the test) under
+# PYTHONHASHSEED 0, 1 and 2, so a hash-order dependence fails here
+# rather than as a flaky digest.  Stops at the first failure.
+verify-corpus:
+	for seed in 0 1 2; do \
+		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest -q \
+			"tests/test_generator_portal_gen.py::TestCorpusPin" \
+			tests/test_generator_draws.py || exit 1; \
+	done
 
 # A small guarded run with tracing enabled, then the attribution
 # report over the resulting trace — exercises run --trace-out and

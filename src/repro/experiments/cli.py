@@ -37,6 +37,7 @@ from ..obs.profile import (
     profile_report_json,
     render_profile_report,
 )
+from ..obs.trace import write_json
 from .corpus import get_study
 from .registry import experiment_ids, run_all, run_experiment
 
@@ -498,14 +499,6 @@ def _load_input(source: str, loader, kind: str):
         return None
 
 
-def _write_json(path: str, doc, event: str) -> None:
-    """Write *doc* as indented, key-sorted JSON and log *event*."""
-    pathlib.Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    get_log().info(event, path=path)
-
-
 def _print_report(args: argparse.Namespace, doc, render) -> None:
     """Print a report command's document: as JSON under ``--json``,
     else as ``render(doc)``.  Every report command prints this way."""
@@ -562,7 +555,8 @@ def _run_fidelity(args: argparse.Namespace) -> int:
     meta = {"scale": args.scale, "seed": args.seed}
     doc = fidelity.scoreboard_json(board, meta=meta)
     if args.out is not None:
-        _write_json(args.out, doc, "fidelity-written")
+        write_json(args.out, doc)
+        get_log().info("fidelity-written", path=args.out)
     _print_report(args, doc, fidelity.render_scoreboard)
     return 0
 
@@ -577,7 +571,8 @@ def _run_diff(args: argparse.Namespace) -> int:
         get_log().error("diff-unreadable", message=str(exc))
         return 2
     if args.out is not None:
-        _write_json(args.out, doc, "diff-written")
+        write_json(args.out, doc)
+        get_log().info("diff-written", path=args.out)
     _print_report(args, doc, render_diff)
     return 1 if doc["drift_count"] else 0
 
@@ -698,9 +693,7 @@ def _run_loadtest(args: argparse.Namespace) -> int:
     if args.profile_out is not None:
         get_log().info("profile-written", path=args.profile_out)
     if args.report is not None:
-        pathlib.Path(args.report).write_text(
-            loadgen.report_to_json(report), encoding="utf-8"
-        )
+        write_json(args.report, report)
         get_log().info("load-report-written", path=args.report)
     if args.bench_root is not None:
         record = loadgen.bench_record(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import zlib
+from itertools import repeat
 
 from . import vocab
 from .domains import Domain, DomainKind, DomainRegistry, code_domain
@@ -27,6 +28,29 @@ def stable_index(value, modulus: int) -> int:
     do not change between datasets.
     """
     return zlib.crc32(str(value).encode("utf-8")) % modulus
+
+
+def draws_below(rng: random.Random, n: int, count: int) -> list[int]:
+    """``[rng.randrange(n) for _ in range(count)]``, in fewer frames.
+
+    CPython's ``Random._randbelow_with_getrandbits`` (3.10-3.13) draws
+    ``getrandbits(n.bit_length())`` until a value falls below *n*, so
+    ``randrange(n)``'s values are that stream filtered by ``< n``.  Each
+    round draws only as many values as are still missing, so it never
+    passes the last accepted one: the values and *rng*'s end state are
+    those of the ``randrange`` loop.  ``randint(a, b)`` is
+    ``a + randrange(b - a + 1)`` and ``choice(seq)`` is
+    ``seq[randrange(len(seq))]``; draw sites that interleave other draws
+    inline the same rejection loop.
+    """
+    if n <= 0:
+        raise ValueError(f"empty range for draws_below: n={n}")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    draws: list[int] = []
+    while len(draws) < count:
+        draws += filter(n.__gt__, map(getrandbits, repeat(k, count - len(draws))))
+    return draws
 
 
 @dataclasses.dataclass
@@ -349,8 +373,10 @@ def _build_fact_rows(
     When the full dimension cross-product is small enough we emit it all
     (yielding a clean composite key); otherwise we sample distinct
     combinations.  Duplicate observations are then injected at
-    *duplicate_rate*.
+    *duplicate_rate*.  Every ``randrange`` here is :func:`draws_below`'s
+    rejection loop, inlined because other draws come between them.
     """
+    getrandbits = rng.getrandbits
     grid = 1
     for dim in dims:
         grid *= len(dim.values)
@@ -360,39 +386,68 @@ def _build_fact_rows(
         for dim in dims:
             combos = [prefix + (value,) for prefix in combos for value in dim.values]
     else:
+        # One rng.choice(dim.values) per dimension and attempt.
+        choosers = [
+            (dim.values, len(dim.values), len(dim.values).bit_length())
+            for dim in dims
+        ]
         seen: set[tuple] = set()
         attempts = 0
         while len(seen) < target_rows and attempts < target_rows * 20:
             attempts += 1
-            seen.add(tuple(rng.choice(dim.values) for dim in dims))
+            combo = []
+            for values, n, k in choosers:
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                combo.append(values[r])
+            seen.add(tuple(combo))
         combos = sorted(seen, key=str)
-        rng.shuffle(combos)
+        # rng.shuffle(combos): swap each slot with one at or below it.
+        for i in range(len(combos) - 1, 0, -1):
+            n = i + 1
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            combos[i], combos[j] = combos[j], combos[i]
 
-    rows: list[tuple] = []
+    # Per row: the duplicate coin, then one rng.randint(0, grid) per
+    # measure (twice for a duplicated row).  Positions land row-major.
+    bounds = [(grid + 1, (grid + 1).bit_length()) for grid in measure_steps]
+    random_ = rng.random
+    keys: list[tuple] = []
+    positions: list[int] = []
     for combo in combos:
-        repetitions = 2 if rng.random() < duplicate_rate else 1
-        for _ in range(repetitions):
-            rows.append(
-                combo
-                + tuple(
-                    _sample_measure(m, grid, rng)
-                    for m, grid in zip(measures, measure_steps)
-                )
-            )
-    return rows
+        for _ in range(2 if random_() < duplicate_rate else 1):
+            keys.append(combo)
+            for n, k in bounds:
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                positions.append(r)
+    width = len(measures)
+    columns = [
+        _lattice_values(measure, grid, positions[index::width])
+        for index, (measure, grid) in enumerate(zip(measures, measure_steps))
+    ]
+    # Without measures a row is its key alone.
+    values = list(zip(*columns)) or [()] * len(keys)
+    return [key + row for key, row in zip(keys, values)]
 
 
-def _sample_measure(measure: MeasureSpec, grid: int, rng: random.Random):
-    """Sample a measure value from a *grid*-point lattice of its range.
+def _lattice_values(measure: MeasureSpec, grid: int, positions: list[int]) -> list:
+    """The values at *positions* of a *grid*-point lattice of the range.
 
     Real published statistics are rounded (percentages to one decimal,
     amounts to the dollar), so their values repeat; the grid size
     controls how often, which in turn decides whether the column
     accidentally becomes a key.
     """
-    position = rng.randint(0, grid)
     span = measure.high - measure.low
     if measure.integral:
+        low, high = int(measure.low), int(measure.high)
         step = max(1, int(span / grid))
-        return min(int(measure.high), int(measure.low) + position * step)
-    return round(measure.low + position * (span / grid), 2)
+        return [min(high, low + position * step) for position in positions]
+    step = span / grid
+    return [round(measure.low + position * step, 2) for position in positions]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import csv
+import operator
 import random
 
 from .denormalize import TableDraft
@@ -186,13 +187,32 @@ def _to_string_rows(
     header: list[str], columns: list[list], rng: random.Random
 ) -> list[list[str]]:
     null_spelling = rng.choice(NULL_SPELLINGS)
-    rows: list[list[str]] = [header]
-    n_rows = len(columns[0]) if columns else 0
-    for index in range(n_rows):
-        rows.append(
-            [_format(values[index], null_spelling) for values in columns]
-        )
-    return rows
+    cells = [_format_column(values, null_spelling) for values in columns]
+    return [header, *map(list, zip(*cells))]
+
+
+#: How a column whose non-null cells all have one exact type is written;
+#: each writer returns what :func:`_format` returns for such a cell.
+_COLUMN_WRITERS = {
+    str: str,
+    int: str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    float: operator.methodcaller("__format__", ".2f"),
+}
+
+
+def _format_column(values: list, null_spelling: str) -> list[str]:
+    """Write a column's cells as :func:`_format` does, one type check in all."""
+    kinds = set(map(type, values))
+    has_nulls = type(None) in kinds
+    kinds.discard(type(None))
+    write = _COLUMN_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
+    if write is None:
+        # All null, mixed types, or a type without a writer.
+        return [_format(value, null_spelling) for value in values]
+    if not has_nulls:
+        return list(map(write, values))
+    return [null_spelling if value is None else write(value) for value in values]
 
 
 def _format(value, null_spelling: str) -> str:
@@ -209,6 +229,28 @@ def _format(value, null_spelling: str) -> str:
 
 
 def _serialize(rows: list[list[str]]) -> bytes:
+    """*rows* (of strings) as ``csv.writer(lineterminator="\\n")`` writes them.
+
+    The writer leaves a field as it is unless it holds a comma, a quote
+    or a line break (``\\r`` too from Python 3.13; a NUL is an error on
+    3.10), or is its row's only field and empty.  So when no field is
+    special and no row is empty, its output is the fields joined by
+    commas, one line per row.  The joined text proves that cheaply: no
+    quote, ``\\r``, NUL or empty line, one newline per row and one comma
+    between neighbouring fields.  Any other table goes through the
+    writer.
+    """
+    text = "\n".join(map(",".join, rows)) + "\n"
+    if (
+        '"' not in text
+        and "\r" not in text
+        and "\0" not in text
+        and "\n\n" not in text
+        and not text.startswith("\n")
+        and text.count("\n") == len(rows)
+        and text.count(",") == sum(map(len, rows)) - len(rows)
+    ):
+        return text.encode("utf-8")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)

@@ -14,7 +14,7 @@ import dataclasses
 import random
 from typing import Sequence
 
-from .base_tables import DimInstance, TopicInstance
+from .base_tables import DimInstance, TopicInstance, draws_below, stable_index
 from .domains import DomainKind
 from .lineage import ColumnLineage, ColumnRole
 
@@ -279,9 +279,8 @@ def _append_extras(
 
 
 def _extra_status(columns, lineage, instance, rng, n_rows) -> None:
-    columns.append(
-        ("status", [rng.choice(_STATUS_VALUES) for _ in range(n_rows)])
-    )
+    picks = draws_below(rng, len(_STATUS_VALUES), n_rows)
+    columns.append(("status", [_STATUS_VALUES[i] for i in picks]))
     lineage.append(
         ColumnLineage("status", "cat.record_status", ColumnRole.ATTRIBUTE)
     )
@@ -290,15 +289,22 @@ def _extra_status(columns, lineage, instance, rng, n_rows) -> None:
 def _extra_last_updated(columns, lineage, instance, rng, n_rows) -> None:
     # Updates cluster in a per-publisher maintenance window: different
     # families touch their data in different months, so these columns
-    # do not accidentally share near-complete date domains.
-    from .base_tables import stable_index
-
+    # do not accidentally share near-complete date domains.  Each row
+    # draws randint(anchor, min(12, anchor + 2)) then randint(1, 28):
+    # draws_below's rejection loop, inlined because the two alternate.
     anchor = 1 + stable_index(instance.family_id, 10)
-    dates = [
-        f"2021-{rng.randint(anchor, min(12, anchor + 2)):02d}-"
-        f"{rng.randint(1, 28):02d}"
-        for _ in range(n_rows)
-    ]
+    months, days = min(12, anchor + 2) - anchor + 1, 28
+    month_bits, day_bits = months.bit_length(), days.bit_length()
+    getrandbits = rng.getrandbits
+    dates = []
+    for _ in range(n_rows):
+        month = getrandbits(month_bits)
+        while month >= months:
+            month = getrandbits(month_bits)
+        day = getrandbits(day_bits)
+        while day >= days:
+            day = getrandbits(day_bits)
+        dates.append(f"2021-{anchor + month:02d}-{1 + day:02d}")
     columns.append(("last_updated", dates))
     lineage.append(
         ColumnLineage("last_updated", "time.date.2021", ColumnRole.TEMPORAL)
@@ -306,10 +312,20 @@ def _extra_last_updated(columns, lineage, instance, rng, n_rows) -> None:
 
 
 def _extra_notes(columns, lineage, instance, rng, n_rows) -> None:
-    values = [
-        rng.choice(_NOTE_VALUES) if rng.random() < 0.45 else None
-        for _ in range(n_rows)
-    ]
+    # rng.choice(_NOTE_VALUES) if rng.random() < 0.45 else None, per
+    # row, with choice's draws_below loop inlined.
+    random_, getrandbits = rng.random, rng.getrandbits
+    n = len(_NOTE_VALUES)
+    k = n.bit_length()
+    values = []
+    for _ in range(n_rows):
+        if random_() < 0.45:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            values.append(_NOTE_VALUES[r])
+        else:
+            values.append(None)
     columns.append(("notes", values))
     lineage.append(
         ColumnLineage("notes", "str.notes", ColumnRole.ATTRIBUTE)
@@ -317,8 +333,6 @@ def _extra_notes(columns, lineage, instance, rng, n_rows) -> None:
 
 
 def _extra_source(columns, lineage, instance, rng, n_rows) -> None:
-    from .base_tables import stable_index
-
     label = f"Statistical Office {stable_index(instance.family_id, 40)}"
     columns.append(("source", [label] * n_rows))
     lineage.append(
@@ -329,10 +343,8 @@ def _extra_source(columns, lineage, instance, rng, n_rows) -> None:
 def _extra_quality(columns, lineage, instance, rng, n_rows) -> None:
     # Per-family lattice jitter: two publishers' quality scores must
     # not share a value grid (that would make them spuriously joinable).
-    from .base_tables import stable_index
-
     step = 0.5 * (0.3 + stable_index(instance.family_id + "q", 700) / 1000)
-    values = [round(rng.randint(0, 200) * step, 2) for _ in range(n_rows)]
+    values = [round(r * step, 2) for r in draws_below(rng, 201, n_rows)]
     columns.append(("data_quality", values))
     lineage.append(
         ColumnLineage(
@@ -344,10 +356,8 @@ def _extra_quality(columns, lineage, instance, rng, n_rows) -> None:
 
 
 def _extra_pct(columns, lineage, instance, rng, n_rows) -> None:
-    from .base_tables import stable_index
-
     step = 0.1 * (0.3 + stable_index(instance.family_id + "p", 700) / 1000)
-    values = [round(rng.randint(0, 1000) * step, 2) for _ in range(n_rows)]
+    values = [round(r * step, 2) for r in draws_below(rng, 1001, n_rows)]
     columns.append(("pct_of_total", values))
     lineage.append(
         ColumnLineage(

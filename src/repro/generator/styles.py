@@ -13,7 +13,7 @@ import dataclasses
 import random
 from collections import defaultdict
 
-from .base_tables import TopicInstance, stable_index
+from .base_tables import TopicInstance, draws_below, stable_index
 from .denormalize import TableDraft, aspect_draft, entity_draft, fact_draft
 from .lineage import ColumnLineage, ColumnRole, PublicationStyle
 
@@ -268,7 +268,6 @@ def _sg_standard(
     rows_l2: list = []
     rows_l3: list = []
     rows_year: list = []
-    rows_value: list = []
     for level1 in level1_values:
         level2_values = level2_map[level1] if with_level2 else [None]
         for level2 in level2_values:
@@ -281,9 +280,12 @@ def _sg_standard(
                     rows_l2.append(level2)
                     rows_l3.append(level3)
                     rows_year.append(year)
-                    rows_value.append(
-                        round(rng.randint(0, grid) * (span / grid), 1)
-                    )
+    # One randint(0, grid) per row, in row order.
+    step = span / grid
+    rows_value = [
+        round(position * step, 1)
+        for position in draws_below(rng, grid + 1, len(rows_year))
+    ]
 
     columns: list[tuple[str, list]] = [("level_1", rows_l1)]
     lineage = [

@@ -21,7 +21,7 @@ import pathlib
 import re
 from typing import Mapping
 
-from .trace import write_atomic
+from .trace import write_json
 
 #: Filename pattern for bench histories at the repository root.
 BENCH_GLOB = "BENCH_*.json"
@@ -170,7 +170,7 @@ def append_record(
     Existing records are recovered with the tolerant reader (so a
     previously truncated file loses only its torn tail, not its
     history), and the updated array is written through
-    :func:`~repro.obs.trace.write_atomic` so readers never observe a
+    :func:`~repro.obs.trace.write_json` so readers never observe a
     partially written file.  Shared by the bench harness and the
     load-test CLI.
     """
@@ -183,7 +183,7 @@ def append_record(
             text = ""
         records = salvage_json_objects(text)
     records.append(dict(record))
-    write_atomic(path, json.dumps(records, indent=2, sort_keys=True) + "\n")
+    write_json(path, records)
     return path
 
 

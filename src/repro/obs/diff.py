@@ -29,6 +29,9 @@ compares whatever both runs hold:
 * from fidelity files — per-experiment and per-check **verdict
   changes**.
 
+A trace the reader found damaged (a record left out for a wrong-typed
+field, broken nesting: :attr:`TraceData.problems`) cannot show two runs
+equivalent, so each of its problems is listed and counts as drift.
 A trace header and a profile's ``meta`` are context: their changes are
 reported but never count as drift.  Wall-clock values never
 participate: any timing field a span carries is ignored, so an old
@@ -119,7 +122,10 @@ class DiffReport:
     Only the artifact kinds both runs hold are compared (``compared``);
     the lists of the others stay empty.  ``header_changes`` are
     informational (configuration context); every other list
-    contributes to :attr:`drift_count`.
+    contributes to :attr:`drift_count`.  ``trace_problems`` holds each
+    compared trace's problems as ``{"run": "a" | "b", "problem": ...}``;
+    the JSON document carries the key only when it is non-empty, so a
+    diff of sound traces reads as it always has.
     """
 
     run_a: str
@@ -133,11 +139,13 @@ class DiffReport:
     metric_drift: list[dict] = dataclasses.field(default_factory=list)
     frame_deltas: list[dict] = dataclasses.field(default_factory=list)
     fidelity_changes: list[dict] = dataclasses.field(default_factory=list)
+    trace_problems: list[dict] = dataclasses.field(default_factory=list)
 
     @property
     def drift_count(self) -> int:
         return (
-            len(self.op_deltas)
+            len(self.trace_problems)
+            + len(self.op_deltas)
             + len(self.outcome_transitions)
             + len(self.quarantine_added)
             + len(self.quarantine_removed)
@@ -151,7 +159,10 @@ class DiffReport:
         return self.drift_count > 0
 
     def as_json(self) -> dict:
-        return {**dataclasses.asdict(self), "drift_count": self.drift_count}
+        doc = {**dataclasses.asdict(self), "drift_count": self.drift_count}
+        if not self.trace_problems:
+            del doc["trace_problems"]
+        return doc
 
 
 def _context(run: RunArtifacts, compared: list[str]) -> dict:
@@ -305,6 +316,11 @@ def diff_runs(a: RunArtifacts, b: RunArtifacts) -> DiffReport:
         )
     report = DiffReport(run_a=a.label, run_b=b.label, compared=compared)
     if "trace" in compared:
+        report.trace_problems = [
+            {"run": side, "problem": problem}
+            for side, run in (("a", a), ("b", b))
+            for problem in run.trace.problems
+        ]
         quarantine_a = _quarantined(a.trace)
         quarantine_b = _quarantined(b.trace)
         report.op_deltas = _frame_deltas(
@@ -350,6 +366,8 @@ def render_diff(doc: dict, *, limit: int = 20) -> str:
         lines.append(
             f"  header {change['key']}: {change['a']} -> {change['b']}"
         )
+    for problem in doc.get("trace_problems", ()):
+        lines.append(f"  problem ({problem['run']}): {problem['problem']}")
     if not doc["drift_count"]:
         lines.append("  no drift: runs are equivalent")
         return "\n".join(lines)

@@ -53,7 +53,7 @@ from .trace import (
     render_trace_head,
     span_attr,
     span_stage,
-    write_atomic,
+    write_json,
 )
 
 #: Profile artifact format version.
@@ -202,11 +202,7 @@ def write_profile(
     meta: Mapping | None = None,
 ) -> None:
     """Write the profile artifact via write-to-temp + atomic rename."""
-    write_atomic(
-        path,
-        json.dumps(profile_doc(profiler, meta), sort_keys=True, indent=2)
-        + "\n",
-    )
+    write_json(path, profile_doc(profiler, meta))
 
 
 class NotAProfile(ValueError):
@@ -421,12 +417,16 @@ def profile_report_json(
 
 def _trace_head_lines(section: dict) -> list[str]:
     """The trace's identity, damage, and op totals (or 'no spans')."""
-    problems = section["problems"]
-    nesting = f"BROKEN ({len(problems)})" if problems else "OK"
+    problems = len(section["problems"])
+    soundness = (
+        f"BROKEN ({problems} problem{'s' if problems > 1 else ''})"
+        if problems
+        else "nesting OK"
+    )
     lines = render_trace_head(
         section,
         "trace",
-        f"{section['span_count']} spans, nesting {nesting}",
+        f"{section['span_count']} spans, {soundness}",
         ("seed", "scale", "stage_budget"),
     )
     if not section["span_count"]:

@@ -67,6 +67,17 @@ def write_atomic(path: str | pathlib.Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def write_json(path: str | pathlib.Path, doc) -> None:
+    """Write *doc* to *path* as a JSON artifact, via :func:`write_atomic`.
+
+    The one format of every JSON file the program writes (profiles,
+    bench histories, quarantine records, load reports, ``fidelity
+    --out`` and ``diff --out``): indented by two, keys sorted, one
+    trailing newline, so equal documents are equal bytes.
+    """
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 class TraceWriter:
     """Append-one-line-per-record JSONL sink with immediate flush."""
 

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import pathlib
 from typing import Callable, Mapping
 
 from ..obs.profile import prof_scope
-from ..obs.trace import write_atomic
+from ..obs.trace import write_json
 from .budget import BudgetExceeded, WorkMeter
 from .journal import StageRecord, StudyJournal
 
@@ -354,22 +353,17 @@ class AnalysisExecutor:
     def _write_quarantine_file(self, outcome: StageOutcome) -> None:
         if self.quarantine_dir is None or outcome.table_id == PORTAL_WIDE:
             return
-        write_atomic(
+        write_json(
             self.quarantine_dir / f"{outcome.portal}-{outcome.table_id}.json",
-            json.dumps(
-                {
-                    "portal": outcome.portal,
-                    "stage": outcome.stage,
-                    "table_id": outcome.table_id,
-                    "status": outcome.status.name,
-                    "ticks": outcome.ticks,
-                    "budget": outcome.budget,
-                    "detail": outcome.detail,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n",
+            {
+                "portal": outcome.portal,
+                "stage": outcome.stage,
+                "table_id": outcome.table_id,
+                "status": outcome.status.name,
+                "ticks": outcome.ticks,
+                "budget": outcome.budget,
+                "detail": outcome.detail,
+            },
         )
 
     # ------------------------------------------------------------------

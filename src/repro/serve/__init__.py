@@ -37,7 +37,6 @@ from .loadgen import (
     bench_record,
     check_invariants,
     render_report,
-    report_to_json,
     run_load,
 )
 from .service import (
@@ -82,6 +81,5 @@ __all__ = [
     "canonical_endpoint",
     "check_invariants",
     "render_report",
-    "report_to_json",
     "run_load",
 ]

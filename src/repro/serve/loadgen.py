@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import heapq
-import json
 import random
 from collections import deque
 
@@ -652,7 +651,7 @@ def _build_report(
             "backend_fault_burst": config.backend_fault_burst,
             "deadline_ops": config.service.deadline_ops,
             # JSON-native throughout (tuples become lists) so the
-            # report round-trips: json.loads(report_to_json(r)) == r.
+            # report round-trips through its JSON artifact unchanged.
             "classes": [
                 dataclasses.asdict(spec)
                 | {"endpoints": [list(pair) for pair in spec.endpoints]}
@@ -749,11 +748,6 @@ def check_invariants(report: dict, config: LoadConfig) -> list[str]:
                 "no stale cached answer was served during a fault storm"
             )
     return violations
-
-
-def report_to_json(report: dict) -> str:
-    """The canonical (byte-stable) serialization of a load report."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def render_report(report: dict) -> str:
@@ -871,7 +865,6 @@ __all__ = [
     "bench_record",
     "check_invariants",
     "render_report",
-    "report_to_json",
     "run_load",
     "smoke_classes",
     "standard_classes",

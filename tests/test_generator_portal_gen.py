@@ -179,9 +179,10 @@ def corpus_digest(generated) -> str:
     return digest.hexdigest()
 
 
-#: The corpus the tier-1 study builds (scale 0.18, seed 3) and the
+#: The corpus the tier-1 study builds (scale 0.18, seed 3), the
 #: poisoned portals of ``make smoke-shard`` (scale 0.08, seed 2, poison
-#: rate 0.1), one digest per portal.  The generator's oracle: a change
+#: rate 0.1) and perfbench's two corpora (seed 11 at scales 0.02 and
+#: 0.05), one digest per portal.  The generator's oracle: a change
 #: that moves the corpus on purpose updates these and says so.
 PINNED_DIGESTS = {
     ("SG", 0.18, 3, 0.0):
@@ -200,6 +201,23 @@ PINNED_DIGESTS = {
         "535ca80e7fda42a4afc4563c8608c1d9d1cf726910013ebf83ca0f12dee2f268",
     ("US", 0.08, 2, 0.1):
         "d049ced296f0e57721989b352b4b063d6df7b7285e6b749a1f01ef3c07cfac98",
+    ("SG", 0.02, 11, 0.0):
+        "62e7e2e8599f96685d64c905e128edf1d3ec6c478122d565e23f996afa093b3d",
+    ("CA", 0.02, 11, 0.0):
+        "1cec147b3fc4bc21ce807c7206b090fb45ed85cfabcd696945164d0dd0cafa4b",
+    ("UK", 0.02, 11, 0.0):
+        "eb2fa7f4a6c6ec348aa78fb88db7182e382be722fe8ebf20d7417275c8540c6e",
+    ("US", 0.02, 11, 0.0):
+        "d0873aa7985a2fa54094c6d095fbcd82b678daa1fdc1b4f6cc385b997a0342bd",
+    # SG's six-table floor makes its 0.05 corpus equal its 0.02 one.
+    ("SG", 0.05, 11, 0.0):
+        "62e7e2e8599f96685d64c905e128edf1d3ec6c478122d565e23f996afa093b3d",
+    ("CA", 0.05, 11, 0.0):
+        "1ff8f742981e763cb8eb67d29e6bda6b9fba3a5778bcaa58c64ac68c443bc411",
+    ("UK", 0.05, 11, 0.0):
+        "fe3cbad556cabbae404f09b8fc34f636cc16beb56ed9037988c5528370a989af",
+    ("US", 0.05, 11, 0.0):
+        "3452d1c41e82d78e414b492760c7db1e016059da7eaace47fe551bf9b95314b0",
 }
 
 

@@ -353,12 +353,32 @@ class TestReportsOnMalformedArtifacts:
             tmp_path / "t.jsonl", [unit_span(1), unit_span(2, **fields)]
         )
         assert main(["profile-report", path]) == 0
-        assert "  problem: span 2 left out: " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "  problem: span 2 left out: " in out
+        # A left-out record is damage, but no nesting fault.
+        assert ": 1 spans, BROKEN (1 problem), seed=2" in out.splitlines()[0]
         assert main(["profile-report", path, "--json"]) == 0
         section = json.loads(capsys.readouterr().out)["trace"]
         assert section["valid"] is False
+        # A damaged trace cannot show two runs equivalent, even itself.
+        assert main(["diff", path, path]) == 1
+        out = capsys.readouterr().out
+        assert "no drift" not in out
+        assert "  problem (a): span 2 left out: " in out
+        assert "  problem (b): span 2 left out: " in out
+        assert main(["diff", path, path, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [p["run"] for p in doc["trace_problems"]] == ["a", "b"]
+        assert doc["drift_count"] == 2
+
+    def test_sound_trace_reads_as_before(self, capsys, tmp_path):
+        path = write_trace(tmp_path / "t.jsonl", [unit_span(1), unit_span(2)])
+        assert main(["profile-report", path]) == 0
+        assert ": 2 spans, nesting OK, seed=2" in capsys.readouterr().out
         assert main(["diff", path, path]) == 0
         assert "no drift" in capsys.readouterr().out
+        assert main(["diff", path, path, "--json"]) == 0
+        assert "trace_problems" not in json.loads(capsys.readouterr().out)
 
     @pytest.mark.parametrize(
         "doc, message",

@@ -1,11 +1,13 @@
 """Tests for the deterministic load harness (repro.serve.loadgen)."""
 
+import copy
 import dataclasses
 import json
 
 import pytest
 
 from repro.obs.quantiles import percentile_nearest_rank
+from repro.obs.trace import write_json
 from repro.serve.loadgen import (
     MIXES,
     ClientClass,
@@ -13,7 +15,6 @@ from repro.serve.loadgen import (
     bench_record,
     check_invariants,
     render_report,
-    report_to_json,
     run_load,
     smoke_classes,
 )
@@ -112,7 +113,7 @@ class TestInvariants:
         assert check_invariants(tiny_report, TINY) == []
 
     def test_check_invariants_flags_lost_requests(self, tiny_report):
-        broken = json.loads(report_to_json(tiny_report))
+        broken = copy.deepcopy(tiny_report)
         broken["requests"]["lost"] = 3
         violations = check_invariants(broken, TINY)
         assert any("lost" in v for v in violations)
@@ -123,21 +124,31 @@ class TestInvariants:
         assert any("p99" in v for v in violations)
 
 
-class TestDeterminism:
-    def test_equal_seeds_byte_identical(self, study, tiny_report):
-        again = run_load(study, TINY)
-        assert report_to_json(tiny_report) == report_to_json(again)
+def artifact_bytes(path, report) -> bytes:
+    """The bytes ``loadtest --report`` writes for *report*."""
+    write_json(path, report)
+    return path.read_bytes()
 
-    def test_different_seed_differs(self, study, tiny_report):
+
+class TestDeterminism:
+    def test_equal_seeds_byte_identical(self, study, tiny_report, tmp_path):
+        again = run_load(study, TINY)
+        assert artifact_bytes(tmp_path / "a.json", tiny_report) == (
+            artifact_bytes(tmp_path / "b.json", again)
+        )
+
+    def test_different_seed_differs(self, study, tiny_report, tmp_path):
         shifted = run_load(study, dataclasses.replace(TINY, seed=99))
-        assert report_to_json(shifted) != report_to_json(tiny_report)
+        assert artifact_bytes(tmp_path / "a.json", shifted) != (
+            artifact_bytes(tmp_path / "b.json", tiny_report)
+        )
         # ...but still violates nothing.
         assert check_invariants(
             shifted, dataclasses.replace(TINY, seed=99)
         ) == []
 
-    def test_report_json_is_sorted_and_round_trips(self, tiny_report):
-        text = report_to_json(tiny_report)
+    def test_report_json_is_sorted_and_round_trips(self, tiny_report, tmp_path):
+        text = artifact_bytes(tmp_path / "r.json", tiny_report).decode()
         assert json.loads(text) == tiny_report
         assert text == json.dumps(
             json.loads(text), indent=2, sort_keys=True
