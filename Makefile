@@ -130,20 +130,24 @@ smoke-resume:
 	cmp smoke-resume/a.txt smoke-resume/d.txt
 
 # The serving gate CI runs: the deterministic load harness twice with
-# equal seeds — reports AND request traces must be byte-identical,
-# every request must terminate, and the admission bounds must hold
-# (loadtest exits non-zero on any invariant violation).  The trace is
-# then judged by serve-report: RED tables, exemplars, and the SLO
-# verdict, which must not be EXHAUSTED for the smoke mix.
+# equal seeds — reports, request traces AND serve;<family> profiles
+# must be byte-identical, every request must terminate, and the
+# admission bounds must hold (loadtest exits non-zero on any invariant
+# violation).  The trace is then judged by serve-report: RED tables,
+# exemplars, and the SLO verdict, which must not be EXHAUSTED for the
+# smoke mix.
 smoke-serve:
 	$(PYTHON) -m repro.experiments.cli -q loadtest \
 		--scale 0.18 --seed 3 --mix smoke --report smoke-load-a.json \
-		--trace-out smoke-serve-a.jsonl --bench-root .
+		--trace-out smoke-serve-a.jsonl \
+		--profile-out smoke-profile-serve-a.json --bench-root .
 	$(PYTHON) -m repro.experiments.cli -q loadtest \
 		--scale 0.18 --seed 3 --mix smoke --report smoke-load-b.json \
-		--trace-out smoke-serve-b.jsonl
+		--trace-out smoke-serve-b.jsonl \
+		--profile-out smoke-profile-serve-b.json
 	cmp smoke-load-a.json smoke-load-b.json
 	cmp smoke-serve-a.jsonl smoke-serve-b.jsonl
+	cmp smoke-profile-serve-a.json smoke-profile-serve-b.json
 	$(PYTHON) -m repro.experiments.cli serve-report smoke-serve-a.jsonl \
 		--fail-on-exhausted
 

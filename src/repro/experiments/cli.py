@@ -37,7 +37,7 @@ from ..obs.profile import (
     profile_report_json,
     render_profile_report,
 )
-from ..obs.trace import write_json
+from ..obs.trace import write_atomic, write_json
 from .corpus import get_study
 from .registry import experiment_ids, run_all, run_experiment
 
@@ -514,6 +514,15 @@ def _run_list(args: argparse.Namespace) -> int:
 
 def _run_experiments(args: argparse.Namespace) -> int:
     """The ``run`` subcommand: render one experiment or all of them."""
+    if args.experiment not in ("all", *experiment_ids()):
+        # Checked before the study is built: an unknown id must not
+        # cost a corpus build or leave a trace behind.
+        get_log().error(
+            "unknown-experiment",
+            message=f"unknown experiment {args.experiment!r}; "
+            f"available: {experiment_ids()}",
+        )
+        return 2
     config = config_from_args(args)
     study = get_study(config=config)
     try:
@@ -523,11 +532,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
                 print()
             _print_outcome_footer(study)
             return 0
-        try:
-            result = run_experiment(args.experiment, study)
-        except KeyError as exc:
-            get_log().error("unknown-experiment", message=exc.args[0])
-            return 2
+        result = run_experiment(args.experiment, study)
         print(result.text)
         _print_outcome_footer(study)
         return 0
@@ -653,9 +658,9 @@ def _run_profile_report(args: argparse.Namespace) -> int:
         return 2
     profile, trace = loaded
     if args.collapsed is not None:
-        pathlib.Path(args.collapsed).write_text(
+        write_atomic(
+            args.collapsed,
             "\n".join(collapsed_lines(profile["frames"])) + "\n",
-            encoding="utf-8",
         )
         get_log().info("collapsed-written", path=args.collapsed)
     doc = profile_report_json(profile, top=args.top, trace=trace)

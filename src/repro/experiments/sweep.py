@@ -43,6 +43,7 @@ from ..joinability.pairs import (
 )
 from ..normalize import bcnf
 from ..obs.log import get_log
+from ..resilience.budget import UNMETERED
 from ..resilience.units import FD_STAGE, plan_portal_units, unit_request
 from .registry import run_all
 
@@ -126,7 +127,7 @@ def fragment_mismatches(study: Study) -> tuple[int, list[str]]:
                 if table is None:
                     continue
                 name = f"{portal.code}/{table.name}"
-                unit_request(planned, table, study.config).compute(None)
+                unit_request(planned, table, study.config).compute(UNMETERED)
     finally:
         bcnf.fragment_fds = derive
     return compared, mismatched

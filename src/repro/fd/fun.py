@@ -42,7 +42,7 @@ from itertools import combinations
 
 from ..dataframe import Table
 from ..obs.profile import prof_scope
-from ..resilience.budget import BudgetExceeded, WorkMeter
+from ..resilience.budget import UNMETERED, BudgetExceeded, WorkMeter
 from .model import FD, FDSet
 from .partitions import (
     Labels,
@@ -61,7 +61,7 @@ DEFAULT_MAX_LHS = 4
 def discover_fds(
     table: Table,
     max_lhs: int = DEFAULT_MAX_LHS,
-    meter: WorkMeter | None = None,
+    meter: WorkMeter = UNMETERED,
 ) -> FDSet:
     """Minimal non-trivial FDs of *table* with ``|LHS| <= max_lhs``.
 
@@ -69,12 +69,11 @@ def discover_fds(
     occurrence onward is ignored.
 
     Every partition the walk builds and every FD check it makes charges
-    ``n_rows`` ticks to *meter*; without one, to a throwaway unlimited
-    meter, which has no observable effect.  When the budget runs out,
-    the search stops cleanly at the last *completed* lattice level: the
-    returned set is flagged ``truncated`` and contains exactly the
-    minimal FDs of the levels it finished — FDs discovered mid-level
-    are discarded so that equal budgets always yield identical results.
+    ``n_rows`` ticks to *meter*.  When the budget runs out, the search
+    stops cleanly at the last *completed* lattice level: the returned
+    set is flagged ``truncated`` and contains exactly the minimal FDs
+    of the levels it finished — FDs discovered mid-level are discarded
+    so that equal budgets always yield identical results.
 
     FDs are listed by LHS size, then by the sorted positions of the LHS
     columns among the distinct column names, then by the RHS position.
@@ -101,9 +100,6 @@ def discover_fds(
 
     all_encoded = encode_columns(table)
     encoded = [all_encoded[p] for p in positions]
-    if meter is None:
-        # So the walk needs no meter-less branch.
-        meter = WorkMeter()
 
     try:
         with prof_scope(meter, "fun"):

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Sequence
 
 from ..dataframe import Table
-from ..resilience.budget import BudgetExceeded, WorkMeter
+from ..resilience.budget import UNMETERED, BudgetExceeded, WorkMeter
 from .fun import DEFAULT_MAX_LHS, _commit
 from .model import FD, FDSet
 from .partitions import Labels, encode_columns
@@ -36,7 +36,7 @@ def distinct_count(encoded: list[Labels], positions: Sequence[int]) -> int:
 def discover_fds_naive(
     table: Table,
     max_lhs: int = DEFAULT_MAX_LHS,
-    meter: WorkMeter | None = None,
+    meter: WorkMeter = UNMETERED,
 ) -> FDSet:
     """Minimal non-trivial FDs by exhaustive enumeration.
 
@@ -86,18 +86,14 @@ def discover_fds_naive(
             pending.append((FD(frozenset(), names[attr]), 1))
 
         for size in range(1, max_lhs + 1):
-            if meter is not None:
-                meter.event(
-                    f"fd.level{size}.nodes", math.comb(len(usable), size)
-                )
+            meter.event(f"fd.level{size}.nodes", math.comb(len(usable), size))
             _commit(fds, pending)
             for rhs, lhs_set in pending_lhs:
                 minimal_lhs[rhs].append(lhs_set)
             pending_lhs.clear()
             for lhs in combinations(usable, size):
                 lhs_set = frozenset(lhs)
-                if meter is not None:
-                    meter.tick(n_rows, op="fd.partition")
+                meter.tick(n_rows, op="fd.partition")
                 lhs_card = distinct_count(encoded, lhs)
                 if lhs_card == n_rows:
                     continue  # candidate key or superkey: trivial
@@ -106,8 +102,7 @@ def discover_fds_naive(
                         continue
                     if any(prior <= lhs_set for prior in minimal_lhs[rhs]):
                         continue  # a smaller LHS already determines rhs
-                    if meter is not None:
-                        meter.tick(n_rows, op="fd.partition")
+                    meter.tick(n_rows, op="fd.partition")
                     joint = distinct_count(encoded, lhs + (rhs,))
                     if joint == lhs_card:
                         pending_lhs.append((rhs, lhs_set))

@@ -40,7 +40,7 @@ from itertools import combinations
 
 from ..dataframe import Table
 from ..obs.profile import prof_scope
-from ..resilience.budget import BudgetExceeded, WorkMeter
+from ..resilience.budget import UNMETERED, BudgetExceeded, WorkMeter
 from .fun import DEFAULT_MAX_LHS, _commit
 from .model import FD, FDSet
 from .partitions import encode_columns
@@ -92,14 +92,14 @@ def _is_key(partition: StrippedPartition) -> bool:
 def discover_fds_tane(
     table: Table,
     max_lhs: int = DEFAULT_MAX_LHS,
-    meter: WorkMeter | None = None,
+    meter: WorkMeter = UNMETERED,
 ) -> FDSet:
     """Minimal non-trivial FDs of *table* via the TANE lattice walk.
 
-    Budget semantics match :func:`repro.fd.fun.discover_fds`: with a
-    *meter*, every partition product charges ``n_rows`` ticks and a
-    blown budget truncates at the last completed lattice level,
-    flagging the result ``truncated``.
+    Budget semantics match :func:`repro.fd.fun.discover_fds`: every
+    partition product charges ``n_rows`` ticks to *meter* and a blown
+    budget truncates at the last completed lattice level, flagging the
+    result ``truncated``.
     """
     names: list[str] = []
     positions: list[int] = []
@@ -124,8 +124,7 @@ def discover_fds_tane(
         singleton_partitions = []
         with prof_scope(meter, "tane", "dataframe", "stripped_partition"):
             for column in encoded:
-                if meter is not None:
-                    meter.tick(n_rows, op="fd.partition")
+                meter.tick(n_rows, op="fd.partition")
                 singleton_partitions.append(stripped_partition(column))
 
         constant_attrs = {
@@ -156,8 +155,7 @@ def discover_fds_tane(
 
         size = 1
         while level and size < max_lhs + 1:
-            if meter is not None:
-                meter.event(f"fd.level{size}.nodes", len(level))
+            meter.event(f"fd.level{size}.nodes", len(level))
             # Compute dependencies at this level: for X in level, check
             # (X \ {A}) -> A for A in X ∩ C+(X)  [level >= 2],
             # and X -> A for A outside X         [done via next level's
@@ -171,8 +169,7 @@ def discover_fds_tane(
                     for rhs in sorted(set(usable) - node):
                         if rhs not in candidates:
                             continue
-                        if meter is not None:
-                            meter.tick(n_rows, op="fd.partition-product")
+                        meter.tick(n_rows, op="fd.partition-product")
                         joint = partition_product(
                             partitions[node], encoded[rhs], n_rows
                         )
@@ -217,8 +214,7 @@ def discover_fds_tane(
                         subsets = [candidate - {a} for a in candidate]
                         if any(s not in partitions for s in subsets):
                             continue  # a subset was a key or was pruned
-                        if meter is not None:
-                            meter.tick(n_rows, op="fd.partition-product")
+                        meter.tick(n_rows, op="fd.partition-product")
                         partition = partition_product(
                             partitions[frozenset(candidate - {right})],
                             encoded[right],

@@ -6,7 +6,6 @@ from .clean import (
     clean_table,
     drop_trailing_empty_columns,
 )
-from .detect import classify_payload, is_actually_csv
 from .header import INFERENCE_WINDOW, HeaderInference, infer_header
 from .pipeline import FetchOutcome, IngestReport, IngestedTable, ingest_portal
 
@@ -18,10 +17,8 @@ __all__ = [
     "IngestReport",
     "IngestedTable",
     "WIDE_TABLE_CUTOFF",
-    "classify_payload",
     "clean_table",
     "drop_trailing_empty_columns",
     "infer_header",
     "ingest_portal",
-    "is_actually_csv",
 ]

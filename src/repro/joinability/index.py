@@ -15,7 +15,7 @@ from collections import defaultdict
 from ..dataframe import Cell, Column
 from ..ingest.pipeline import IngestedTable
 from ..obs.profile import prof_scope
-from ..resilience.budget import WorkMeter
+from ..resilience.budget import UNMETERED, WorkMeter
 from .coltypes import SemanticType, classify_column
 
 #: The paper's floor on distinct values for a joinable column (§5.1):
@@ -79,16 +79,16 @@ def profile_column(
 def build_profiles(
     tables: list[IngestedTable],
     min_unique: int = MIN_UNIQUE_VALUES,
-    meter: WorkMeter | None = None,
+    meter: WorkMeter = UNMETERED,
 ) -> tuple[list[ColumnProfile], int]:
     """Profiles for all join-eligible columns of the cleaned tables.
 
     Returns ``(profiles, total_columns)`` where *total_columns* counts
     every column before the unique-value floor, for Table 6's
-    joinable-column percentages.  With a *meter*, each column charges
-    one tick per cell; :class:`BudgetExceeded` propagates to the caller
-    (a partial profile set would silently undercount joinability, so
-    there is no clean truncation here).  Profiles depend only on the
+    joinable-column percentages.  Each column charges *meter* one tick
+    per cell; :class:`BudgetExceeded` propagates to the caller (a
+    partial profile set would silently undercount joinability, so there
+    is no clean truncation here).  Profiles depend only on the
     tables and *min_unique*, so one portal builds them once for every
     threshold (:class:`~repro.joinability.lshindex.JoinSearchState`)
     and later searches charge :func:`replay_profile_ticks` instead.
@@ -101,8 +101,7 @@ def build_profiles(
             assert table is not None
             for column in table.columns:
                 total_columns += 1
-                if meter is not None:
-                    meter.tick(len(column), op="join.profile")
+                meter.tick(len(column), op="join.profile")
                 if column.distinct_count < min_unique:
                     continue
                 profiles.append(
@@ -112,7 +111,7 @@ def build_profiles(
 
 
 def replay_profile_ticks(
-    tables: list[IngestedTable], meter: WorkMeter | None
+    tables: list[IngestedTable], meter: WorkMeter
 ) -> None:
     """Charge the ticks :func:`build_profiles` charges, building nothing.
 
@@ -120,8 +119,6 @@ def replay_profile_ticks(
     under the same frame, so a search that reuses already built
     profiles truncates where a fresh build would.
     """
-    if meter is None:
-        return
     with prof_scope(meter, "dataframe", "distinct_scan"):
         for ingested in tables:
             for column in ingested.clean.columns:

@@ -51,7 +51,7 @@ from collections import Counter, defaultdict
 
 from ..ingest.pipeline import IngestedTable
 from ..obs.profile import prof_scope
-from ..resilience.budget import BudgetExceeded, WorkMeter
+from ..resilience.budget import UNMETERED, BudgetExceeded, WorkMeter
 from .index import (
     MIN_UNIQUE_VALUES,
     ColumnProfile,
@@ -139,7 +139,7 @@ def compute_table_signatures(
     *,
     min_unique: int = MIN_UNIQUE_VALUES,
     seed: int = 1,
-    meter: WorkMeter | None = None,
+    meter: WorkMeter = UNMETERED,
     memo: SignatureMemo | None = None,
 ) -> TableJoinSignatures:
     """MinHash signatures of one cleaned table's qualifying columns.
@@ -160,8 +160,7 @@ def compute_table_signatures(
             values = frozenset(
                 normalize_value(v) for v in column.distinct_values()
             )
-            if meter is not None:
-                meter.tick(len(values), op="join.signature")
+            meter.tick(len(values), op="join.signature")
             columns.append(
                 ColumnSignature(
                     column_name=column.name,
@@ -207,15 +206,15 @@ def token_ranks(profiles: list[ColumnProfile]) -> list[list[int]]:
 def generate_candidates(
     profiles: list[ColumnProfile],
     threshold: float = JACCARD_THRESHOLD,
-    meter: WorkMeter | None = None,
+    meter: WorkMeter = UNMETERED,
     order: list[list[int]] | None = None,
 ) -> list[tuple[int, int]]:
     """Prefix-filtered cross-table candidate pairs, sorted.
 
     A provable superset of every pair with Jaccard >= *threshold* (see
     module docstring).  *order* is :func:`token_ranks` of *profiles*,
-    computed here when not given.  With a *meter*, prefix construction
-    charges one tick per kept prefix token and enumeration one tick per
+    computed here when not given.  Prefix construction charges *meter*
+    one tick per kept prefix token and enumeration one tick per
     posting comparison — the directly comparable analogue of the
     all-pairs walk's per-posting-comparison tick, just over far shorter
     postings.  A budget blowup propagates, exactly like the all-pairs
@@ -230,8 +229,7 @@ def generate_candidates(
     with prof_scope(meter, "lsh", "prefix"):
         for profile, ranks in zip(profiles, order):
             length = prefix_length(profile.num_unique, threshold)
-            if meter is not None:
-                meter.tick(length, op="join.prefix")
+            meter.tick(length, op="join.prefix")
             for token in ranks[:length]:
                 postings[token].append(profile.column_id)
     candidates: set[tuple[int, int]] = set()
@@ -242,8 +240,7 @@ def generate_candidates(
             for i, left in enumerate(posting):
                 left_table = profiles[left].table_index
                 for right in posting[i + 1 :]:
-                    if meter is not None:
-                        meter.tick(op="join.candidate")
+                    meter.tick(op="join.candidate")
                     if profiles[right].table_index == left_table:
                         continue
                     candidates.add((left, right))
@@ -253,7 +250,7 @@ def generate_candidates(
 def lsh_joinable_pairs_flagged(
     profiles: list[ColumnProfile],
     threshold: float = JACCARD_THRESHOLD,
-    meter: WorkMeter | None = None,
+    meter: WorkMeter = UNMETERED,
     order: list[list[int]] | None = None,
 ) -> tuple[list[JoinablePair], bool]:
     """The indexed sibling of ``joinable_pairs_flagged``: same answers.
@@ -267,13 +264,11 @@ def lsh_joinable_pairs_flagged(
     *order* is passed to :func:`generate_candidates`.
     """
     candidates = generate_candidates(profiles, threshold, meter, order)
-    if meter is not None:
-        meter.event("join.prefix_candidates", len(candidates))
+    meter.event("join.prefix_candidates", len(candidates))
     survivors: list[tuple[int, int]] = []
     with prof_scope(meter, "lsh", "size_filter"):
         for left, right in candidates:
-            if meter is not None:
-                meter.tick(op="join.filter")
+            meter.tick(op="join.filter")
             small = min(
                 profiles[left].num_unique, profiles[right].num_unique
             )
@@ -282,15 +277,13 @@ def lsh_joinable_pairs_flagged(
             )
             if small + 1e-9 >= threshold * large:
                 survivors.append((left, right))
-    if meter is not None:
-        meter.event("join.candidate_pairs", len(survivors))
+    meter.event("join.candidate_pairs", len(survivors))
     pairs: list[JoinablePair] = []
     truncated = False
     try:
         with prof_scope(meter, "verify", "jaccard"):
             for left, right in survivors:
-                if meter is not None:
-                    meter.tick(op="join.jaccard")
+                meter.tick(op="join.jaccard")
                 overlap = len(
                     profiles[left].values & profiles[right].values
                 )
@@ -311,10 +304,9 @@ def lsh_joinable_pairs_flagged(
                     )
     except BudgetExceeded:
         truncated = True
-    if meter is not None:
-        meter.event("join.pairs_verified", len(pairs))
-        if not truncated:
-            meter.event("join.pairs_pruned", len(survivors) - len(pairs))
+    meter.event("join.pairs_verified", len(pairs))
+    if not truncated:
+        meter.event("join.pairs_pruned", len(survivors) - len(pairs))
     pairs.sort(key=lambda p: (p.left, p.right))
     return pairs, truncated
 
@@ -344,7 +336,7 @@ class JoinSearchState:
         self,
         tables: list[IngestedTable],
         min_unique: int,
-        meter: WorkMeter | None,
+        meter: WorkMeter,
     ) -> None:
         """Build the state, or charge what building it would charge."""
         if self.tables is None:
@@ -368,7 +360,7 @@ def analyze_joinability_lsh(
     tables: list[IngestedTable],
     threshold: float = JACCARD_THRESHOLD,
     min_unique: int = MIN_UNIQUE_VALUES,
-    meter: WorkMeter | None = None,
+    meter: WorkMeter = UNMETERED,
     state: JoinSearchState | None = None,
 ) -> JoinabilityAnalysis:
     """Index-backed drop-in for ``analyze_joinability``: same analysis.

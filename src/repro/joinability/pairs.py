@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from ..core.stats import fraction, median
 from ..ingest.pipeline import IngestedTable
 from ..obs.profile import prof_scope
-from ..resilience.budget import BudgetExceeded, WorkMeter
+from ..resilience.budget import UNMETERED, BudgetExceeded, WorkMeter
 from .index import (
     MIN_UNIQUE_VALUES,
     ColumnProfile,
@@ -43,7 +43,7 @@ class JoinablePair:
 def find_joinable_pairs(
     profiles: list[ColumnProfile],
     threshold: float = JACCARD_THRESHOLD,
-    meter: WorkMeter | None = None,
+    meter: WorkMeter = UNMETERED,
 ) -> list[JoinablePair]:
     """Every cross-table column pair with Jaccard >= *threshold*.
 
@@ -58,11 +58,11 @@ def find_joinable_pairs(
 def joinable_pairs_flagged(
     profiles: list[ColumnProfile],
     threshold: float = JACCARD_THRESHOLD,
-    meter: WorkMeter | None = None,
+    meter: WorkMeter = UNMETERED,
 ) -> tuple[list[JoinablePair], bool]:
     """:func:`find_joinable_pairs` plus a truncation flag.
 
-    With a *meter*, overlap accumulation charges one tick per posting
+    Overlap accumulation charges *meter* one tick per posting
     comparison; a budget blowup there propagates (partially accumulated
     overlaps would produce *wrong* Jaccards, not fewer ones).  The final
     Jaccard filter charges one tick per candidate pair and truncates
@@ -78,21 +78,18 @@ def joinable_pairs_flagged(
             for i, left in enumerate(posting):
                 left_table = profiles[left].table_index
                 for right in posting[i + 1 :]:
-                    if meter is not None:
-                        meter.tick(op="join.overlap")
+                    meter.tick(op="join.overlap")
                     if profiles[right].table_index == left_table:
                         continue
                     overlaps[(left, right)] += 1
 
-    if meter is not None:
-        meter.event("join.candidate_pairs", len(overlaps))
+    meter.event("join.candidate_pairs", len(overlaps))
     pairs: list[JoinablePair] = []
     truncated = False
     try:
         with prof_scope(meter, "verify", "jaccard"):
             for left, right in sorted(overlaps):
-                if meter is not None:
-                    meter.tick(op="join.jaccard")
+                meter.tick(op="join.jaccard")
                 overlap = overlaps[(left, right)]
                 union = (
                     profiles[left].num_unique
@@ -111,10 +108,9 @@ def joinable_pairs_flagged(
                     )
     except BudgetExceeded:
         truncated = True
-    if meter is not None:
-        meter.event("join.pairs_verified", len(pairs))
-        if not truncated:
-            meter.event("join.pairs_pruned", len(overlaps) - len(pairs))
+    meter.event("join.pairs_verified", len(pairs))
+    if not truncated:
+        meter.event("join.pairs_pruned", len(overlaps) - len(pairs))
     pairs.sort(key=lambda p: (p.left, p.right))
     return pairs, truncated
 
@@ -216,11 +212,11 @@ def analyze_joinability(
     tables: list[IngestedTable],
     threshold: float = JACCARD_THRESHOLD,
     min_unique: int = MIN_UNIQUE_VALUES,
-    meter: WorkMeter | None = None,
+    meter: WorkMeter = UNMETERED,
 ) -> JoinabilityAnalysis:
     """Run joinable-pair discovery and compute Table 6's statistics.
 
-    With a *meter*, profiling and overlap accumulation propagate
+    Profiling and overlap accumulation propagate *meter*'s
     :class:`BudgetExceeded` (no clean partial exists at those stages —
     the executor's fallback takes over), while the Jaccard filter
     truncates cleanly to a deterministic prefix of pairs flagged via

@@ -12,7 +12,7 @@ import random
 from ..core.stats import fraction, mean
 from ..dataframe import Table
 from ..fd.fun import DEFAULT_MAX_LHS, discover_fds
-from ..resilience.budget import WorkMeter
+from ..resilience.budget import UNMETERED, WorkMeter
 from .bcnf import DecompositionResult, bcnf_decompose
 
 #: The paper's size filter for the superlinear analyses (§4.2).
@@ -102,7 +102,7 @@ def table_normalization(
     table: Table,
     rng: random.Random,
     max_lhs: int = DEFAULT_MAX_LHS,
-    meter: WorkMeter | None = None,
+    meter: WorkMeter = UNMETERED,
 ) -> TableNormalization:
     """FD discovery + BCNF decomposition for one table."""
     fds = discover_fds(table, max_lhs=max_lhs, meter=meter)

@@ -165,18 +165,17 @@ _NULL_SCOPE = contextlib.nullcontext(None)
 
 
 def prof_scope(meter, *names: str):
-    """A profiler frame scope riding on *meter*, or a null context.
+    """A frame scope on the profiler of the WorkMeter *meter*.
 
-    *meter* may be a :class:`WorkMeter` (the scope applies to its
-    attached profiler), a bare :class:`Profiler`, or None.  A profiled
-    scope is a :class:`FrameScope`; unprofiled runs pay one attribute
-    lookup and share one module-level null context.  Either may be
-    entered any number of times, so a hot loop builds its scopes once.
+    A profiled scope is a :class:`FrameScope`; a meter without a
+    profiler (``UNMETERED`` among them) pays one attribute lookup and
+    shares one module-level null context.  Either may be entered any
+    number of times, so a hot loop builds its scopes once.
     """
-    profiler = getattr(meter, "profiler", meter)
-    if isinstance(profiler, Profiler) and names:
-        return profiler.frame(*names)
-    return _NULL_SCOPE
+    profiler = meter.profiler
+    if profiler is None:
+        return _NULL_SCOPE
+    return profiler.frame(*names)
 
 
 # ----------------------------------------------------------------------

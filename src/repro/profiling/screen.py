@@ -16,7 +16,7 @@ import dataclasses
 
 from ..dataframe import Table, is_null
 from ..obs.profile import prof_scope
-from ..resilience.budget import WorkMeter
+from ..resilience.budget import UNMETERED, WorkMeter
 
 #: String cells charge one extra tick per this many characters, so a
 #: 40 KB cell costs ~640x a scalar cell — data volume, not cell count,
@@ -37,7 +37,7 @@ class TableScreen:
     max_cell_chars: int
 
 
-def screen_table(table: Table, meter: WorkMeter | None = None) -> TableScreen:
+def screen_table(table: Table, meter: WorkMeter = UNMETERED) -> TableScreen:
     """One metered pass over every cell of *table*.
 
     Costs are charged per column (after scanning it) rather than per
@@ -59,10 +59,8 @@ def screen_table(table: Table, meter: WorkMeter | None = None) -> TableScreen:
                 elif is_null(value):
                     null_cells += 1
             cells += len(column)
-            if meter is not None:
-                meter.tick(cost, op="screen.column")
-    if meter is not None:
-        meter.event("screen.cells", cells)
+            meter.tick(cost, op="screen.column")
+    meter.event("screen.cells", cells)
     return TableScreen(
         table_name=table.name,
         n_rows=table.num_rows,

@@ -19,7 +19,7 @@ recomputation.
 """
 
 from .breaker import BreakerConfig, BreakerEvent, CircuitBreaker, CircuitState
-from .budget import BudgetExceeded, WorkMeter
+from .budget import UNMETERED, BudgetExceeded, WorkMeter
 from .client import FetchResult, ResilientHttpClient, host_of
 from .clock import SimulatedClock
 from .executor import (
@@ -67,6 +67,7 @@ __all__ = [
     "StageStatus",
     "StudyJournal",
     "TokenBucket",
+    "UNMETERED",
     "UnitRequest",
     "WorkMeter",
     "compute_unit",

@@ -30,9 +30,11 @@ class BudgetExceeded(RuntimeError):
 class WorkMeter:
     """Operation-count budget for one analysis stage.
 
+    Every analysis engine charges the meter it is given; the caller's
+    meter alone decides whether the work is budgeted or observed.
     ``budget=None`` means unlimited: ticks are still counted (cheap
-    integer adds) but :class:`BudgetExceeded` is never raised, so
-    guarded code paths produce exactly the unguarded result.
+    integer adds) but :class:`BudgetExceeded` is never raised, so an
+    unlimited meter yields exactly the result of :data:`UNMETERED`.
 
     With a *metrics* registry attached (see
     :class:`repro.obs.metrics.MetricsRegistry`), every tick also feeds
@@ -112,3 +114,19 @@ class WorkMeter:
         """
         if self._metrics is not None:
             self._metrics.inc(name, value)
+
+
+class _Unmetered(WorkMeter):
+    """A meter that charges nothing: see :data:`UNMETERED`."""
+
+    def tick(self, cost: int = 1, op: str = "work") -> None:
+        pass
+
+    def event(self, name: str, value: int = 1) -> None:
+        pass
+
+
+#: The engines' default meter, for callers with nothing to budget or
+#: observe: no budget, registry or profiler; ``spent`` stays 0 and it
+#: never raises.
+UNMETERED: WorkMeter = _Unmetered()

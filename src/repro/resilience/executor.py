@@ -240,13 +240,12 @@ class AnalysisExecutor:
                 journaled=journaled,
             )
 
-        profiler = self.obs.profiler if self.obs is not None else None
         meter = WorkMeter(
             self.stage_budget,
             metrics=self.obs.metrics if self.obs is not None else None,
-            profiler=profiler,
+            profiler=self.obs.profiler if self.obs is not None else None,
         )
-        with prof_scope(profiler, self.portal_code, stage):
+        with prof_scope(meter, self.portal_code, stage):
             result, record = compute_unit(
                 stage, table_id, request, meter, encode=journaled
             )

@@ -26,7 +26,7 @@ from ..joinability.labeling import key_combination, pair_semantic_type
 from ..joinability.pairs import JoinabilityAnalysis, JoinablePair
 from ..joinability.topk import TopKOverlapSearcher
 from ..obs.log import get_log
-from ..resilience.budget import BudgetExceeded, WorkMeter
+from ..resilience.budget import UNMETERED, BudgetExceeded, WorkMeter
 from ..resilience.executor import StageStatus
 from ..unionability.ranking import rank_union_partners
 from .textindex import TextIndex
@@ -207,12 +207,13 @@ class DataLake:
         self,
         query: str,
         limit: int = 10,
-        meter: WorkMeter | None = None,
+        meter: WorkMeter = UNMETERED,
     ) -> list[DatasetHit]:
         """Keyword search over every portal's catalog.
 
-        A *meter* bounds the scan deterministically: on exhaustion the
-        partial ranking scored so far is returned and the caller reads
+        The scan charges *meter* one tick per posting visited, which
+        bounds it deterministically: on exhaustion the partial ranking
+        scored so far is returned and the caller reads
         ``meter.exhausted`` to mark the answer degraded.
         """
         hits: list[DatasetHit] = []
@@ -237,14 +238,14 @@ class DataLake:
         portal_code: str,
         resource_id: str,
         limit: int = 10,
-        meter: WorkMeter | None = None,
+        meter: WorkMeter = UNMETERED,
     ) -> list[JoinSuggestion]:
         """Joinable partners for one table, best first.
 
         Ranking applies the paper's §5.3 signals on top of value
         overlap: same-dataset partners, key-key pairs, non-incremental
-        types, and non-growing joins score higher.  A *meter* charges
-        one tick per candidate pair examined; on exhaustion the pairs
+        types, and non-growing joins score higher.  Each candidate pair
+        examined charges *meter* one tick; on exhaustion the pairs
         scored so far are ranked and returned (a deterministic partial).
         Requests walk only the query table's pairs via the memoized
         per-table map, not the whole portal's pair list, and read value
@@ -260,8 +261,7 @@ class DataLake:
             for pair in self._pairs_for_table(
                 portal_code, analysis, table_index
             ):
-                if meter is not None:
-                    meter.tick(1, op="serve.join.pair")
+                meter.tick(1, op="serve.join.pair")
                 left = analysis.profiles[pair.left]
                 right = analysis.profiles[pair.right]
                 mine, partner = (
@@ -326,12 +326,14 @@ class DataLake:
         portal_code: str,
         resource_id: str,
         limit: int = 10,
-        meter: WorkMeter | None = None,
+        meter: WorkMeter = UNMETERED,
     ) -> list[UnionSuggestion]:
         """Same-schema partners for one table, ranked by relatedness.
 
-        A *meter* charges one tick per table scanned and per partner
-        ranked; exhaustion returns the partners ranked so far.
+        The table's whole schema group is ranked without charging
+        *meter*; each partner returned (at most *limit*) then charges
+        it one ``serve.union.partner`` tick, and exhaustion returns the
+        partners built before it.
         """
         portal = self._study.portal(portal_code)
         analysis = portal.unionability()
@@ -360,8 +362,7 @@ class DataLake:
         suggestions: list[UnionSuggestion] = []
         try:
             for p in ranked[:limit]:
-                if meter is not None:
-                    meter.tick(1, op="serve.union.partner")
+                meter.tick(1, op="serve.union.partner")
                 suggestions.append(
                     UnionSuggestion(
                         portal_code=portal_code,

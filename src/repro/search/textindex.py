@@ -14,7 +14,7 @@ import math
 import re
 from collections import Counter, defaultdict
 
-from ..resilience.budget import BudgetExceeded, WorkMeter
+from ..resilience.budget import UNMETERED, BudgetExceeded, WorkMeter
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -66,11 +66,11 @@ class TextIndex:
         self,
         query: str,
         limit: int = 10,
-        meter: WorkMeter | None = None,
+        meter: WorkMeter = UNMETERED,
     ) -> list[SearchHit]:
         """Rank documents for *query*, best first.
 
-        With a *meter*, every posting visited charges one tick
+        Every posting visited charges *meter* one tick
         (``ops.search.score``); an exhausted budget stops scanning and
         ranks whatever was scored so far — a deterministic partial
         answer rather than a hang (callers read ``meter.exhausted``).
@@ -90,8 +90,7 @@ class TextIndex:
                     continue
                 idf = math.log(1.0 + n_docs / len(posting))
                 for doc_id, count in posting.items():
-                    if meter is not None:
-                        meter.tick(1, op="search.score")
+                    meter.tick(1, op="search.score")
                     tf = count / self._doc_lengths[doc_id]
                     scores[doc_id] += tf * idf
                     matched[doc_id].add(term)

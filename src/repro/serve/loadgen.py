@@ -431,11 +431,7 @@ def run_load(
                 "mix": config.mix,
                 "ops_rate": config.ops_rate,
                 "clients": config.total_clients,
-                "slo": (
-                    config.service.slo.as_json()
-                    if config.service.slo is not None
-                    else None
-                ),
+                "slo": config.service.slo.as_json(),
             },
         )
     service = LakeService(
@@ -630,9 +626,6 @@ def _build_report(
     )
     ops_histogram = service.metrics.get("serve.request.ops")
     histogram_ops = ops_histogram.total if ops_histogram is not None else 0
-    slo_summary = (
-        service.slo.summary() if service.slo is not None else None
-    )
     breaker_opens = sum(
         1
         for breaker in service.breakers.values()
@@ -675,7 +668,7 @@ def _build_report(
         "throughput_rps": round(served / duration, 6) if duration else 0.0,
         "total_ops": _total_service_ops(service),
         "request_ops": request_ops,
-        "slo": slo_summary,
+        "slo": service.slo.summary(),
         "admission": service.admission.snapshot()
         | {"within_bounds": within_bounds},
         "service": {
@@ -785,15 +778,14 @@ def render_report(report: dict) -> str:
             f"backend failures {report['service']['backend_failures']}"
         ),
     ]
-    slo = report.get("slo")
-    if slo is not None:
-        availability = slo["objectives"].get("availability", {})
-        lines.append(
-            f"slo: verdict {slo['verdict']} "
-            f"(availability budget used "
-            f"{availability.get('budget_used', 0.0):.0%}, "
-            f"{slo['windows_evaluated']} windows)"
-        )
+    slo = report["slo"]
+    availability = slo["objectives"].get("availability", {})
+    lines.append(
+        f"slo: verdict {slo['verdict']} "
+        f"(availability budget used "
+        f"{availability.get('budget_used', 0.0):.0%}, "
+        f"{slo['windows_evaluated']} windows)"
+    )
     lines.append("")
     lines.append(render_table(
         "Per class (latency in ops)",
@@ -826,14 +818,11 @@ def bench_record(
     latency percentiles are pinned exactly by a tier-1 test, and an
     ``EXHAUSTED`` verdict fails ``serve-report --fail-on-exhausted``.
     """
-    slo = report.get("slo")
+    slo = report["slo"]
     availability = 1.0
-    verdict = ""
-    if slo is not None:
-        verdict = slo["verdict"]
-        objective = slo["objectives"].get("availability")
-        if objective is not None:
-            availability = round(1.0 - objective["bad_fraction"], 6)
+    objective = slo["objectives"].get("availability")
+    if objective is not None:
+        availability = round(1.0 - objective["bad_fraction"], 6)
     return {
         "experiment": "serve",
         "scale": scale,
@@ -851,7 +840,7 @@ def bench_record(
             6,
         ),
         "availability": availability,
-        "slo_verdict": verdict,
+        "slo_verdict": slo["verdict"],
     }
 
 

@@ -89,9 +89,8 @@ class ServiceConfig:
             failure_threshold=0.5, window=8, min_calls=4, reset_timeout=30.0
         )
     )
-    #: The service-level objectives the error-budget monitor evaluates;
-    #: None disables SLO accounting entirely.
-    slo: SloSpec | None = dataclasses.field(default_factory=default_slos)
+    #: The service-level objectives the error-budget monitor evaluates.
+    slo: SloSpec = dataclasses.field(default_factory=default_slos)
 
 
 class AnnotatedResponse(Response):
@@ -127,11 +126,7 @@ class LakeService:
         #: handlers run under ``serve;<family>`` frames so the load
         #: harness can attribute backend ops per endpoint family.
         self.profiler = profiler
-        self.slo = (
-            SloMonitor(self.config.slo)
-            if self.config.slo is not None
-            else None
-        )
+        self.slo = SloMonitor(self.config.slo)
         self._serve_tracer = (
             ServeTracer(tracer)
             if tracer is not None
@@ -204,11 +199,10 @@ class LakeService:
                 f"serve.endpoint_ops.{endpoint}", LATENCY_BUCKETS
             ).observe(ops)
             at = self.clock.now()
-            if self.slo is not None:
-                self.slo.observe(RequestSample(
-                    at=at, endpoint=endpoint, outcome=outcome,
-                    status=status, ops=ops, stale=stale,
-                ))
+            self.slo.observe(RequestSample(
+                at=at, endpoint=endpoint, outcome=outcome,
+                status=status, ops=ops, stale=stale,
+            ))
             if self._serve_tracer is not None:
                 self._serve_tracer.record(
                     at=at, endpoint=endpoint, client=request.client_id,
@@ -412,7 +406,7 @@ class LakeService:
         try:
             if self._fault_hook is not None:
                 self._fault_hook(request, family)
-            with prof_scope(self.profiler, "serve", family):
+            with prof_scope(meter, "serve", family):
                 result = handler(request, meter)
         except BudgetExceeded:
             # The deadline fired outside a handler's internal partial
@@ -539,11 +533,7 @@ class LakeService:
         else:
             body = {
                 "endpoints": self._endpoint_stats(),
-                "slo": (
-                    self.slo.summary(recent_windows=12)
-                    if self.slo is not None
-                    else None
-                ),
+                "slo": self.slo.summary(recent_windows=12),
                 "admission": self.admission.snapshot(),
                 "cache": self.cache.snapshot(),
                 "breakers": breakers,
@@ -594,8 +584,7 @@ class LakeService:
         the real server on shutdown).  Must precede the observer's own
         ``close()`` so request spans land before the metric block.
         """
-        if self.slo is not None:
-            self.slo.finalize()
+        self.slo.finalize()
         if self._serve_tracer is not None:
             self._serve_tracer.close()
 

@@ -15,7 +15,7 @@ from ..core.stats import fraction, median
 from ..dataframe import Table
 from ..ingest.pipeline import IngestedTable
 from ..obs.profile import prof_scope
-from ..resilience.budget import WorkMeter
+from ..resilience.budget import UNMETERED, WorkMeter
 
 #: Schema fingerprint: ((name, dtype), ...) with names case-folded.
 Fingerprint = tuple[tuple[str, str], ...]
@@ -121,11 +121,11 @@ def empty_unionability_analysis(
 def analyze_unionability(
     portal_code: str,
     tables: list[IngestedTable],
-    meter: WorkMeter | None = None,
+    meter: WorkMeter = UNMETERED,
 ) -> UnionabilityAnalysis:
     """Group a portal's cleaned tables by schema and compute Table 11.
 
-    With a *meter*, each fingerprint charges one tick per schema column;
+    Each fingerprint charges *meter* one tick per schema column;
     :class:`BudgetExceeded` propagates (a partial grouping would
     misreport schema multiplicities, so the executor's fallback takes
     over instead of truncating here).
@@ -135,15 +135,11 @@ def analyze_unionability(
         for index, ingested in enumerate(tables):
             table = ingested.clean
             assert table is not None
-            if meter is not None:
-                meter.tick(
-                    max(1, len(table.column_names)), op="union.fingerprint"
-                )
+            meter.tick(max(1, len(table.column_names)), op="union.fingerprint")
             by_fingerprint[schema_fingerprint(table)].append(index)
 
-    if meter is not None:
-        meter.event("union.tables_grouped", len(tables))
-        meter.event("union.unique_schemas", len(by_fingerprint))
+    meter.event("union.tables_grouped", len(tables))
+    meter.event("union.unique_schemas", len(by_fingerprint))
     groups = [
         UnionGroup(
             fingerprint=fingerprint,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.study import _build_client
+from repro.core.study import Study, _build_client
 from repro.experiments import clear_cache
 from repro.experiments.cli import build_parser, config_from_args, main
 from repro.portal import BlobStore, HttpClient
@@ -229,6 +229,18 @@ class TestMain:
         code = main(["run", "tableXX", "--scale", "0.08", "--seed", "2"])
         assert code == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_unknown_experiment_builds_no_study(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_build(config):
+            raise AssertionError("the study was built")
+
+        monkeypatch.setattr(Study, "build", no_build)
+        trace = tmp_path / "t.jsonl"
+        assert main(["run", "tableXX", "--trace-out", str(trace)]) == 2
+        assert "unknown-experiment" in capsys.readouterr().err
+        assert not trace.exists()
 
     def test_run_with_retries_and_checkpoints(self, capsys, tmp_path):
         code = main(
@@ -589,12 +601,15 @@ class TestProfileCommands:
         path = self._write_profile(
             tmp_path / "p.json", {"study;SG;fd.refine": 7}
         )
-        collapsed = tmp_path / "collapsed.txt"
-        code = main(
-            ["profile-report", path, "--collapsed", str(collapsed)]
-        )
-        assert code == 0
-        assert collapsed.read_text() == "study;SG;fd.refine 7\n"
+        for collapsed in (
+            tmp_path / "collapsed.txt",
+            tmp_path / "new" / "dir" / "collapsed.txt",
+        ):
+            code = main(
+                ["profile-report", path, "--collapsed", str(collapsed)]
+            )
+            assert code == 0
+            assert collapsed.read_text() == "study;SG;fd.refine 7\n"
 
     def test_profile_report_missing_source(self, capsys, tmp_path):
         assert main(["profile-report", str(tmp_path / "nope.json")]) == 2

@@ -22,7 +22,7 @@ from repro.dataframe import Column, Table
 from repro.fd import FD, FDSet, discover_fds, fun
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler, prof_scope
-from repro.resilience.budget import BudgetExceeded, WorkMeter
+from repro.resilience.budget import UNMETERED, BudgetExceeded, WorkMeter
 
 Labels = list[int]
 
@@ -94,7 +94,7 @@ def determines(labels: Labels, column: Labels) -> bool:
 def dense_discover_fds(
     table: Table,
     max_lhs: int = DEFAULT_MAX_LHS,
-    meter: WorkMeter | None = None,
+    meter: WorkMeter = UNMETERED,
 ) -> FDSet:
     """Minimal non-trivial FDs of *table* with ``|LHS| <= max_lhs``.
 

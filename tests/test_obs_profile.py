@@ -20,7 +20,7 @@ from repro.obs.profile import (
     render_profile_report,
     write_profile,
 )
-from repro.resilience.budget import WorkMeter
+from repro.resilience.budget import UNMETERED, WorkMeter
 
 
 class TestProfiler:
@@ -61,7 +61,7 @@ class TestProfiler:
 
         with prof_scope(Meter(), "a", "b"):
             pass
-        with prof_scope(None, "a"):
+        with prof_scope(UNMETERED, "a"):
             pass
 
     def test_absorb_merges_shard_snapshots(self):
@@ -120,9 +120,8 @@ class TestReusableScope:
         assert prof.snapshot() == {"a;b;c;op": 1, "op": 2}
 
     def test_unprofiled_scopes_are_one_shared_null_context(self):
-        shared = prof_scope(None, "a")
+        shared = prof_scope(UNMETERED, "a")
         assert prof_scope(WorkMeter(), "b", "c") is shared
-        assert prof_scope(Profiler()) is shared
         with shared as entered:
             with shared:
                 assert entered is None

@@ -1,12 +1,22 @@
 """WorkMeter unit tests plus determinism properties for guarded FDs."""
 
+import ast
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.dataframe import Column, Table
 from repro.fd import discover_fds, discover_fds_naive, discover_fds_tane
-from repro.resilience import BudgetExceeded, WorkMeter
+from repro.joinability.index import build_profiles
+from repro.joinability.lshindex import analyze_joinability_lsh
+from repro.joinability.pairs import analyze_joinability
+from repro.profiling.screen import screen_table
+from repro.resilience import UNMETERED, BudgetExceeded, WorkMeter
+from repro.search.lake import DataLake
+from repro.unionability.schemas import analyze_unionability
 
 
 class TestWorkMeter:
@@ -94,6 +104,71 @@ def test_unlimited_meter_reproduces_unguarded(table):
     metered = discover_fds(table, meter=WorkMeter())
     assert not metered.truncated
     assert unguarded.as_frozenset() == metered.as_frozenset()
+
+
+def test_engines_without_a_meter_charge_unmetered(study):
+    """Every other engine entry point called without a meter returns
+    what it returns under an unlimited meter, and the shared default
+    stays untouched."""
+    portal = study.portal("US")
+    tables = portal.screened_tables()
+    lake = DataLake(study)
+    joins = portal.joinability()
+    join_table = joins.tables[next(iter(joins.table_neighbors))]
+    unions = portal.unionability()
+    group = unions.unionable_groups()[0]
+    union_table = unions.tables[group.table_indexes[0]]
+    calls = [
+        (screen_table, (tables[0].clean,)),
+        (analyze_unionability, ("US", tables)),
+        (build_profiles, (tables,)),
+        (analyze_joinability, ("US", tables)),
+        (analyze_joinability_lsh, ("US", tables)),
+        (lake.search, ("waste collection",)),
+        (lake.suggest_joins, ("US", join_table.resource_id)),
+        (lake.suggest_unions, ("US", union_table.resource_id)),
+    ]
+    for engine, args in calls:
+        meter = WorkMeter()
+        assert engine(*args) == engine(*args, meter=meter), engine
+        assert meter.spent > 0, engine
+    assert UNMETERED.spent == 0
+    assert not UNMETERED.exhausted
+    assert UNMETERED.profiler is None
+
+
+def _meter_or_none(node: ast.AST) -> str | None:
+    """``"meter"`` for a name or attribute called ``meter``, ``"None"``
+    for the None constant, else None."""
+    if isinstance(node, ast.Name) and node.id == "meter":
+        return "meter"
+    if isinstance(node, ast.Attribute) and node.attr == "meter":
+        return "meter"
+    if isinstance(node, ast.Constant) and node.value is None:
+        return "None"
+    return None
+
+
+def test_no_engine_asks_whether_it_has_a_meter():
+    """No module compares a meter with None or types one
+    ``WorkMeter | None``: engines charge the meter they are given,
+    ``UNMETERED`` by default."""
+    found = []
+    for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                kinds = {_meter_or_none(operand) for operand in operands}
+                if {"meter", "None"} <= kinds:
+                    found.append(f"{path.name}:{node.lineno} compare")
+            elif isinstance(node, ast.BinOp) and isinstance(
+                node.op, ast.BitOr
+            ):
+                sides = {ast.unparse(node.left), ast.unparse(node.right)}
+                if sides == {"WorkMeter", "None"}:
+                    found.append(f"{path.name}:{node.lineno} annotation")
+    assert found == []
 
 
 @given(small_tables(), st.integers(1, 500))

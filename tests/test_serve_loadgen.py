@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.obs.profile import read_profile
 from repro.obs.quantiles import percentile_nearest_rank
 from repro.obs.trace import write_json
 from repro.serve.loadgen import (
@@ -182,6 +183,22 @@ class TestSmokeMix:
         assert "lost=0" in text
         assert "well_behaved" in text
         assert "within bounds: True" in text
+
+    def test_profiled_run_attributes_every_op(
+        self, study, smoke_report, tmp_path
+    ):
+        """Each handler's ticks land under its ``serve;<family>`` frame
+        and the profile accounts for every op the report counts."""
+        path = tmp_path / "profile.json"
+        report = run_load(study, MIXES["smoke"](), profile_out=path)
+        assert report == smoke_report
+        profile = read_profile(path)
+        paths = [frame.split(";") for frame in profile["frames"]]
+        assert all(path[0] == "serve" and len(path) > 2 for path in paths)
+        assert {path[1] for path in paths} == {
+            "catalog", "search", "join", "union"
+        }
+        assert profile["total_ticks"] == report["total_ops"]
 
 
 class TestBenchRecord:
