@@ -49,16 +49,24 @@ fidelity:
 verify-sweep:
 	$(PYTHON) -m repro.experiments.sweep 0.3 7
 
-# The generator's byte-identity gate CI's test matrix runs on every
-# Python it covers: the corpus pins and the draw oracle (the replaced
-# random.Random calls and per-cell formatter, kept in the test) under
-# PYTHONHASHSEED 0, 1 and 2, so a hash-order dependence fails here
-# rather than as a flaky digest.  Stops at the first failure.
+# The byte-identity gate CI's test matrix runs on every Python it
+# covers, under PYTHONHASHSEED 0, 1 and 2, so a hash-order dependence
+# fails here rather than as a flaky digest: the generator's corpus pins
+# and draw oracle (the replaced random.Random calls and per-cell
+# formatter, kept in the test); the ingest report pins and the
+# parse_cell/rows_to_table oracle (the replaced cascade and per-column
+# loop, kept in the test); the served-bytes oracle over every kind of
+# answer the service emits; and the smoke load's report, trace and
+# profile digests.  Stops at the first failure.
 verify-corpus:
 	for seed in 0 1 2; do \
 		PYTHONHASHSEED=$$seed $(PYTHON) -m pytest -q \
 			"tests/test_generator_portal_gen.py::TestCorpusPin" \
-			tests/test_generator_draws.py || exit 1; \
+			tests/test_generator_draws.py \
+			tests/test_ingest_typing.py \
+			tests/test_serve_robustness.py \
+			"tests/test_cli.py::TestDriftCommands::test_loadtest_end_to_end" \
+			|| exit 1; \
 	done
 
 # A small guarded run with tracing enabled, then the attribution

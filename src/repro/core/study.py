@@ -129,14 +129,15 @@ class PortalStudy:
     # joinability
     # ------------------------------------------------------------------
     def join_signatures(self) -> dict:
-        """Cached MinHash signatures per screened table; no analysis uses them.
+        """MinHash signatures per screened table; no analysis uses them.
 
         Keyed by position in :meth:`screened_tables`.  Only the
         wall-clock benchmark calls this (its ``lake`` workload and
-        ``describe_corpus``), so it is a plain loop under one per-portal
-        :class:`~repro.joinability.lshindex.SignatureMemo`: no executor
-        unit, journal, span or budget.  Delete it with the next
-        benchmark change.
+        ``describe_corpus``), once per study, so it is a plain loop under
+        one per-portal :class:`~repro.joinability.lshindex.SignatureMemo`:
+        no executor unit, journal, span, budget or cache (a kept copy
+        would stay alive beside a served study for nothing).  Delete it
+        with the next benchmark change.
         """
         # Looked up at call time so a wrapper installed on the module
         # attribute sees every call.
@@ -145,19 +146,17 @@ class PortalStudy:
             compute_table_signatures,
         )
 
-        if "join-signatures" not in self._cache:
-            memo = SignatureMemo.create(seed=self.config.seed)
-            self._cache["join-signatures"] = {
-                index: compute_table_signatures(
-                    ingested.clean,
-                    ingested.resource_id,
-                    min_unique=self.config.min_unique_values,
-                    seed=self.config.seed,
-                    memo=memo,
-                )
-                for index, ingested in enumerate(self.screened_tables())
-            }
-        return self._cache["join-signatures"]
+        memo = SignatureMemo.create(seed=self.config.seed)
+        return {
+            index: compute_table_signatures(
+                ingested.clean,
+                ingested.resource_id,
+                min_unique=self.config.min_unique_values,
+                seed=self.config.seed,
+                memo=memo,
+            )
+            for index, ingested in enumerate(self.screened_tables())
+        }
 
     def joinability(
         self, threshold: float | None = None

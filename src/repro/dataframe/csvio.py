@@ -84,24 +84,27 @@ def rows_to_table(
     ]
     if not body:
         return Table.empty(name, header)
+    # OGDP columns repeat heavily (the paper's §4 finding), so each
+    # distinct raw string of the table is parsed once, whichever columns
+    # hold it; a padded "" parses to None.
+    parsed = _ParsedCells()
     columns = []
     # zip(*body) transposes rows into raw columns; zip with the header
     # stops at the table width, dropping the cells of overlong rows.
     for column_name, raws in zip(header, zip(*body)):
-        # OGDP columns repeat heavily (the paper's §4 finding), so each
-        # distinct raw string is parsed once; a padded "" parses to None.
-        parsed = dict.fromkeys(raws)
-        for raw in parsed:
-            parsed[raw] = parse_cell(raw)
+        values = list(map(parsed.__getitem__, raws))
         columns.append(
-            Column(
-                column_name,
-                map(parsed.__getitem__, raws),
-                # The type depends only on which value types occur.
-                infer_column_type(parsed.values()),
-            )
+            Column(column_name, values, infer_column_type(values))
         )
     return Table(name, columns)
+
+
+class _ParsedCells(dict):
+    """Raw cell -> :func:`parse_cell` of it, parsed on first lookup."""
+
+    def __missing__(self, raw: str):
+        value = self[raw] = parse_cell(raw)
+        return value
 
 
 def read_csv(text: str, name: str = "table") -> Table:

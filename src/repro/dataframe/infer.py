@@ -2,95 +2,58 @@
 
 CSV files carry no type information, so the engine infers cell types from
 the text itself, the same way pandas' ``read_csv`` does at a high level:
-every cell is tried as int, then float, then boolean, and falls back to
-text.  A column's type is the narrowest type that covers *all* of its
-non-null values (with int widening to float when both appear).
+a cell reads as null, integer, float, boolean or, failing those, text.
+A column's type is the narrowest type that covers *all* of its non-null
+values (with int widening to float when both appear).
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
-from .types import Cell, DataType, normalize_null_text
+from .types import NULL_TOKENS, Cell, DataType
 
-_TRUE_TOKENS = frozenset({"true", "yes", "t", "y"})
-_FALSE_TOKENS = frozenset({"false", "no", "f", "n"})
+#: An ASCII decimal with a point or an exponent, as ``float()`` reads
+#: it.  ``[0-9]`` (not ``\d``) keeps non-ASCII digits (``١٢٣``) text, and
+#: no PEP 515 underscore (``2019_20`` is a period code) or special
+#: (``inf``, ``nan``) matches.
+_DECIMAL = re.compile(
+    r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"|[+-]?[0-9]+[eE][+-]?[0-9]+"
+)
+#: Lower-cased null and boolean spellings.
+_SPELLINGS: dict[str, Cell] = (
+    dict.fromkeys(NULL_TOKENS)
+    | dict.fromkeys(("true", "yes", "t", "y"), True)
+    | dict.fromkeys(("false", "no", "f", "n"), False)
+)
 
 
 def parse_cell(raw: str) -> Cell:
     """Parse one raw CSV cell into a typed value.
 
-    Order of attempts: null token, integer, float, boolean, text.  Leading
-    and trailing whitespace never survives into the value.
+    The stripped cell is classified in one pass: an integer, a float, a
+    null or boolean spelling, else text.  Leading and trailing
+    whitespace never survives into the value.
     """
     text = raw.strip()
-    normalized = normalize_null_text(text)
-    if normalized is None:
-        return None
-    value = try_parse_int(normalized)
-    if value is not None:
-        return value
-    fvalue = try_parse_float(normalized)
-    if fvalue is not None:
-        return fvalue
-    bvalue = try_parse_bool(normalized)
-    if bvalue is not None:
-        return bvalue
-    return normalized
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isdigit() and digits.isascii():
+        if digits[0] == "0" and len(digits) > 1:
+            # A leading-zero code (postal, FIPS): its zeros matter.
+            return text
+        return _integer(text)
+    if _DECIMAL.fullmatch(text):
+        return float(text)  # "1e400" overflows to inf
+    return _SPELLINGS.get(text.lower(), text)
 
 
-def try_parse_int(text: str) -> int | None:
-    """Parse *text* as a plain (optionally signed) ASCII decimal integer.
-
-    Values with leading zeros such as ``007`` are left as text: in open
-    data they are almost always identifiers (postal codes, FIPS codes)
-    whose leading zeros are significant.  Non-ASCII digits (``١٢٣``)
-    stay text too, although ``int()`` would accept them.
-    """
-    candidate = text
-    if candidate.startswith(("+", "-")):
-        candidate = candidate[1:]
-    if not (candidate.isascii() and candidate.isdigit()):
-        return None
-    if len(candidate) > 1 and candidate[0] == "0":
-        return None
+def _integer(text: str) -> int | float:
     try:
         return int(text)
-    except ValueError:  # pragma: no cover - isdigit() already guards this
-        return None
-
-
-def try_parse_float(text: str) -> float | None:
-    """Parse *text* as a float; rejects specials like ``inf`` and ``nan``.
-
-    Also rejects what ``float()`` accepts but a CSV number never
-    spells: PEP 515 underscores (``2019_20`` is a period code, not
-    201920) and non-ASCII digits.
-    """
-    lowered = text.lower()
-    if lowered in ("inf", "+inf", "-inf", "infinity", "nan"):
-        return None
-    if "_" in text or not text.isascii():
-        return None
-    if not any(ch.isdigit() for ch in text):
-        return None
-    digits = text[1:] if text.startswith(("+", "-")) else text
-    if digits.isdigit() and len(digits) > 1 and digits[0] == "0":
-        return None  # leading-zero code (e.g. "00501"): keep as text
-    try:
+    except ValueError:  # beyond int()'s digit limit: float() still reads it
         return float(text)
-    except ValueError:
-        return None
-
-
-def try_parse_bool(text: str) -> bool | None:
-    """Parse *text* as a boolean using common CSV spellings."""
-    lowered = text.lower()
-    if lowered in _TRUE_TOKENS:
-        return True
-    if lowered in _FALSE_TOKENS:
-        return False
-    return None
 
 
 def type_of_cell(value: Cell) -> DataType:
@@ -107,7 +70,7 @@ def type_of_cell(value: Cell) -> DataType:
 
 
 def infer_column_type(values: Iterable[Cell]) -> DataType:
-    """Infer the type of a column from its parsed values.
+    """Infer the type of a column from the set of its value types.
 
     Rules (narrowest covering type):
 
@@ -118,24 +81,13 @@ def infer_column_type(values: Iterable[Cell]) -> DataType:
     * anything containing text, or a mix of text-like and numeric values
       (common in dirty CSVs)         -> ``TEXT``
     """
-    seen_int = seen_float = seen_bool = seen_text = False
-    for value in values:
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            seen_bool = True
-        elif isinstance(value, int):
-            seen_int = True
-        elif isinstance(value, float):
-            seen_float = True
-        else:
-            seen_text = True
-    if seen_text:
-        return DataType.TEXT
-    if seen_bool:
-        return DataType.BOOLEAN if not (seen_int or seen_float) else DataType.TEXT
-    if seen_float:
-        return DataType.FLOAT
-    if seen_int:
+    kinds = set(map(type, values)) - {type(None)}
+    if not kinds:
+        return DataType.EMPTY
+    if kinds == {int}:
         return DataType.INTEGER
-    return DataType.EMPTY
+    if kinds <= {int, float}:
+        return DataType.FLOAT
+    if kinds == {bool}:
+        return DataType.BOOLEAN
+    return DataType.TEXT

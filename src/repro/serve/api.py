@@ -98,6 +98,10 @@ class Response:
     status: int
     body: dict | None
     headers: Mapping[str, str] = dataclasses.field(default_factory=dict)
+    #: The body's bytes when the answer already carries them (every
+    #: service success answer, spliced by :func:`success_bytes`);
+    #: ``None`` encodes the body on demand.
+    encoded: bytes | None = None
 
     @property
     def etag(self) -> str | None:
@@ -115,6 +119,8 @@ class Response:
 
     def to_bytes(self) -> bytes:
         """The JSON body, canonically serialized (empty for 304s)."""
+        if self.encoded is not None:
+            return self.encoded
         if self.body is None:
             return b""
         return (json.dumps(self.body, sort_keys=True) + "\n").encode("utf-8")
@@ -137,12 +143,27 @@ class ApiError(Exception):
         self.retry_after = retry_after
 
 
-def compute_etag(path: str, result: object) -> str:
-    """A deterministic weak ETag over the canonical result document."""
-    canonical = json.dumps(
-        {"path": path, "result": result}, sort_keys=True
-    ).encode("utf-8")
-    return 'W/"' + hashlib.sha256(canonical).hexdigest()[:20] + '"'
+def result_text(result: object) -> str:
+    """An answer's one encoding: the canonical JSON text of its result.
+
+    The ETag document and the success envelope are both spliced around
+    this text, so a served answer is serialized once.  The splices
+    follow ``json.dumps``'s sorted keys and default separators, and the
+    text is ASCII (``ensure_ascii``), so each splice equals the
+    ``json.dumps`` of the whole document.
+    """
+    return json.dumps(result, sort_keys=True)
+
+
+def compute_etag(path: str, text: str) -> str:
+    """A deterministic weak ETag over the canonical result document.
+
+    The document is ``{"path": path, "result": result}`` encoded like
+    :func:`result_text`, spliced from the result's *text*.
+    """
+    canonical = '{"path": ' + json.dumps(path) + ', "result": ' + text + "}"
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return 'W/"' + digest[:20] + '"'
 
 
 def error_body(code: int, message: str, kind: str) -> dict:
@@ -161,6 +182,20 @@ def success_body(
     if stale:
         body["stale"] = True
     return body
+
+
+def success_bytes(
+    text: str, *, degraded: bool = False, stale: bool = False
+) -> bytes:
+    """:func:`success_body`'s canonical bytes, spliced from the result's
+    *text* (:func:`result_text`): sorted keys put ``degraded`` and
+    ``result`` before ``stale`` and ``success``."""
+    flag = "true" if degraded else "false"
+    stale_field = '"stale": true, ' if stale else ""
+    return (
+        f'{{"degraded": {flag}, "result": {text}, {stale_field}'
+        '"success": true}\n'
+    ).encode("utf-8")
 
 
 def _int_param(
@@ -394,5 +429,7 @@ __all__ = [
     "compute_etag",
     "error_body",
     "map_exception",
+    "result_text",
     "success_body",
+    "success_bytes",
 ]

@@ -12,13 +12,16 @@ as 503 + ``Retry-After``.
 
 Only complete (non-degraded) answers are cached, so degradation never
 compounds: a stale answer is always a full answer from a healthier
-moment.  Eviction is deterministic LRU over an ``OrderedDict``.
+moment.  Each entry keeps the result's canonical JSON text beside the
+result, so serving it again encodes nothing.  Eviction is deterministic
+LRU over an ``OrderedDict``.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+from typing import Hashable
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,6 +50,8 @@ class CacheEntry:
     """One cached result payload plus its provenance."""
 
     result: object
+    #: The result's canonical JSON text (``serve.api.result_text``).
+    text: str
     etag: str
     stored_at: float
     hits: int = 0
@@ -65,7 +70,7 @@ class ResponseCache:
         self.config = config
         self._clock = clock
         self._metrics = metrics
-        self._entries: "collections.OrderedDict[str, CacheEntry]" = (
+        self._entries: "collections.OrderedDict[Hashable, CacheEntry]" = (
             collections.OrderedDict()
         )
 
@@ -76,7 +81,7 @@ class ResponseCache:
         if self._metrics is not None:
             self._metrics.inc(name)
 
-    def lookup(self, key: str) -> tuple[CacheEntry | None, str]:
+    def lookup(self, key: Hashable) -> tuple[CacheEntry | None, str]:
         """The entry under *key* and its state (fresh/stale/miss).
 
         Entries past the stale window are dropped on sight, so a
@@ -99,10 +104,13 @@ class ResponseCache:
         self._count("serve.cache.stale")
         return entry, STALE
 
-    def store(self, key: str, result: object, etag: str) -> None:
-        """Cache a complete result as the new last known good."""
+    def store(
+        self, key: Hashable, result: object, text: str, etag: str
+    ) -> None:
+        """Cache a complete result, its text and its ETag as the new
+        last known good."""
         self._entries[key] = CacheEntry(
-            result=result, etag=etag, stored_at=self._clock.now()
+            result=result, text=text, etag=etag, stored_at=self._clock.now()
         )
         self._entries.move_to_end(key)
         while len(self._entries) > self.config.max_entries:

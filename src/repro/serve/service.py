@@ -48,7 +48,9 @@ from .api import (
     compute_etag,
     error_body,
     map_exception,
+    result_text,
     success_body,
+    success_bytes,
 )
 from .cache import FRESH, CacheConfig, ResponseCache
 from .tracing import (
@@ -97,9 +99,16 @@ class AnnotatedResponse(Response):
     """A response plus the bookkeeping the harness needs."""
 
     def __init__(
-        self, status, body, headers=None, *, outcome: str, ops: int
+        self,
+        status,
+        body,
+        headers=None,
+        *,
+        outcome: str,
+        ops: int,
+        encoded: bytes | None = None,
     ):
-        super().__init__(status, body, headers or {})
+        super().__init__(status, body, headers or {}, encoded)
         object.__setattr__(self, "outcome", outcome)
         object.__setattr__(self, "ops", ops)
 
@@ -182,6 +191,7 @@ class LakeService:
         ops: int,
         stale: bool = False,
         trail: RequestTrail | None = None,
+        encoded: bytes | None = None,
     ) -> AnnotatedResponse:
         endpoint = canonical_endpoint(request.path)
         probe = endpoint in PROBE_ENDPOINTS
@@ -219,7 +229,7 @@ class LakeService:
             client=request.client_id,
         )
         return AnnotatedResponse(
-            status, body, headers, outcome=outcome, ops=ops
+            status, body, headers, outcome=outcome, ops=ops, encoded=encoded
         )
 
     def _reject(
@@ -247,6 +257,7 @@ class LakeService:
         self,
         request: Request,
         result: object,
+        text: str,
         *,
         degraded: bool,
         stale: bool,
@@ -261,18 +272,26 @@ class LakeService:
                 request, 304, None, headers, outcome=outcome, ops=ops,
                 stale=stale, trail=trail,
             )
-        body = success_body(result, degraded=degraded, stale=stale)
         return self._finish(
-            request, 200, body, headers, outcome=outcome, ops=ops,
-            stale=stale, trail=trail,
+            request,
+            200,
+            success_body(result, degraded=degraded, stale=stale),
+            headers,
+            outcome=outcome,
+            ops=ops,
+            stale=stale,
+            trail=trail,
+            encoded=success_bytes(text, degraded=degraded, stale=stale),
         )
 
     @staticmethod
-    def cache_key(request: Request) -> str:
-        params = "&".join(
-            f"{k}={v}" for k, v in sorted(request.params.items())
-        )
-        return f"{request.path}?{params}"
+    def cache_key(request: Request) -> tuple:
+        """The path and the sorted ``(name, value)`` parameter pairs.
+
+        A tuple, not a joined query string: a value holding ``&`` or
+        ``=`` cannot pass for other parameters.
+        """
+        return request.path, tuple(sorted(request.params.items()))
 
     # ------------------------------------------------------------------
     # the request path
@@ -368,6 +387,7 @@ class LakeService:
                 return self._respond(
                     request,
                     entry.result,
+                    entry.text,
                     degraded=False,
                     stale=False,
                     etag=entry.etag,
@@ -382,6 +402,7 @@ class LakeService:
                 return self._respond(
                     request,
                     entry.result,
+                    entry.text,
                     degraded=True,
                     stale=True,
                     etag=entry.etag,
@@ -424,12 +445,14 @@ class LakeService:
         trail.add(
             RUNG_BACKEND, ops=meter.spent, family=family, degraded=degraded
         )
-        etag = compute_etag(request.path, result)
+        text = result_text(result)
+        etag = compute_etag(request.path, text)
         if guarded and not degraded:
-            self.cache.store(key, result, etag)
+            self.cache.store(key, result, text, etag)
         return self._respond(
             request,
             result,
+            text,
             degraded=degraded,
             stale=False,
             etag=etag,
@@ -477,6 +500,7 @@ class LakeService:
             return self._respond(
                 request,
                 entry.result,
+                entry.text,
                 degraded=True,
                 stale=True,
                 etag=entry.etag,

@@ -435,7 +435,20 @@ class TestDriftCommands:
         assert code == 2
         assert "unknown-mix" in capsys.readouterr().err
 
+    #: sha256 of the smoke load's report, request trace and serve
+    #: profile (`make smoke-serve`'s config).  Byte pins: a change that
+    #: moves one of these artifacts on purpose updates it and says so.
+    SMOKE_LOAD_DIGESTS = {
+        "load.json":
+            "9da37fcfb0b023716ade17b7b4ecd8e7006f63a42e060326b14734e3215ba418",
+        "trace.jsonl":
+            "36b24bdee92ad4fd02f5faa6abcc50ef581dafeba2ae6f38537e5e69a63e63c0",
+        "profile.json":
+            "e60b099e7b721e21dc6904f0299940bbbb1ef625fad948e0690162f00b67ca05",
+    }
+
     def test_loadtest_end_to_end(self, capsys, tmp_path):
+        import hashlib
         import json
 
         report_path = tmp_path / "load.json"
@@ -445,6 +458,8 @@ class TestDriftCommands:
                 "--scale", "0.18", "--seed", "3",
                 "--mix", "smoke",
                 "--report", str(report_path),
+                "--trace-out", str(tmp_path / "trace.jsonl"),
+                "--profile-out", str(tmp_path / "profile.json"),
                 "--bench-root", str(tmp_path),
             ]
         )
@@ -471,6 +486,11 @@ class TestDriftCommands:
         assert history[0]["experiment"] == "serve"
         assert history[0]["clients"] == doc["harness"]["clients"]
         assert history[0]["total_ops"] == 1353
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.SMOKE_LOAD_DIGESTS
+        }
+        assert digests == self.SMOKE_LOAD_DIGESTS
 
     def test_bench_report_prints_latest_records(self, capsys, tmp_path):
         import json

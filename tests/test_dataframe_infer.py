@@ -5,9 +5,6 @@ import pytest
 from repro.dataframe.infer import (
     infer_column_type,
     parse_cell,
-    try_parse_bool,
-    try_parse_float,
-    try_parse_int,
     type_of_cell,
 )
 from repro.dataframe.types import DataType
@@ -60,30 +57,36 @@ class TestParseCell:
 
 
 class TestScalarParsers:
+    """The integer, float and boolean spellings ``parse_cell`` reads
+    (the cascade it replaced is kept in ``test_ingest_typing.py``)."""
+
     def test_int_rejects_float_text(self):
-        assert try_parse_int("3.5") is None
-        assert try_parse_int("abc") is None
-        assert try_parse_int("") is None
+        assert type(parse_cell("3.5")) is float
+        assert parse_cell("abc") == "abc"
+        assert parse_cell("") is None
 
     def test_float_rejects_specials(self):
-        for text in ("inf", "-inf", "nan", "Infinity"):
-            assert try_parse_float(text) is None
+        for text in ("inf", "-inf", "nan", "Infinity", "+inf", "-infinity"):
+            value = parse_cell(text)
+            assert not isinstance(value, float), text
 
     def test_float_requires_a_digit(self):
-        assert try_parse_float("e") is None
-        assert try_parse_float(".") is None
+        assert parse_cell("e") == "e"
+        assert parse_cell(".") == "."
+        assert parse_cell("+") == "+"
 
     def test_numbers_are_plain_ascii(self):
-        assert try_parse_int("١٢٣") is None
-        assert try_parse_int("-١٢") is None
-        assert try_parse_float("2019_20") is None
-        assert try_parse_float("١٢٣") is None
+        assert parse_cell("١٢٣") == "١٢٣"
+        assert parse_cell("-١٢") == "-١٢"
+        assert parse_cell("2019_20") == "2019_20"
+        assert parse_cell("²") == "²"
+        assert parse_cell("-007") == "-007"
 
     def test_bool_spellings(self):
-        assert try_parse_bool("TRUE") is True
-        assert try_parse_bool("y") is True
-        assert try_parse_bool("f") is False
-        assert try_parse_bool("2") is None
+        assert parse_cell("TRUE") is True
+        assert parse_cell("y") is True
+        assert parse_cell("f") is False
+        assert parse_cell("2") == 2
 
 
 class TestTypeOfCell:

@@ -1,5 +1,6 @@
 """Tests for the CKAN-shaped query API layer (repro.serve.api)."""
 
+import hashlib
 import json
 
 import pytest
@@ -15,7 +16,9 @@ from repro.serve.api import (
     compute_etag,
     error_body,
     map_exception,
+    result_text,
     success_body,
+    success_bytes,
 )
 
 
@@ -223,16 +226,45 @@ class TestEnvelopes:
         assert "stale" not in success_body({})
 
     def test_etag_is_deterministic_and_content_sensitive(self):
-        a = compute_etag("/lake_search", {"count": 1})
-        assert a == compute_etag("/lake_search", {"count": 1})
-        assert a != compute_etag("/lake_search", {"count": 2})
-        assert a != compute_etag("/join_suggest", {"count": 1})
+        a = compute_etag("/lake_search", result_text({"count": 1}))
+        assert a == compute_etag("/lake_search", result_text({"count": 1}))
+        assert a != compute_etag("/lake_search", result_text({"count": 2}))
+        assert a != compute_etag("/join_suggest", result_text({"count": 1}))
         assert a.startswith('W/"')
+
+    @pytest.mark.parametrize(
+        "path", ["/lake_search", '/odd "path"\\', "/caf\u00e9"]
+    )
+    @pytest.mark.parametrize(
+        "result",
+        [{}, {"count": 1}, {"b": [1.5, None, True], "a": "\u00e9\n\""}],
+    )
+    def test_etag_hashes_the_path_and_result_document(self, path, result):
+        document = json.dumps({"path": path, "result": result}, sort_keys=True)
+        digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
+        assert compute_etag(path, result_text(result)) == (
+            'W/"' + digest[:20] + '"'
+        )
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    @pytest.mark.parametrize("stale", [False, True])
+    def test_success_bytes_equal_the_envelope_dump(self, degraded, stale):
+        result = {"z": [1, 2.5, None], "a": {"k": "\u00e9\t"}}
+        body = success_body(result, degraded=degraded, stale=stale)
+        spliced = success_bytes(
+            result_text(result), degraded=degraded, stale=stale
+        )
+        assert spliced == Response(200, body).to_bytes()
+        assert spliced == (json.dumps(body, sort_keys=True) + "\n").encode()
 
     def test_response_bytes_are_canonical(self):
         response = Response(200, {"b": 1, "a": 2})
         assert response.to_bytes() == b'{"a": 2, "b": 1}\n'
         assert Response(304, None).to_bytes() == b""
+
+    def test_response_carries_its_encoded_bytes(self):
+        response = Response(200, {"b": 1}, encoded=b'{"b": 1}\n')
+        assert response.to_bytes() == b'{"b": 1}\n'
 
     def test_response_headers_case_insensitive(self):
         response = Response(200, {}, {"ETag": 'W/"x"', "Retry-After": "1.5"})
